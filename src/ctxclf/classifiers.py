@@ -18,6 +18,7 @@ ALGORITHMS = ("NearestNeighbor", "GaussianNB", "RandomForest")
 
 VARIANCE_FLOOR = 1e-9
 MIN_LEAF = 2
+NN_CHUNK_ELEMENTS = 1 << 20  # bound on the (rows, train rows, d) array of a block 1-NN
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,14 @@ def _tree_predict(tree: dict, x: np.ndarray) -> int:
     return int(tree["label"][node])
 
 
-def predict(model: TrainedModel, x) -> int:
+def predict(model: TrainedModel, x):
+    """Class of one feature vector (an int), or of each row of an (n, d) block (an array).
+
+    A block gives the same classes as predicting its rows one by one.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2 and x.shape[1] == model.dimension:
+        return _predict_block(model, x)
     if x.shape != (model.dimension,):
         raise DimensionMismatch(f"expected {model.dimension} features, got {x.shape}")
     if model.algorithm == "NearestNeighbor":
@@ -233,3 +240,44 @@ def predict(model: TrainedModel, x) -> int:
     for tree in model.params["trees"]:
         votes[lookup[_tree_predict(tree, x)]] += 1
     return model.classes[int(np.argmax(votes))]  # classes sorted: ties to smallest
+
+
+def _predict_block(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Row-wise predict over a block; each reduction runs along the same axis as above."""
+    classes = np.asarray(model.classes, dtype=np.int64)
+    if model.algorithm == "NearestNeighbor":
+        train_X, train_y = model.params["X"], model.params["y"]
+        step = max(1, NN_CHUNK_ELEMENTS // max(1, train_X.size))
+        nearest = [
+            np.argmin(np.sum((train_X[None, :, :] - X[i : i + step, None, :]) ** 2, axis=2), axis=1)
+            for i in range(0, len(X), step)
+        ]
+        return train_y[np.concatenate(nearest)] if nearest else train_y[:0]
+    if model.algorithm == "GaussianNB":
+        means = model.params["means"]
+        variances = model.params["variances"]
+        log_norm = np.log(model.params["priors"]) - 0.5 * np.sum(
+            np.log(2.0 * np.pi * variances), axis=1
+        )
+        log_post = log_norm[None, :] - 0.5 * np.sum(
+            (X[:, None, :] - means[None, :, :]) ** 2 / variances, axis=2
+        )
+        return classes[np.argmax(log_post, axis=1)]
+    votes = np.zeros((len(X), len(classes)), dtype=np.int64)
+    rows = np.arange(len(X))
+    for tree in model.params["trees"]:
+        votes[rows, np.searchsorted(classes, _tree_predict_block(tree, X))] += 1
+    return classes[np.argmax(votes, axis=1)]  # classes sorted: ties to smallest
+
+
+def _tree_predict_block(tree: dict, X: np.ndarray) -> np.ndarray:
+    """Walk every row down the tree at once; rows stop at their leaf."""
+    feature, threshold = tree["feature"], tree["threshold"]
+    node = np.zeros(len(X), dtype=np.int64)
+    active = np.flatnonzero(feature[node] >= 0)
+    while len(active):
+        at = node[active]
+        go_left = X[active, feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, tree["left"][at], tree["right"][at])
+        active = active[feature[node[active]] >= 0]
+    return tree["label"][node]

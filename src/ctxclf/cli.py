@@ -2,9 +2,7 @@
 
 Subcommands: validate, enumerate, optimize, run, report. Runs are driven
 by a JSON config file; every run writes a manifest (config hash, master
-seed, package version) so it can be replayed exactly. The CTXCLF_WORKERS
-environment variable is parsed for forward compatibility; execution is
-currently sequential regardless of its value.
+seed, package version) so it can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +24,15 @@ from ctxclf.context import (
     validate_structure,
 )
 from ctxclf.errors import CtxclfError, InfeasibleStructure, StructureError
-from ctxclf.evaluation import METHODS, MetricsRow, MetricsTable, RunConfig, run_experiment
+from ctxclf.evaluation import (
+    METHODS,
+    MetricsRow,
+    MetricsTable,
+    RunConfig,
+    binding_fitness,
+    run_experiment,
+)
+from ctxclf.features import feature_matrix
 from ctxclf.optimize import EAParams, ea_search, exhaustive_search, feasible_set, trace_to_csv
 from ctxclf.rng import derive_seed
 from ctxclf.signals import load_signalset
@@ -40,17 +45,6 @@ EXIT_INFEASIBLE = 2
 
 class ConfigError(CtxclfError):
     """Config schema violation; message carries the offending field path."""
-
-
-def workers_from_env() -> int:
-    raw = os.environ.get("CTXCLF_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CTXCLF_WORKERS: expected a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"CTXCLF_WORKERS: expected a positive integer, got {raw!r}")
-    return n
 
 
 def _expect(d: dict, key: str, kind, path: str, default=None, required=False):
@@ -127,20 +121,23 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
         )
 
     ea = _parse_ea(_expect(raw, "ea", dict, "", default={}), "ea.")
-    config = RunConfig(
-        signalset=sset,
-        structure=structure,
-        classifier_specs=tuple(specs),
-        methods=methods,
-        cv_folds=_expect(raw, "cv_folds", int, "", default=10),
-        inner_folds=_expect(raw, "inner_folds", int, "", default=3),
-        repetitions=_expect(raw, "repetitions", int, "", default=20),
-        inner_repetitions=_expect(raw, "inner_repetitions", int, "", default=5),
-        feature_fraction=_expect(raw, "feature_fraction", float, "", default=0.5),
-        ea_params=ea,
-        exhaustive_limit=_expect(raw, "exhaustive_limit", int, "", default=500),
-        master_seed=_expect(raw, "master_seed", int, "", default=0),
-    )
+    try:
+        config = RunConfig(
+            signalset=sset,
+            structure=structure,
+            classifier_specs=tuple(specs),
+            methods=methods,
+            cv_folds=_expect(raw, "cv_folds", int, "", default=10),
+            inner_folds=_expect(raw, "inner_folds", int, "", default=3),
+            repetitions=_expect(raw, "repetitions", int, "", default=20),
+            inner_repetitions=_expect(raw, "inner_repetitions", int, "", default=5),
+            feature_fraction=_expect(raw, "feature_fraction", float, "", default=0.5),
+            ea_params=ea,
+            exhaustive_limit=_expect(raw, "exhaustive_limit", int, "", default=500),
+            master_seed=_expect(raw, "master_seed", int, "", default=0),
+        )
+    except ValueError as exc:  # RunConfig range checks name the field first
+        raise ConfigError(str(exc))
     out_dir = Path(_expect(raw, "output_dir", str, "", default="out"))
     return config, raw, out_dir
 
@@ -223,23 +220,18 @@ def cmd_enumerate(args) -> int:
 
 def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
-    from ctxclf.evaluation import _binding_fitness  # shared inner-CV objective
-
     try:
-        workers_from_env()
         config, raw, out_dir = load_run_config(args.config)
     except (OSError, CtxclfError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    from ctxclf.features import feature_matrix
-
     X, y = feature_matrix(config.signalset)
     feasible = feasible_set(config.structure)
     results = {}
     for spec in config.classifier_specs:
-        fitness = _binding_fitness(config, spec, X, y, list(range(len(y))), fold=0)
+        fitness = binding_fitness(config, spec, X, y, list(range(len(y))), fold=0)
         if len(feasible) <= config.exhaustive_limit:
             best, value, _ = exhaustive_search(feasible, fitness)
             mode = "exhaustive"
@@ -264,7 +256,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        workers_from_env()
         config, raw, out_dir = load_run_config(args.config)
     except (OSError, CtxclfError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)

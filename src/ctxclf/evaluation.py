@@ -24,10 +24,12 @@ from ctxclf.runtime import (
     ContextEnsemble,
     PlainModel,
     initial_state,
+    predict_tables,
     reset,
     step,
     train_ensemble,
     train_plain,
+    walk_tables,
 )
 from ctxclf.signals import SignalSet, stratified_folds
 from ctxclf.features import feature_matrix
@@ -71,9 +73,9 @@ def generate_movement_sequences(structure: ContextStructure) -> list[MovementSeq
         return [MovementSequence(movements=root.member_movements(), path=(root.index,))]
     sequences = []
 
-    def descend(box, prefix_moves: list[int], prefix_path: list[int]):
+    def descend(box, prefix_moves: list[int], prefix_path: list):
         moves = list(prefix_moves)
-        path = prefix_path + [box.index]
+        path = prefix_path + [box]
         if not box.is_root:
             moves.append(box.opener)
             moves.extend(box.internal_movements)
@@ -81,21 +83,13 @@ def generate_movement_sequences(structure: ContextStructure) -> list[MovementSeq
             for child in box.children:
                 descend(child, moves, path)
         else:
-            for idx in reversed(path):
-                b = _box_by_index(structure, idx)
-                if not b.is_root:
-                    moves.append(b.opener)
-            sequences.append(MovementSequence(movements=tuple(moves), path=tuple(path)))
+            moves.extend(b.opener for b in reversed(path) if not b.is_root)
+            sequences.append(
+                MovementSequence(movements=tuple(moves), path=tuple(b.index for b in path))
+            )
 
     descend(root, [], [])
     return sequences
-
-
-def _box_by_index(structure: ContextStructure, index: int):
-    for b in structure.root.walk():
-        if b.index == index:
-            return b
-    raise KeyError(index)
 
 
 def sequence_to_classes(
@@ -178,6 +172,14 @@ class RunConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # range checks up front, so a bad value fails before the run, not inside the inner CV
+        for name, least in (
+            ("cv_folds", 2), ("inner_folds", 2), ("repetitions", 1), ("inner_repetitions", 1)
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+        if not 0.0 < self.feature_fraction <= 1.0:
+            raise ValueError(f"feature_fraction: must be in (0, 1], got {self.feature_fraction}")
 
 
 @dataclass(frozen=True)
@@ -229,37 +231,49 @@ def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]
 
 
 def _evaluate_system(system, binding, structure, X, pools, R, rng) -> list[SequenceOutcome]:
+    """Outcomes of R object sequences per movement sequence, drawn from the pools.
+
+    Each box model predicts the whole test pool once; the sequences are then
+    walked over those prediction tables, as evaluate_sequence would feed them.
+    """
+    rows = sorted(i for objects in pools.values() for i in objects)
+    table_row = {i: r for r, i in enumerate(rows)}
+    tables = predict_tables(system, X[rows])
     outcomes = []
     for seq in generate_movement_sequences(structure):
         classes = sequence_to_classes(seq, structure, binding)
         for obj_idx in sample_object_sequences(classes, pools, R, rng):
-            outcomes.append(evaluate_sequence(system, [X[i] for i in obj_idx], classes))
+            predicted = walk_tables(system, tables, [table_row[i] for i in obj_idx])
+            outcomes.append(
+                SequenceOutcome(hits=tuple(p == c for p, c in zip(predicted, classes)))
+            )
     return outcomes
 
 
-def _binding_fitness(config: RunConfig, spec, X, y, train_indices, fold: int) -> Fitness:
-    """Mean SqCov of a candidate binding under inner cross-validation."""
+def binding_fitness(config: RunConfig, spec, X, y, train_indices, fold: int) -> Fitness:
+    """Mean SqCov of a candidate binding under inner cross-validation.
+
+    Each inner fold keeps one box-fit memo for all the bindings evaluated,
+    so a box problem (inner training rows plus box class set) is fitted once.
+    """
     inner_seed = derive_seed(config.master_seed, "inner", fold, spec.algorithm)
     labels = y[train_indices]
     assignments = _stratified_assignments(labels, config.inner_folds, inner_seed)
+    splits = []
+    for inner in range(config.inner_folds):
+        tr = [train_indices[i] for i in range(len(labels)) if assignments[i] != inner]
+        te = [train_indices[i] for i in range(len(labels)) if assignments[i] == inner]
+        splits.append((X[tr], y[tr], _class_pools(y, te), {}))
 
     def objective(binding: Binding) -> float:
         scores = []
-        for inner in range(config.inner_folds):
-            tr = [train_indices[i] for i in range(len(labels)) if assignments[i] != inner]
-            te = [train_indices[i] for i in range(len(labels)) if assignments[i] == inner]
+        for inner, (X_tr, y_tr, pools, memo) in enumerate(splits):
             ensemble = train_ensemble(
-                config.structure, binding, X[tr], y[tr], spec, config.feature_fraction
+                config.structure, binding, X_tr, y_tr, spec, config.feature_fraction, memo=memo
             )
             rng = derive_rng(inner_seed, "sample", inner, *binding.secondary)
             outcomes = _evaluate_system(
-                ensemble,
-                binding,
-                config.structure,
-                X,
-                _class_pools(y, te),
-                config.inner_repetitions,
-                rng,
+                ensemble, binding, config.structure, X, pools, config.inner_repetitions, rng
             )
             scores.append(sqcov_metric(outcomes))
         return float(np.mean(scores))
@@ -296,18 +310,20 @@ def run_experiment(config: RunConfig) -> MetricsTable:
             rctx_rng = derive_rng(config.master_seed, "rctx", fold, spec.algorithm)
             rctx_binding = feas[int(rctx_rng.integers(0, len(feas)))]
 
+            X_tr, y_tr = X[train_idx], y[train_idx]
+            memo: dict = {}  # box fits of this (spec, fold) training set
             systems: dict[str, tuple] = {}
             if "plain" in config.methods:
-                plain = train_plain(X[train_idx], y[train_idx], spec, config.feature_fraction)
+                plain = train_plain(X_tr, y_tr, spec, config.feature_fraction, memo=memo)
                 systems["plain"] = (plain, rctx_binding)
             if "rctx" in config.methods:
                 ens = train_ensemble(
-                    config.structure, rctx_binding, X[train_idx], y[train_idx], spec,
-                    config.feature_fraction,
+                    config.structure, rctx_binding, X_tr, y_tr, spec,
+                    config.feature_fraction, memo=memo,
                 )
                 systems["rctx"] = (ens, rctx_binding)
             if "octx" in config.methods:
-                fitness = _binding_fitness(config, spec, X, y, train_idx, fold)
+                fitness = binding_fitness(config, spec, X, y, train_idx, fold)
                 if len(feas) <= config.exhaustive_limit:
                     best, _, _ = exhaustive_search(feas, fitness)
                 else:
@@ -318,8 +334,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                     best, _, trace = ea_search(feas, fitness, params)
                     traces[(spec.algorithm, fold)] = trace
                 ens = train_ensemble(
-                    config.structure, best, X[train_idx], y[train_idx], spec,
-                    config.feature_fraction,
+                    config.structure, best, X_tr, y_tr, spec, config.feature_fraction, memo=memo
                 )
                 systems["octx"] = (ens, best)
 

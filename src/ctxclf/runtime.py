@@ -36,12 +36,6 @@ class ContextEnsemble:
     models: dict[int, TrainedModel] = field(compare=False)
     spec: ClassifierSpec = ClassifierSpec()
 
-    def box_by_index(self, index: int) -> BoxNode:
-        for b in self.structure.root.walk():
-            if b.index == index:
-                return b
-        raise KeyError(index)
-
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -148,6 +142,25 @@ class PlainModel:
         return predict(self.model, self.mask.apply(x))
 
 
+def _fit_box(X, y, classes, spec: ClassifierSpec, feature_fraction: float, memo=None):
+    """(mask, model) fitted on the rows of X whose label is in classes.
+
+    The fit is a pure function of the training set, the class set and the
+    spec, so ``memo`` (a dict, keyed by the class set) may hold fits made
+    before on the same X, y, spec and feature_fraction; a memo must never be
+    shared between training sets.
+    """
+    key = tuple(sorted(int(c) for c in classes))
+    if memo is not None and key in memo:
+        return memo[key]
+    rows = np.isin(y, key)
+    mask = select_features(X[rows], y[rows], fraction=feature_fraction)
+    fit = (mask, train(spec, mask.apply(X[rows]), y[rows]))
+    if memo is not None:
+        memo[key] = fit
+    return fit
+
+
 def train_ensemble(
     structure: ContextStructure,
     binding: Binding,
@@ -155,8 +168,9 @@ def train_ensemble(
     y,
     spec: ClassifierSpec,
     feature_fraction: float = 0.5,
+    memo: dict | None = None,
 ) -> ContextEnsemble:
-    """Fit one (mask, model) pair per box on the box-restricted rows."""
+    """Fit one (mask, model) pair per box on the box-restricted rows (see _fit_box for memo)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not binding_feasible(structure, binding):
@@ -168,20 +182,20 @@ def train_ensemble(
         for c in classes:
             if np.sum(y == c) == 0:
                 raise UncoveredClass(f"box {box.index}: class {c} absent from training data")
-        rows = np.isin(y, classes)
-        mask = select_features(X[rows], y[rows], fraction=feature_fraction)
-        model = train(spec, mask.apply(X[rows]), y[rows])
-        masks[box.index] = mask
-        models[box.index] = model
+        masks[box.index], models[box.index] = _fit_box(
+            X, y, classes, spec, feature_fraction, memo
+        )
     return ContextEnsemble(structure=structure, binding=binding, masks=masks, models=models, spec=spec)
 
 
-def train_plain(X, y, spec: ClassifierSpec, feature_fraction: float = 0.5) -> PlainModel:
-    """Context-free model over all classes, with the global MI mask."""
+def train_plain(
+    X, y, spec: ClassifierSpec, feature_fraction: float = 0.5, memo: dict | None = None
+) -> PlainModel:
+    """Context-free model over all classes, with the global MI mask (see _fit_box for memo)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    mask = select_features(X, y, fraction=feature_fraction)
-    return PlainModel(mask=mask, model=train(spec, mask.apply(X), y))
+    mask, model = _fit_box(X, y, np.unique(y), spec, feature_fraction, memo)
+    return PlainModel(mask=mask, model=model)
 
 
 def initial_state(ensemble: ContextEnsemble) -> MachineState:
@@ -207,17 +221,52 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     box = state.current
     masked = ensemble.masks[box.index].apply(x)
     j = predict(ensemble.models[box.index], masked)
+    return j, _transition(ensemble.binding, state.stack, j), state
 
-    if not box.is_root and ensemble.binding.class_of_movement(box.opener) == j:
-        state.stack.pop()
-        return j, box.opener, state
+
+def _transition(binding: Binding, stack: list[BoxNode], j: int) -> int:
+    """Interpret class j in the box on top of the stack, push/pop; return the movement."""
+    box = stack[-1]
+    if not box.is_root and binding.class_of_movement(box.opener) == j:
+        stack.pop()
+        return box.opener
     for m in box.member_movements():
-        if ensemble.binding.class_of_movement(m) == j:
+        if binding.class_of_movement(m) == j:
             for child in box.children:
                 if child.opener == m:
-                    state.stack.append(child)
-                    return j, m, state
-            return j, m, state
+                    stack.append(child)
+                    return m
+            return m
     raise DuplicateClassInBox(
         f"box {box.index}: predicted class {j} has no interpretation"
     )  # unreachable when model range equals the box's class set
+
+
+def predict_tables(system, X) -> dict[int, list[int]]:
+    """Each box model's class for every row of X, one block predict per box.
+
+    A PlainModel has one table, under box index 0.
+    """
+    if isinstance(system, PlainModel):
+        return {0: system.predict(X).tolist()}
+    return {
+        i: predict(model, system.masks[i].apply(X)).tolist()
+        for i, model in system.models.items()
+    }
+
+
+def walk_tables(system, tables: dict[int, list[int]], rows) -> list[int]:
+    """Predicted classes of a sequence of table rows, starting in the initial state.
+
+    The same transitions as ``step``, with each box model's class read from
+    its table instead of predicted anew.
+    """
+    if isinstance(system, PlainModel):
+        return [tables[0][r] for r in rows]
+    stack = [system.structure.root]
+    out = []
+    for r in rows:
+        j = tables[stack[-1].index][r]
+        _transition(system.binding, stack, j)
+        out.append(j)
+    return out

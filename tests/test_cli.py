@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctxclf.cli import ConfigError, load_run_config, main, workers_from_env
+from ctxclf.cli import ConfigError, load_run_config, main
 from ctxclf.context import structure_to_dict
 from ctxclf.signals import save_signalset
 from ctxclf.structures import five_class_example, six_class_nested
@@ -191,14 +191,24 @@ def test_run_reports_config_error(run_setup, capsys):
     assert "repetitions" in capsys.readouterr().err
 
 
-def test_workers_env(monkeypatch):
-    monkeypatch.delenv("CTXCLF_WORKERS", raising=False)
-    assert workers_from_env() == 1
-    monkeypatch.setenv("CTXCLF_WORKERS", "4")
-    assert workers_from_env() == 4
-    monkeypatch.setenv("CTXCLF_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        workers_from_env()
-    monkeypatch.setenv("CTXCLF_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        workers_from_env()
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("feature_fraction", 0),
+        ("feature_fraction", 1.5),
+        ("cv_folds", 1),
+        ("inner_folds", 1),
+        ("repetitions", 0),
+        ("inner_repetitions", 0),
+    ],
+)
+def test_run_rejects_out_of_range_field(run_setup, capsys, field, value):
+    tmp_path, _, config = run_setup
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(config, **{field: value})))
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        load_run_config(p)
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # rejected before the run starts

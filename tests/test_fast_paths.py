@@ -1,0 +1,227 @@
+"""Each fast path against the slow code it replaced, down to equal bits.
+
+The box-fit memo, the one-pass MI scores, block prediction and the
+table-driven sequence walk must leave every result as it was; the golden
+digest pins a whole cross-validated run over all three classifiers.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxclf import classifiers
+from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
+from ctxclf.context import load_structure
+from ctxclf.evaluation import (
+    RunConfig,
+    _class_pools,
+    _evaluate_system,
+    evaluate_sequence,
+    generate_movement_sequences,
+    run_experiment,
+    sample_object_sequences,
+    sequence_to_classes,
+)
+from ctxclf.features import feature_matrix, mutual_information, select_features
+from ctxclf.optimize import feasible_set
+from ctxclf.runtime import train_ensemble, train_plain
+from ctxclf.structures import six_class_nested
+from ctxclf.synth import synth_signalset
+
+SIX_CLASS_JSON = Path(__file__).resolve().parent.parent / "structures" / "six_class.json"
+
+
+def dict_loop_mi(feature, labels, bins=10):
+    """The per-column dict-loop MI that the one-pass scores replaced (the oracle)."""
+    x = np.asarray(feature, dtype=np.float64)
+    y = np.asarray(labels)
+    if np.all(x == x[0]):
+        return 0.0
+    edges = np.quantile(x, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    xb = np.searchsorted(edges, x, side="right")
+    joint = {}
+    for xi, yi in zip(xb, y):
+        joint[(int(xi), int(yi))] = joint.get((int(xi), int(yi)), 0) + 1
+    n = len(x)
+    px = {}
+    py = {}
+    for (xi, yi), c in joint.items():
+        px[xi] = px.get(xi, 0) + c
+        py[yi] = py.get(yi, 0) + c
+    mi = 0.0
+    for (xi, yi), c in joint.items():
+        p = c / n
+        mi += p * math.log(p * n * n / (px[xi] * py[yi]))
+    return max(mi, 0.0)
+
+
+def dict_loop_select(X, labels, fraction):
+    d = X.shape[1]
+    scores = [dict_loop_mi(X[:, j], labels) for j in range(d)]
+    order = sorted(range(d), key=lambda j: (-scores[j], j))
+    return scores, tuple(sorted(order[: math.ceil(fraction * d)]))
+
+
+@st.composite
+def mi_problems(draw):
+    """A matrix of one column kind plus labels with at least two classes."""
+    n = draw(st.integers(2, 90))
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["continuous", "integer", "rounded", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) * 10.0
+    if kind == "integer":  # ties everywhere, as in slope-sign-change counts
+        X = rng.integers(0, 8, (n, d)).astype(np.float64)
+    elif kind == "rounded":
+        X = np.round(X, 1)
+    elif kind == "constant":
+        X[:, ::2] = 1.5
+    y = rng.integers(1, k + 1, n)
+    y[:2] = (1, 2)
+    fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]))
+    return X, y, fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(mi_problems())
+def test_one_pass_mi_is_bit_equal_to_dict_loop(problem):
+    X, y, fraction = problem
+    scores, selected = dict_loop_select(X, y, fraction)
+    mask = select_features(X, y, fraction=fraction)
+    assert np.array(mask.scores).tobytes() == np.array(scores).tobytes()
+    assert mask.selected == selected
+
+
+def test_mutual_information_is_the_one_column_case():
+    rng = np.random.default_rng(3)
+    y = rng.integers(1, 5, 70)
+    for x in (rng.standard_normal(70), rng.integers(0, 4, 70).astype(float), np.zeros(70)):
+        assert mutual_information(x, y) == dict_loop_mi(x, y)
+    # one cell has p n^2 / (n_x n_y) = 1.05, where np.log and math.log differ in the last bit
+    x, y = np.array([0.0, 0, 0, 0, 1, 1, 1]), np.array([1, 1, 1, 2, 1, 1, 2])
+    assert mutual_information(x, y) == dict_loop_mi(x, y)
+    with pytest.raises(ValueError):
+        mutual_information(np.arange(3.0), [1, 1, 1])
+    with pytest.raises(ValueError):
+        mutual_information(np.arange(3.0), [1, 2])
+    with pytest.raises(ValueError):
+        mutual_information(np.ones((3, 2)), [1, 2, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALGORITHMS),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 14),
+    st.booleans(),
+)
+def test_block_predict_equals_row_by_row(algorithm, seed, d, integer_valued):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, d))
+    T = rng.standard_normal((25, d))
+    if integer_valued:  # distance and vote ties
+        X, T = np.round(X), np.round(T)
+    y = rng.integers(1, 5, 40)
+    y[:2] = (1, 2)
+    model = train(ClassifierSpec(algorithm=algorithm, num_trees=5, seed=seed % 100), X, y)
+    block = predict(model, T)
+    assert block.dtype == np.int64
+    assert block.tolist() == [predict(model, t) for t in T]
+
+
+def test_nearest_neighbor_block_in_chunks(monkeypatch):
+    rng = np.random.default_rng(8)
+    X, T = rng.standard_normal((30, 6)), rng.standard_normal((50, 6))
+    y = rng.integers(1, 4, 30)
+    model = train(ClassifierSpec(algorithm="NearestNeighbor"), X, y)
+    whole = predict(model, T)
+    monkeypatch.setattr(classifiers, "NN_CHUNK_ELEMENTS", 7 * X.size)  # chunks of 7 rows
+    assert predict(model, T).tolist() == whole.tolist() == [predict(model, t) for t in T]
+    assert predict(model, T[:0]).shape == (0,)
+
+
+@pytest.fixture(scope="module")
+def six_class_data():
+    sset = synth_signalset(6, records_per_class=8, num_channels=1, samples=128, noise=2.0, seed=5)
+    return feature_matrix(sset)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_memoized_fits_equal_fresh_fits(six_class_data, algorithm):
+    X, y = six_class_data
+    structure = load_structure(SIX_CLASS_JSON)
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=2)
+    memo: dict = {}
+    plain = train_plain(X, y, spec, 0.5, memo=memo)
+    for binding in feasible_set(structure):
+        shared = train_ensemble(structure, binding, X, y, spec, 0.5, memo=memo)
+        fresh = train_ensemble(structure, binding, X, y, spec, 0.5)
+        assert shared.to_dict() == fresh.to_dict()
+    # the root box holds every class, so it is the plain model's box problem
+    root = fresh.to_dict()["boxes"]["0"]
+    assert plain.model.to_dict() == root["model"]
+    assert list(plain.mask.selected) == root["mask"]["selected"]
+    assert list(plain.mask.scores) == root["mask"]["scores"]
+    assert len(memo) < len(feasible_set(structure)) * structure.num_boxes
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_table_walk_equals_step_by_step(six_class_data, algorithm):
+    X, y = six_class_data
+    structure = six_class_nested()
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
+    train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
+    pools = _class_pools(y, test_idx)
+    for binding in feasible_set(structure)[:3]:
+        systems = (
+            train_ensemble(structure, binding, X[train_idx], y[train_idx], spec),
+            train_plain(X[train_idx], y[train_idx], spec),
+        )
+        for system in systems:
+            fast = _evaluate_system(
+                system, binding, structure, X, pools, 6, np.random.default_rng(4)
+            )
+            rng = np.random.default_rng(4)
+            slow = []
+            for seq in generate_movement_sequences(structure):
+                classes = sequence_to_classes(seq, structure, binding)
+                for objects in sample_object_sequences(classes, pools, 6, rng):
+                    slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
+            assert fast == slow
+            assert not all(o.error_free for o in slow)  # misses, so wrong-box paths run
+
+
+def test_run_experiment_golden_digest():
+    """sha256 of metrics.csv for a tiny run over all classifiers and methods.
+
+    Recorded before the box-fit memo, one-pass MI and table-driven
+    evaluation were added; any change to a mask, a model or an outcome
+    changes it.
+    """
+    config = RunConfig(
+        signalset=synth_signalset(
+            6, records_per_class=6, num_channels=1, samples=128, noise=2.0, seed=11
+        ),
+        structure=six_class_nested(),
+        classifier_specs=(
+            ClassifierSpec(algorithm="NearestNeighbor"),
+            ClassifierSpec(algorithm="GaussianNB"),
+            ClassifierSpec(algorithm="RandomForest", num_trees=3, seed=4),
+        ),
+        cv_folds=2,
+        inner_folds=2,
+        repetitions=3,
+        inner_repetitions=2,
+        master_seed=7,
+    )
+    csv = run_experiment(config).to_csv()
+    assert (
+        hashlib.sha256(csv.encode()).hexdigest()
+        == "a3da7671b0510dede5ffd3b314ac05ac5bb5b9a65db125c922e7597fb449b1fd"
+    )
