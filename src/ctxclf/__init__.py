@@ -20,7 +20,6 @@ from ctxclf.context import (
     local_classes,
     derive_constraints,
     enumerate_feasible,
-    combinations_cardinality,
 )
 from ctxclf.features import (
     FeatureVector,
@@ -41,7 +40,6 @@ from ctxclf.optimize import (
     repair,
     exhaustive_search,
     ea_search,
-    optimize_box_classes,
 )
 from ctxclf.runtime import ContextEnsemble, MachineState, train_ensemble, train_plain, step, reset
 from ctxclf.evaluation import (

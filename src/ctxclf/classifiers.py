@@ -133,67 +133,72 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
     )
 
 
-def _gini_split(col: np.ndarray, y: np.ndarray, classes: np.ndarray):
-    """Best (impurity, threshold) for one feature column, or None."""
-    order = np.argsort(col, kind="stable")
-    xs, ys = col[order], y[order]
-    n = len(ys)
-    onehot = ys[:, None] == classes[None, :]
-    left_counts = np.cumsum(onehot, axis=0)[:-1]  # split after position i
-    total = left_counts[-1] + onehot[-1]
-    right_counts = total[None, :] - left_counts
-    nl = np.arange(1, n)
-    nr = n - nl
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-    gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
-    impurity = (nl * gini_l + nr * gini_r) / n
-    impurity[~valid] = np.inf
-    best = int(np.argmin(impurity))
-    thr = 0.5 * (xs[best] + xs[best + 1])
-    return float(impurity[best]), thr
-
-
 def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
-    """CART with Gini splits, sqrt(d) features per split, grown to purity."""
+    """CART with Gini splits, sqrt(d) features per split, grown to purity.
+
+    Nodes are numbered in pre-order. Each internal node draws its candidate
+    features with one ``rng.choice(d, size=n_try, replace=False)`` after the
+    leaf tests, in pre-order. That draw order is part of the output: every
+    later draw of ``rng``, the next tree's bootstrap too, depends on it.
+
+    A node scores all its candidate splits in one pass: an (n_try, m - 1, k)
+    table of left class counts over the node's k present classes, then the
+    Gini impurities with the expressions of a one-column scan, so each has
+    the same bits. The lowest impurity wins; ties go to the first feature in
+    sorted order, then to the first position within it. Class counts are
+    carried down the tree, taken from the partition the threshold makes.
+    """
     d = X.shape[1]
     n_try = max(1, int(math.isqrt(d)))
+    classes, codes = np.unique(y, return_inverse=True)
+    XT = np.ascontiguousarray(X.T)  # a node's candidate rows sort along the last axis
+    sizes = {}  # m -> (nl, nr, both stacked for the (2, n_try, m - 1, k) count table)
     feature, threshold, left, right, label = [], [], [], [], []
-
-    def majority(ys: np.ndarray) -> int:
-        vals, counts = np.unique(ys, return_counts=True)
-        return int(vals[np.argmax(counts)])  # unique is sorted: ties to smallest label
-
-    def build(idx: np.ndarray) -> int:
+    # (rows, class counts, parent node, parent's child list); right is pushed first: pre-order
+    stack = [(np.arange(len(y)), np.bincount(codes, minlength=len(classes)), -1, None)]
+    while stack:
+        idx, counts, parent, side = stack.pop()
         node = len(feature)
+        if side is not None:
+            side[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        label.append(majority(y[idx]))
-        ys = y[idx]
-        if len(idx) < MIN_LEAF or len(np.unique(ys)) == 1:
-            return node
-        classes = np.unique(ys)
-        candidates = rng.choice(d, size=n_try, replace=False)
-        best = None
-        for f in sorted(candidates):
-            res = _gini_split(X[idx, f], ys, classes)
-            if res is not None and (best is None or res[0] < best[0]):
-                best = (res[0], f, res[1])
-        if best is None:
-            return node
-        _, f, thr = best
-        mask = X[idx, f] <= thr
+        label.append(int(classes[counts.argmax()]))  # classes sorted: ties to smallest label
+        m = len(idx)
+        if m < MIN_LEAF or np.count_nonzero(counts) == 1:
+            continue
+        candidates = np.sort(rng.choice(d, size=n_try, replace=False))
+        rows = idx[XT[candidates[:, None], idx].argsort(axis=1, kind="stable")]
+        xs = XT[candidates[:, None], rows]
+        # k = present classes only: zero columns would regroup the pairwise sum for k >= 8
+        present = np.flatnonzero(counts)
+        onehot = codes[rows][:, :-1, None] == present  # split after position i
+        if m not in sizes:
+            nl = np.arange(1, m)
+            sizes[m] = (nl, m - nl, np.stack((nl, m - nl))[:, None, :, None])
+        nl, nr, n_lr = sizes[m]
+        lr_counts = np.empty((2,) + onehot.shape, dtype=np.int64)
+        np.cumsum(onehot, axis=1, out=lr_counts[0])
+        np.subtract(counts[present], lr_counts[0], out=lr_counts[1])
+        gini = 1.0 - np.sum((lr_counts / n_lr) ** 2, axis=3)
+        impurity = (nl * gini[0] + nr * gini[1]) / m
+        impurity[xs[:, 1:] == xs[:, :-1]] = np.inf
+        j, pos = divmod(int(impurity.argmin()), m - 1)
+        if impurity[j, pos] == np.inf:
+            continue  # every candidate column is constant at this node
+        lo, hi = xs[j, pos : pos + 2].tolist()  # Python floats: an overflow gives inf, no warning
+        thr = 0.5 * (lo + hi)
+        if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
+            thr = lo
+        f = int(candidates[j])
+        mask = XT[f, idx] <= thr
+        left_counts = np.bincount(codes[idx[mask]], minlength=len(classes))
         feature[node] = f
         threshold[node] = thr
-        left[node] = build(idx[mask])
-        right[node] = build(idx[~mask])
-        return node
-
-    build(np.arange(len(y)))
+        stack.append((idx[~mask], counts - left_counts, node, right))
+        stack.append((idx[mask], left_counts, node, left))
     return {
         "feature": np.asarray(feature, dtype=np.int64),
         "threshold": np.asarray(threshold, dtype=np.float64),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -88,11 +89,7 @@ def _parse_ea(d: dict, path: str) -> EAParams:
 
 def load_run_config(path) -> tuple[RunConfig, dict, Path]:
     """Parse a run config file; returns (config, raw dict, output dir)."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected an object")
 
@@ -173,16 +170,28 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _table_from_file(path) -> ConstraintTable:
+def _load_json(path):
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+
+
+def _table_from_file(path) -> ConstraintTable:
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError("table root: expected an object")
     num_classes = _expect(raw, "num_classes", int, "", required=True)
     permitted_raw = _expect(raw, "permitted", dict, "", required=True)
     permitted = {}
     for key, classes in permitted_raw.items():
         if not isinstance(classes, list):
             raise ConfigError(f"permitted.{key}: expected a list of classes")
-        permitted[int(key)] = tuple(int(c) for c in classes)
+        try:
+            permitted[int(key)] = tuple(int(c) for c in classes)
+        except (TypeError, ValueError):
+            raise ConfigError(f"permitted.{key}: expected an integer movement id and classes")
     return ConstraintTable(num_classes=num_classes, permitted=permitted)
 
 
@@ -254,9 +263,23 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _check_fold_counts(config: RunConfig) -> None:
+    """Each outer fold, and for OCtx each inner fold, needs a record of every class."""
+    cls, count = min(config.signalset.class_counts.items(), key=lambda item: item[1])
+    if config.cv_folds > count:
+        raise ConfigError(f"cv_folds: {config.cv_folds} folds, but class {cls} has {count} records")
+    train_count = count - math.ceil(count / config.cv_folds)  # the fewest in an outer training fold
+    if "octx" in config.methods and config.inner_folds > train_count:
+        raise ConfigError(
+            f"inner_folds: {config.inner_folds} folds, but class {cls} has {train_count} records"
+            " in an outer training fold"
+        )
+
+
 def cmd_run(args) -> int:
     try:
         config, raw, out_dir = load_run_config(args.config)
+        _check_fold_counts(config)
     except (OSError, CtxclfError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_ERROR

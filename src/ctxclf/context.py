@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,26 +81,6 @@ class ContextStructure:
     def boxes(self) -> list[BoxNode]:
         """All boxes in pre-order, root first."""
         return list(self.root.walk())
-
-    def box_order(self, box: BoxNode) -> int:
-        for depth, b, _ in self._walk_depth():
-            if b is box:
-                return depth
-        raise StructureError(f"box {box.index} not part of this structure")
-
-    def _walk_depth(self):
-        stack = [(0, self.root, None)]
-        while stack:
-            depth, box, parent = stack.pop()
-            yield depth, box, parent
-            for c in reversed(box.children):
-                stack.append((depth + 1, c, box))
-
-    def parent_of(self, box: BoxNode) -> BoxNode | None:
-        for _, b, parent in self._walk_depth():
-            if b is box:
-                return parent
-        raise StructureError(f"box {box.index} not part of this structure")
 
     def movement_name(self, movement_id: int) -> str:
         for m in self.movements:
@@ -376,10 +355,3 @@ def brute_force_feasible(s: ContextStructure) -> list[Binding]:
         if binding_feasible(s, b):
             out.append(b)
     return out
-
-
-def combinations_cardinality(C: int, M_l: int) -> int:
-    """Candidate count when one class is fixed and M_l-1 more are chosen."""
-    if not 1 <= M_l <= C:
-        raise ValueError(f"M_l must be in 1..{C}, got {M_l}")
-    return math.comb(C - 1, M_l - 1)

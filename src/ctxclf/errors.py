@@ -9,6 +9,10 @@ class NoRecords(CtxclfError):
     pass
 
 
+class SignalsetError(CtxclfError):
+    """Malformed signalset directory; message names the file or record and the field."""
+
+
 class RaggedRecord(CtxclfError):
     pass
 

@@ -18,6 +18,7 @@ from ctxclf.errors import InfeasibleStructure
 from ctxclf.rng import derive_rng
 
 FEASIBLE_SET_GUARD = 10**6
+REPAIR_CHUNK_ROWS = 1 << 16  # bound on the (rows, C(C-1)/2) pair table of one repair chunk
 
 
 @dataclass
@@ -143,19 +144,34 @@ MUTATION_OPS = ("Swap", "Insert", "Scramble", "Inversion")
 
 
 def repair(candidate, feasible: list[Binding]) -> Binding:
-    """Nearest feasible binding by Kendall-tau; ties to lexicographic order."""
+    """Nearest feasible binding by Kendall-tau; ties to lexicographic order.
+
+    The distances to all of ``feasible`` are counted at once, over the
+    C(C-1)/2 position pairs, ``REPAIR_CHUNK_ROWS`` bindings at a time. The
+    binding returned is the object from ``feasible``; among equal secondaries
+    the first listed.
+    """
     if not feasible:
         raise InfeasibleStructure("feasible set is empty")
-    cand = tuple(int(v) for v in candidate)
-    best = None
-    best_key = None
-    for b in feasible:
-        if b.secondary == cand:
-            return b
-        key = (kendall_tau(cand, b.secondary), b.secondary)
-        if best_key is None or key < best_key:
-            best, best_key = b, key
-    return best
+    cand = np.array([int(v) for v in candidate], dtype=np.int64)
+    secondaries = np.array([b.secondary for b in feasible], dtype=np.int64)
+    C = len(cand)
+    if sorted(cand.tolist()) != list(range(1, C + 1)) or secondaries.shape[1] != C:
+        raise ValueError("inputs must be permutations of 1..C of equal length")
+    upper, lower = np.triu_indices(C, 1)
+    distance = np.empty(len(feasible), dtype=np.int64)
+    for start in range(0, len(feasible), REPAIR_CHUNK_ROWS):
+        chunk = secondaries[start : start + REPAIR_CHUNK_ROWS]
+        positions = np.empty(chunk.shape, dtype=np.int16)  # positions[r, v - 1]: where v sits in r
+        np.put_along_axis(positions, chunk - 1, np.arange(C, dtype=np.int16)[None, :], axis=1)
+        ranks = positions[:, cand - 1]  # where each candidate position's class sits in r
+        distance[start : start + len(chunk)] = np.count_nonzero(
+            ranks[:, upper] > ranks[:, lower], axis=1
+        )
+    nearest = np.flatnonzero(distance == distance.min())
+    # lexsort is stable, so equal secondaries keep their listed order
+    first = nearest[np.lexsort(secondaries[nearest].T[::-1])[0]]
+    return feasible[int(first)]
 
 
 def feasible_set(structure: ContextStructure) -> list[Binding]:
@@ -253,35 +269,6 @@ def ea_search(
 
         trace.append(GenerationStats(gen, best_value, float(np.mean(scores)), fit.evaluations))
     return best, best_value, trace
-
-
-def optimize_box_classes(j_l: int, candidate_family: list[tuple[int, ...]], fitness):
-    """Exhaustive argmax over candidate class sets for a single box.
-
-    Every candidate must contain the fixed closer class j_l. Ties break to
-    the lexicographically smallest set.
-    """
-    if not candidate_family:
-        raise ValueError("candidate family is empty")
-    best = None
-    best_key = None
-    for cand in candidate_family:
-        cand = tuple(sorted(int(c) for c in cand))
-        if j_l not in cand:
-            raise ValueError(f"candidate {cand} does not contain the fixed class {j_l}")
-        value = float(fitness(cand))
-        key = (-value, cand)
-        if best_key is None or key < best_key:
-            best, best_key = (cand, value), key
-    return best
-
-
-def box_class_family(C: int, j_l: int, M_l: int) -> list[tuple[int, ...]]:
-    """All class sets of size M_l containing j_l, lexicographic order."""
-    import itertools
-
-    others = [c for c in range(1, C + 1) if c != j_l]
-    return [tuple(sorted((j_l,) + rest)) for rest in itertools.combinations(others, M_l - 1)]
 
 
 def trace_to_csv(trace: list[GenerationStats]) -> str:

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ctxclf.errors import NoRecords, RaggedRecord, TooFewPerClass, WindowTooLong
+from ctxclf.errors import (
+    NoRecords,
+    RaggedRecord,
+    SignalsetError,
+    TooFewPerClass,
+    WindowTooLong,
+)
 from ctxclf.rng import derive_rng
 
 MIN_SAMPLES = 16
@@ -116,10 +122,13 @@ def load_signalset(path) -> SignalSet:
     meta_path = root / "meta.json"
     if not meta_path.is_file():
         raise NoRecords(f"missing metadata file {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    num_classes = int(meta["num_classes"])
-    num_channels = int(meta["num_channels"])
-    sample_rate = int(meta["sample_rate_hz"])
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SignalsetError(f"{meta_path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    num_classes = _meta_int(meta, "num_classes", meta_path)
+    num_channels = _meta_int(meta, "num_channels", meta_path)
+    sample_rate = _meta_int(meta, "sample_rate_hz", meta_path)
 
     rec_dir = root / "records"
     csv_paths = sorted(rec_dir.glob("*.csv")) if rec_dir.is_dir() else []
@@ -134,7 +143,7 @@ def load_signalset(path) -> SignalSet:
             raise RaggedRecord(f"record file {p.name}: expected <id>_<label>.csv")
         label = int(label_str)
         if not 1 <= label <= num_classes:
-            raise ValueError(f"record {stem}: label {label} outside 1..{num_classes}")
+            raise SignalsetError(f"record {stem}: label {label} outside 1..{num_classes}")
         rows = _read_csv_rows(p, num_channels)
         records.append(
             SignalRecord(
@@ -150,6 +159,15 @@ def load_signalset(path) -> SignalSet:
         num_channels=num_channels,
         sample_rate_hz=sample_rate,
     )
+
+
+def _meta_int(meta, key: str, path: Path) -> int:
+    if not isinstance(meta, dict) or key not in meta:
+        raise SignalsetError(f"{path}: {key}: required field missing")
+    try:
+        return int(meta[key])
+    except (TypeError, ValueError):
+        raise SignalsetError(f"{path}: {key}: expected an integer, got {meta[key]!r}")
 
 
 def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ctxclf import classifiers
 from ctxclf.classifiers import ClassifierSpec, TrainedModel, predict, train
 from ctxclf.errors import DegenerateTraining, DimensionMismatch
 
@@ -96,6 +97,29 @@ def test_random_forest_trees_pure_or_small_leaves():
         internal = ~leaves
         assert np.all(tree["left"][internal] > 0)
         assert np.all(tree["right"][internal] > 0)
+
+
+def _adjacent_pair():
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, np.inf)
+    assert 0.5 * (a + b) == b  # the midpoint rounds onto the upper value
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [_adjacent_pair(), (1.7e308, 1.79e308), (-1.79e308, -1.7e308)],
+    ids=["adjacent-floats", "midpoint-overflows", "midpoint-overflows-negative"],
+)
+def test_random_forest_splits_where_the_midpoint_fails(lo, hi):
+    """A midpoint outside [lo, hi) would send both rows one way and rebuild the node forever."""
+    X, y = np.array([[lo], [hi]]), np.array([1, 2])
+    tree = classifiers._grow_tree(X, y, np.random.default_rng(0))
+    assert tree["feature"].tolist() == [0, -1, -1]
+    assert tree["threshold"][0] == lo
+    assert tree["label"].tolist() == [1, 1, 2]
+    model = train(ClassifierSpec(algorithm="RandomForest", num_trees=9), X, y)
+    assert predict(model, X).tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("alg", ALGS)

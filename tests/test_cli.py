@@ -212,3 +212,52 @@ def test_run_rejects_out_of_range_field(run_setup, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR: {field}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()  # rejected before the run starts
+
+
+def _one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and err.count("\n") == 1, err
+    assert all(f in err for f in fragments), err
+
+
+def test_run_reports_meta_missing_key(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    meta_path = tmp_path / "sset" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sample_rate_hz"]
+    meta_path.write_text(json.dumps(meta))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    _one_line_error(capsys, "meta.json", "sample_rate_hz")
+
+
+def test_run_reports_label_out_of_range(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    records = tmp_path / "sset" / "records"
+    first = sorted(records.glob("*.csv"))[0]
+    (records / "extra_7.csv").write_text(first.read_text())  # six classes
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    _one_line_error(capsys, "extra_7", "label 7")
+
+
+def test_enumerate_table_bad_json(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text("{not json")
+    assert main(["enumerate", "--table", str(table)]) == 1
+    _one_line_error(capsys, "table.json", "line 1")
+
+
+@pytest.mark.parametrize(
+    "fields, fragments",
+    [
+        ({"cv_folds": 10}, ("cv_folds: 10", "9 records")),  # nine records per class
+        ({"inner_folds": 7}, ("inner_folds: 7", "6 records")),  # 9 - 3 in each training fold
+    ],
+    ids=["cv_folds", "inner_folds"],
+)
+def test_run_rejects_folds_above_class_count(run_setup, capsys, fields, fragments):
+    tmp_path, _, config = run_setup
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(config, **fields)))
+    assert main(["run", "--config", str(p)]) == 1
+    _one_line_error(capsys, *fragments)
+    assert not (tmp_path / "out").exists()  # rejected before the run starts

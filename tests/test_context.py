@@ -8,7 +8,6 @@ from ctxclf.context import (
     Binding,
     ConstraintTable,
     brute_force_feasible,
-    combinations_cardinality,
     derive_constraints,
     enumerate_feasible,
     load_structure,
@@ -176,15 +175,5 @@ def test_box_accessors():
     boxes = s.boxes()
     assert boxes[0] is s.root
     nested = [b for b in boxes if b.index == 2][0]
-    assert s.box_order(nested) == 2
-    assert s.parent_of(nested).index == 1
-    assert s.parent_of(s.root) is None
     assert s.root.movement_count == len(s.root.member_movements())
     assert nested.movement_count == len(nested.member_movements()) + 1
-
-
-def test_combinations_cardinality():
-    assert combinations_cardinality(5, 3) == math.comb(4, 2)
-    assert combinations_cardinality(6, 1) == 1
-    with pytest.raises(ValueError):
-        combinations_cardinality(4, 5)

@@ -1,11 +1,13 @@
 """Each fast path against the slow code it replaced, down to equal bits.
 
-The box-fit memo, the one-pass MI scores, block prediction and the
-table-driven sequence walk must leave every result as it was; the golden
-digest pins a whole cross-validated run over all three classifiers.
+The box-fit memo, the one-pass MI scores, block prediction, the
+table-driven sequence walk and the one-pass forest node must leave every
+result as it was; the golden digest pins a whole cross-validated run over
+all three classifiers.
 """
 
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers
+from ctxclf import classifiers, optimize
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
-from ctxclf.context import load_structure
+from ctxclf.context import Binding, load_structure
 from ctxclf.evaluation import (
     RunConfig,
     _class_pools,
@@ -28,9 +30,9 @@ from ctxclf.evaluation import (
     sequence_to_classes,
 )
 from ctxclf.features import feature_matrix, mutual_information, select_features
-from ctxclf.optimize import feasible_set
+from ctxclf.optimize import feasible_set, kendall_tau, repair
 from ctxclf.runtime import train_ensemble, train_plain
-from ctxclf.structures import six_class_nested
+from ctxclf.structures import eight_class_grips, six_class_nested
 from ctxclf.synth import synth_signalset
 
 SIX_CLASS_JSON = Path(__file__).resolve().parent.parent / "structures" / "six_class.json"
@@ -114,6 +116,128 @@ def test_mutual_information_is_the_one_column_case():
         mutual_information(np.ones((3, 2)), [1, 2, 1])
 
 
+def column_scan_split(col, y, classes):
+    """Best (impurity, threshold) of one feature column, or None: the scan one node ran per feature."""
+    order = np.argsort(col, kind="stable")
+    xs, ys = col[order], y[order]
+    n = len(ys)
+    onehot = ys[:, None] == classes[None, :]
+    left_counts = np.cumsum(onehot, axis=0)[:-1]  # split after position i
+    total = left_counts[-1] + onehot[-1]
+    right_counts = total[None, :] - left_counts
+    nl = np.arange(1, n)
+    nr = n - nl
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+    impurity = (nl * gini_l + nr * gini_r) / n
+    impurity[~valid] = np.inf
+    best = int(np.argmin(impurity))
+    thr = 0.5 * (xs[best] + xs[best + 1])
+    return float(impurity[best]), thr
+
+
+def column_scan_tree(X, y, rng):
+    """The recursive per-feature-scan tree grower that the one-pass node replaced (the oracle)."""
+    d = X.shape[1]
+    n_try = max(1, int(math.isqrt(d)))
+    feature, threshold, left, right, label = [], [], [], [], []
+
+    def majority(ys):
+        vals, counts = np.unique(ys, return_counts=True)
+        return int(vals[np.argmax(counts)])
+
+    def build(idx):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        label.append(majority(y[idx]))
+        ys = y[idx]
+        if len(idx) < classifiers.MIN_LEAF or len(np.unique(ys)) == 1:
+            return node
+        classes = np.unique(ys)
+        candidates = rng.choice(d, size=n_try, replace=False)
+        best = None
+        for f in sorted(candidates):
+            res = column_scan_split(X[idx, f], ys, classes)
+            if res is not None and (best is None or res[0] < best[0]):
+                best = (res[0], f, res[1])
+        if best is None:
+            return node
+        _, f, thr = best
+        mask = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = build(idx[mask])
+        right[node] = build(idx[~mask])
+        return node
+
+    build(np.arange(len(y)))
+    return {
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "label": np.asarray(label, dtype=np.int64),
+    }
+
+
+@st.composite
+def tree_problems(draw):
+    """Bootstrap-like rows of one column kind, 2 to 8 labels, from n = 2 and d = 1 up."""
+    n = draw(st.sampled_from([2, 3]) | st.integers(2, 96))
+    d = draw(st.sampled_from([1]) | st.integers(1, 20))
+    k = draw(st.sampled_from([8]) | st.integers(2, 8))  # 8 labels: numpy sums a count row pairwise
+    kind = draw(st.sampled_from(["continuous", "integer", "tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) * 10.0  # adjacent floats are out of reach here
+    if kind == "integer":  # ties, and equal impurities across features
+        X = rng.integers(0, 6, (n, d)).astype(np.float64)
+    elif kind == "tied":  # most columns two-valued, some constant
+        X = rng.integers(0, 2, (n, d)).astype(np.float64)
+        X[:, rng.random(d) < 0.3] = 1.0
+    y = rng.integers(1, k + 1, n) * 3  # labels need not be 1..k
+    y[:k] = np.arange(1, k + 1)[:n] * 3
+    rows = rng.integers(0, n, n) if draw(st.booleans()) else np.arange(n)  # a bootstrap, or not
+    return X[rows], y[rows], draw(st.integers(0, 99))
+
+
+def assert_same_tree(X, y, seed):
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = classifiers._grow_tree(X, y, fast_rng)
+    slow = column_scan_tree(X, y, slow_rng)
+    for key in ("feature", "threshold", "left", "right", "label"):
+        assert fast[key].dtype == slow[key].dtype
+        assert fast[key].tobytes() == slow[key].tobytes(), key
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state  # same draws, same order
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_problems())
+def test_one_pass_tree_equals_column_scan_tree(problem):
+    assert_same_tree(*problem)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer"])
+def test_one_pass_tree_with_eight_labels(kind):
+    """Eight labels: the first count axis long enough for numpy to sum it pairwise.
+
+    Inner nodes hold fewer labels; summing over all eight there, zeros
+    included, regroups the sum and flips a few near-tied splits.
+    """
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((80, 16)) * 10.0
+        if kind == "integer":
+            X = rng.integers(0, 6, X.shape).astype(np.float64)
+        y = np.concatenate([np.arange(1, 9), rng.integers(1, 9, 72)])
+        assert_same_tree(X, y, seed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(ALGORITHMS),
@@ -144,6 +268,53 @@ def test_nearest_neighbor_block_in_chunks(monkeypatch):
     monkeypatch.setattr(classifiers, "NN_CHUNK_ELEMENTS", 7 * X.size)  # chunks of 7 rows
     assert predict(model, T).tolist() == whole.tolist() == [predict(model, t) for t in T]
     assert predict(model, T[:0]).shape == (0,)
+
+
+def loop_repair(candidate, feasible):
+    """The Kendall-tau scan over the feasible list that the counted distances replaced (the oracle)."""
+    cand = tuple(int(v) for v in candidate)
+    best = None
+    best_key = None
+    for b in feasible:
+        if b.secondary == cand:
+            return b
+        key = (kendall_tau(cand, b.secondary), b.secondary)
+        if best_key is None or key < best_key:
+            best, best_key = b, key
+    return best
+
+
+@st.composite
+def repair_problems(draw):
+    """A candidate and a shuffled subset of permutations, sometimes with a duplicate."""
+    C = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms = list(itertools.permutations(range(1, C + 1)))
+    picks = rng.choice(len(perms), size=draw(st.integers(1, min(len(perms), 60))), replace=False)
+    feasible = [Binding(num_classes=C, secondary=perms[i]) for i in picks]
+    if draw(st.booleans()):
+        feasible.append(Binding(num_classes=C, secondary=feasible[0].secondary))
+        rng.shuffle(feasible)
+    return tuple(int(v) for v in rng.permutation(C) + 1), feasible
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_problems())
+def test_counted_repair_equals_loop_repair(problem):
+    candidate, feasible = problem
+    assert repair(candidate, feasible) is loop_repair(candidate, feasible)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1000])
+def test_counted_repair_on_grips_feasible_set(monkeypatch, chunk_rows):
+    if chunk_rows:
+        monkeypatch.setattr(optimize, "REPAIR_CHUNK_ROWS", chunk_rows)  # 8 chunks
+    feasible = feasible_set(eight_class_grips())
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        candidate = tuple(int(v) for v in rng.permutation(8) + 1)
+        assert repair(candidate, feasible) is loop_repair(candidate, feasible)
+    assert repair(feasible[-1].secondary, feasible) is feasible[-1]
 
 
 @pytest.fixture(scope="module")

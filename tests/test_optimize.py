@@ -10,14 +10,12 @@ from ctxclf.optimize import (
     EAParams,
     Fitness,
     MUTATION_OPS,
-    box_class_family,
     crossover,
     ea_search,
     exhaustive_search,
     feasible_set,
     kendall_tau,
     mutate,
-    optimize_box_classes,
     repair,
     trace_to_csv,
     _ox1,
@@ -178,18 +176,3 @@ def test_ea_singleton_feasible_set():
     assert len(trace) == 1
     with pytest.raises(InfeasibleStructure):
         ea_search([], Fitness(synthetic_fitness), EAParams(seed=0))
-
-
-def test_box_class_family_and_optimize():
-    fam = box_class_family(5, 2, 3)
-    assert len(fam) == 6  # C(4, 2)
-    assert all(2 in cand and len(cand) == 3 for cand in fam)
-    assert fam == sorted(fam)
-    (best, value) = optimize_box_classes(2, fam, lambda cand: -sum(cand))
-    assert best == (1, 2, 3)  # smallest sum wins
-    (tie_best, _) = optimize_box_classes(2, fam, lambda cand: 0.0)
-    assert tie_best == fam[0]
-    with pytest.raises(ValueError):
-        optimize_box_classes(9, fam, lambda cand: 0.0)
-    with pytest.raises(ValueError):
-        optimize_box_classes(1, [], lambda cand: 0.0)
