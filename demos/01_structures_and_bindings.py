@@ -22,7 +22,7 @@ def show(name, structure):
     violations = validate_structure(structure)
     assert not violations, violations
     table = derive_constraints(structure)
-    feasible = enumerate_feasible(table, structure)
+    feasible = enumerate_feasible(table)
     C = structure.num_classes
     print(f"\n{name}: C={C}, boxes beyond root={structure.num_boxes}")
     for k in sorted(table.permitted):
@@ -39,7 +39,7 @@ def main():
     unconstrained = ConstraintTable(
         num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     )
-    print(f"unconstrained C=5: |feasible set| = {len(enumerate_feasible(unconstrained, None))}")
+    print(f"unconstrained C=5: |feasible set| = {len(enumerate_feasible(unconstrained))}")
 
     show("five_class_example", five_class_example())
     show("six_class_nested", six_class_nested())

@@ -9,7 +9,7 @@ ensemble runtime, and sequence-level evaluation (ZO / SqCov) with rank and
 significance aggregation.
 """
 
-from ctxclf.signals import SignalRecord, SignalSet, FoldPlan, load_signalset, segment, stratified_folds
+from ctxclf.signals import SignalRecord, SignalSet, load_signalset, segment, stratified_folds
 from ctxclf.context import (
     ContextStructure,
     BoxNode,

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import ctxclf
@@ -24,18 +23,17 @@ from ctxclf.context import (
     load_structure,
     validate_structure,
 )
-from ctxclf.errors import CtxclfError, InfeasibleStructure, StructureError
+from ctxclf.errors import CtxclfError, InfeasibleStructure
 from ctxclf.evaluation import (
     METHODS,
     MetricsRow,
     MetricsTable,
     RunConfig,
-    binding_fitness,
     run_experiment,
+    search_binding,
 )
 from ctxclf.features import feature_matrix
-from ctxclf.optimize import EAParams, ea_search, exhaustive_search, feasible_set, trace_to_csv
-from ctxclf.rng import derive_seed
+from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
 from ctxclf.signals import load_signalset
 from ctxclf.stats import average_ranks, wilcoxon_holm
 
@@ -73,7 +71,6 @@ def _parse_ea(d: dict, path: str) -> EAParams:
         "mutation_prob",
         "stagnation_horizon",
         "max_generations",
-        "seed",
     ):
         kind = float if name in ("crossover_prob", "mutation_prob") else int
         kwargs[name] = _expect(d, name, kind, path, default=getattr(defaults, name))
@@ -155,11 +152,7 @@ def _write_manifest(out_dir: Path, raw: dict, seed: int) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        structure = load_structure(args.structure)
-    except (OSError, StructureError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    structure = load_structure(args.structure)
     violations = validate_structure(structure)
     if violations:
         for v in violations:
@@ -192,30 +185,30 @@ def _table_from_file(path) -> ConstraintTable:
             permitted[int(key)] = tuple(int(c) for c in classes)
         except (TypeError, ValueError):
             raise ConfigError(f"permitted.{key}: expected an integer movement id and classes")
+        if not set(permitted[int(key)]) <= set(range(1, num_classes + 1)):
+            raise ConfigError(f"permitted.{key}: classes must be in 1..{num_classes}")
+    if set(permitted) != set(range(1, num_classes + 1)):
+        raise ConfigError(f"permitted: expected movement ids 1..{num_classes}")
     return ConstraintTable(num_classes=num_classes, permitted=permitted)
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.table:
-            table = _table_from_file(args.table)
-            structure = None
-        else:
-            structure = load_structure(args.structure)
-            violations = validate_structure(structure)
-            if violations:
-                for v in violations:
-                    print(f"violation: {v}", file=sys.stderr)
-                return EXIT_ERROR
+    if args.table:
+        table = _table_from_file(args.table)
+    else:
+        structure = load_structure(args.structure)
+        violations = validate_structure(structure)
+        if violations:
+            for v in violations:
+                print(f"violation: {v}", file=sys.stderr)
+            return EXIT_ERROR
+        try:
             table = derive_constraints(structure)
-        feasible = enumerate_feasible(table, structure)
-    except InfeasibleStructure as exc:
-        print(0)
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (OSError, CtxclfError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        except InfeasibleStructure as exc:
+            print(0)
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+    feasible = enumerate_feasible(table)
     print(len(feasible))
     if args.out:
         payload = {
@@ -229,35 +222,27 @@ def cmd_enumerate(args) -> int:
 
 def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
-    try:
-        config, raw, out_dir = load_run_config(args.config)
-    except (OSError, CtxclfError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    config, raw, out_dir = load_run_config(args.config)
     X, y = feature_matrix(config.signalset)
     feasible = feasible_set(config.structure)
-    results = {}
+    results, traces = {}, {}
     for spec in config.classifier_specs:
-        fitness = binding_fitness(config, spec, X, y, list(range(len(y))), fold=0)
-        if len(feasible) <= config.exhaustive_limit:
-            best, value, _ = exhaustive_search(feasible, fitness)
-            mode = "exhaustive"
-        else:
-            params = replace(
-                config.ea_params, seed=derive_seed(config.master_seed, "ea", 0, spec.algorithm)
-            )
-            best, value, trace = ea_search(feasible, fitness, params)
-            (out_dir / f"trace_{spec.algorithm}.csv").write_text(trace_to_csv(trace))
-            mode = "ea"
+        best, value, evaluations, trace = search_binding(
+            config, spec, X, y, range(len(y)), 0, feasible
+        )
+        mode = "exhaustive" if trace is None else "ea"
+        if trace is not None:
+            traces[spec.algorithm] = trace
         results[spec.algorithm] = {
             "binding": list(best.secondary),
             "fitness": value,
             "mode": mode,
-            "evaluations": fitness.evaluations,
+            "evaluations": evaluations,
         }
         print(f"{spec.algorithm}: binding={list(best.secondary)} fitness={value:.4f} ({mode})")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for alg, trace in traces.items():
+        (out_dir / f"trace_{alg}.csv").write_text(trace_to_csv(trace))
     (out_dir / "bindings.json").write_text(json.dumps(results, indent=2) + "\n")
     _write_manifest(out_dir, raw, config.master_seed)
     return EXIT_OK
@@ -277,14 +262,10 @@ def _check_fold_counts(config: RunConfig) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        config, raw, out_dir = load_run_config(args.config)
-        _check_fold_counts(config)
-    except (OSError, CtxclfError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, raw, out_dir = load_run_config(args.config)
+    _check_fold_counts(config)
     table = run_experiment(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(table.to_csv())
     (out_dir / "summary.json").write_text(json.dumps(table.summary(), indent=2) + "\n")
     for (alg, fold), trace in table.optimizer_traces.items():
@@ -300,15 +281,23 @@ def _read_metrics_csv(path) -> MetricsTable:
         header = fh.readline().strip()
         if header != "method,classifier,fold,zo,sqcov":
             raise ConfigError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            method, clf, fold, zo, sqcov = line.strip().split(",")
-            rows.append(
-                MetricsRow(
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                method, clf, fold, zo, sqcov = line.strip().split(",")
+                row = MetricsRow(
                     method=method, classifier=clf, fold=int(fold),
                     zo=float(zo), sqcov=float(sqcov),
                 )
-            )
-    return MetricsTable(rows=tuple(rows), sequences_per_fold=0)
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}: expected {header}, got {line.strip()!r}")
+            rows.append(row)
+    table = MetricsTable(rows=tuple(rows), sequences_per_fold=0)
+    methods = sorted({r.method for r in rows})
+    for clf in sorted({r.classifier for r in rows}):
+        counts = {m: len(table.values(m, clf, "zo")) for m in methods}
+        if len(set(counts.values())) > 1:  # ranks and paired tests need every method per fold
+            raise ConfigError(f"{path}: {clf}: unequal rows per method {counts}")
+    return table
 
 
 def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
@@ -333,12 +322,8 @@ def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
 
 
 def cmd_report(args) -> int:
-    try:
-        table = _read_metrics_csv(args.metrics)
-        report = report_from_table(table, alpha=args.alpha)
-    except (OSError, CtxclfError, ValueError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    table = _read_metrics_csv(args.metrics)
+    report = report_from_table(table, alpha=args.alpha)
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for clf, crits in sorted(report["summary"].items()):
@@ -399,7 +384,14 @@ def main(argv=None) -> int:
     if args.command == "enumerate" and not (args.structure or args.table):
         print("ERROR: provide a structure file or --table", file=sys.stderr)
         return EXIT_ERROR
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InfeasibleStructure as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, UnicodeDecodeError, CtxclfError) as exc:  # decode: an input file is not text
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -305,7 +305,7 @@ def derive_constraints(s: ContextStructure) -> ConstraintTable:
     )
 
 
-def enumerate_feasible(table: ConstraintTable, s: ContextStructure) -> list[Binding]:
+def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
     """All feasible secondary permutations, in lexicographic order.
 
     Iterative Cartesian-product construction over movements C+1..C+C:

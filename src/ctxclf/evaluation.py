@@ -226,7 +226,7 @@ class MetricsTable:
 def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]:
     pools: dict[int, list[int]] = {}
     for i in indices:
-        pools.setdefault(int(labels[i]), []).append(i)
+        pools.setdefault(int(labels[i]), []).append(int(i))
     return pools
 
 
@@ -250,19 +250,26 @@ def _evaluate_system(system, binding, structure, X, pools, R, rng) -> list[Seque
     return outcomes
 
 
-def binding_fitness(config: RunConfig, spec, X, y, train_indices, fold: int) -> Fitness:
-    """Mean SqCov of a candidate binding under inner cross-validation.
+def search_binding(
+    config: RunConfig, spec, X, y, train_indices, fold: int, feasible: list[Binding]
+) -> tuple[Binding, float, int, list | None]:
+    """The OCtx binding: the best mean SqCov under inner cross-validation.
 
+    Up to ``exhaustive_limit`` feasible bindings every one is evaluated;
+    above it the EA searches, seeded from the master seed, fold and algorithm.
     Each inner fold keeps one box-fit memo for all the bindings evaluated,
     so a box problem (inner training rows plus box class set) is fitted once.
+    Returns (binding, fitness, evaluations, EA trace or None when exhaustive).
     """
     inner_seed = derive_seed(config.master_seed, "inner", fold, spec.algorithm)
-    labels = y[train_indices]
-    assignments = _stratified_assignments(labels, config.inner_folds, inner_seed)
+    train_indices = np.asarray(train_indices)
+    k = config.inner_folds
+    folds = stratified_folds(
+        y[train_indices], k, derive_rng(inner_seed, "stratified_assignments", k)
+    )
     splits = []
-    for inner in range(config.inner_folds):
-        tr = [train_indices[i] for i in range(len(labels)) if assignments[i] != inner]
-        te = [train_indices[i] for i in range(len(labels)) if assignments[i] == inner]
+    for inner in range(k):
+        tr, te = train_indices[folds != inner], train_indices[folds == inner]
         splits.append((X[tr], y[tr], _class_pools(y, te), {}))
 
     def objective(binding: Binding) -> float:
@@ -278,25 +285,30 @@ def binding_fitness(config: RunConfig, spec, X, y, train_indices, fold: int) -> 
             scores.append(sqcov_metric(outcomes))
         return float(np.mean(scores))
 
-    return Fitness(objective)
-
-
-def _stratified_assignments(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
-    rng = derive_rng(seed, "stratified_assignments", k)
-    out = np.empty(len(labels), dtype=np.int64)
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        order = rng.permutation(len(idx))
-        for pos, o in enumerate(order):
-            out[idx[o]] = pos % k
-    return out
+    fitness = Fitness(objective)
+    trace = None
+    if len(feasible) <= config.exhaustive_limit:
+        best, value, _ = exhaustive_search(feasible, fitness)
+    else:
+        params = replace(
+            config.ea_params, seed=derive_seed(config.master_seed, "ea", fold, spec.algorithm)
+        )
+        best, value, trace = ea_search(feasible, fitness, params)
+    return best, value, fitness.evaluations, trace
 
 
 def run_experiment(config: RunConfig) -> MetricsTable:
     """Outer stratified CV over Plain / RCtx / OCtx for every classifier spec."""
     sset = config.signalset
     X, y = feature_matrix(sset)
-    plan = stratified_folds(sset, config.cv_folds, derive_seed(config.master_seed, "outer"))
+    # folds are dealt over the records in record-id order, whatever order they were loaded in
+    by_id = np.argsort([r.record_id for r in sset.records], kind="stable")
+    folds = np.empty(len(y), dtype=np.int64)
+    folds[by_id] = stratified_folds(
+        y[by_id],
+        config.cv_folds,
+        derive_rng(derive_seed(config.master_seed, "outer"), "stratified_folds", config.cv_folds),
+    )
     feas = feasible_set(config.structure)
     G = len(generate_movement_sequences(config.structure))
 
@@ -304,7 +316,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
     traces: dict = {}
     for spec in config.classifier_specs:
         for fold in range(config.cv_folds):
-            train_idx, test_idx = plan.split(sset, fold)
+            train_idx, test_idx = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
             pools = _class_pools(y, test_idx)
 
             rctx_rng = derive_rng(config.master_seed, "rctx", fold, spec.algorithm)
@@ -323,15 +335,8 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                 )
                 systems["rctx"] = (ens, rctx_binding)
             if "octx" in config.methods:
-                fitness = binding_fitness(config, spec, X, y, train_idx, fold)
-                if len(feas) <= config.exhaustive_limit:
-                    best, _, _ = exhaustive_search(feas, fitness)
-                else:
-                    params = replace(
-                        config.ea_params,
-                        seed=derive_seed(config.master_seed, "ea", fold, spec.algorithm),
-                    )
-                    best, _, trace = ea_search(feas, fitness, params)
+                best, _, _, trace = search_binding(config, spec, X, y, train_idx, fold, feas)
+                if trace is not None:
                     traces[(spec.algorithm, fold)] = trace
                 ens = train_ensemble(
                     config.structure, best, X_tr, y_tr, spec, config.feature_fraction, memo=memo

@@ -175,7 +175,9 @@ def repair(candidate, feasible: list[Binding]) -> Binding:
 
 
 def feasible_set(structure: ContextStructure) -> list[Binding]:
-    feas = enumerate_feasible(derive_constraints(structure), structure)
+    feas = enumerate_feasible(derive_constraints(structure))
+    if not feas:
+        raise InfeasibleStructure("feasible set is empty")
     if len(feas) > FEASIBLE_SET_GUARD:
         raise InfeasibleStructure(
             f"feasible set of size {len(feas)} exceeds the {FEASIBLE_SET_GUARD} guard"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from ctxclf.errors import (
     TooFewPerClass,
     WindowTooLong,
 )
-from ctxclf.rng import derive_rng
 
 MIN_SAMPLES = 16
 
@@ -95,25 +94,6 @@ class SignalSet:
 
     def labels(self) -> np.ndarray:
         return np.array([r.class_label for r in self.records], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Stratified assignment of record ids to k folds."""
-
-    k: int
-    assignments: dict[str, int] = field(compare=False)
-    seed: int = 0
-
-    def fold_of(self, record_id: str) -> int:
-        return self.assignments[record_id]
-
-    def split(self, sset: SignalSet, fold: int) -> tuple[list[int], list[int]]:
-        """Indices of (train, test) records for one held-out fold."""
-        train, test = [], []
-        for i, r in enumerate(sset.records):
-            (test if self.assignments[r.record_id] == fold else train).append(i)
-        return train, test
 
 
 def load_signalset(path) -> SignalSet:
@@ -237,18 +217,20 @@ def segment(sset: SignalSet, window_ms: int) -> SignalSet:
     )
 
 
-def stratified_folds(sset: SignalSet, k: int, seed: int) -> FoldPlan:
-    """Assign records to k folds with per-class counts differing by <= 1."""
+def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Fold id (0..k-1) of each row, with per-class counts differing by <= 1.
+
+    For each class in ascending order, that class's rows are permuted (in row
+    order) and dealt to the folds round robin.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    for cls, count in sset.class_counts.items():
+    classes, counts = np.unique(labels, return_counts=True)
+    for cls, count in zip(classes, counts):
         if count < k:
             raise TooFewPerClass(f"class {cls} has {count} records, needs >= {k}")
-    rng = derive_rng(seed, "stratified_folds", k)
-    assignments: dict[str, int] = {}
-    for cls in range(1, sset.num_classes + 1):
-        ids = sorted(r.record_id for r in sset.records if r.class_label == cls)
-        order = rng.permutation(len(ids))
-        for pos, idx in enumerate(order):
-            assignments[ids[idx]] = pos % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    out = np.empty(len(labels), dtype=np.int64)
+    for cls in classes:
+        idx = np.flatnonzero(labels == cls)
+        out[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % k
+    return out

@@ -63,9 +63,9 @@ def report(capsys, number, name, ok, detail=""):
 def test_01_feasible_set_counts(capsys):
     t0 = time.perf_counter()
     s = five_class_example()
-    constrained = len(enumerate_feasible(derive_constraints(s), s))
+    constrained = len(enumerate_feasible(derive_constraints(s)))
     table = ConstraintTable(num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)})
-    unconstrained = len(enumerate_feasible(table, None))
+    unconstrained = len(enumerate_feasible(table))
     elapsed = time.perf_counter() - t0
     ok = constrained == 12 and unconstrained == 120 and elapsed < 1.0
     report(
@@ -83,7 +83,7 @@ def test_02_enumeration_oracle_equivalence(capsys):
         C = int(rng.integers(2, 7))
         s = random_structure(rng, C)
         try:
-            feas = enumerate_feasible(derive_constraints(s), s)
+            feas = enumerate_feasible(derive_constraints(s))
         except InfeasibleStructure:
             feas = []
         brute = brute_force_feasible(s)

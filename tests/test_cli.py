@@ -85,7 +85,7 @@ def test_enumerate_unconstrained_table(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "120"
 
 
-def test_enumerate_infeasible(tmp_path, capsys):
+def write_infeasible_structure(path):
     # valid tree, but movements 4 and 5 both only admit class 3
     s = make_structure(
         3,
@@ -96,8 +96,12 @@ def test_enumerate_infeasible(tmp_path, capsys):
             (3, 0, 3, [6]),
         ],
     )
-    p = tmp_path / "inf.json"
-    p.write_text(json.dumps(structure_to_dict(s)))
+    path.write_text(json.dumps(structure_to_dict(s)))
+    return path
+
+
+def test_enumerate_infeasible(tmp_path, capsys):
+    p = write_infeasible_structure(tmp_path / "inf.json")
     assert main(["enumerate", str(p)]) == 2
     assert capsys.readouterr().out.strip() == "0"
 
@@ -172,6 +176,10 @@ def test_config_field_path_errors(run_setup):
     bad = dict(config, ea={"population": 10})
     p.write_text(json.dumps(bad))
     with pytest.raises(ConfigError, match=r"ea\.population"):
+        load_run_config(p)
+    bad = dict(config, ea={"seed": 3})  # the EA seed is derived from the master seed
+    p.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError, match=r"ea\.seed: unknown field"):
         load_run_config(p)
     bad = dict(config, methods=["plain", "magic"])
     p.write_text(json.dumps(bad))
@@ -261,3 +269,74 @@ def test_run_rejects_folds_above_class_count(run_setup, capsys, fields, fragment
     assert main(["run", "--config", str(p)]) == 1
     _one_line_error(capsys, *fragments)
     assert not (tmp_path / "out").exists()  # rejected before the run starts
+
+
+def _three_class_config(tmp_path, config):
+    """run_setup's config on the infeasible three-class structure and a three-class set."""
+    save_signalset(synth_signalset(3, records_per_class=6, samples=128, seed=13), tmp_path / "s3")
+    p = tmp_path / "inf_config.json"
+    p.write_text(
+        json.dumps(
+            dict(
+                config,
+                signalset=str(tmp_path / "s3"),
+                structure=str(write_infeasible_structure(tmp_path / "inf.json")),
+                methods=["plain"],
+            )
+        )
+    )
+    return p
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+def test_infeasible_structure_exits_2(run_setup, capsys, command):
+    tmp_path, _, config = run_setup
+    p = _three_class_config(tmp_path, config)
+    assert main([command, "--config", str(p)]) == 2
+    _one_line_error(capsys, "feasible set is empty")
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
+    tmp_path, _, config = run_setup
+    save_signalset(synth_signalset(6, records_per_class=6, samples=128, seed=13), tmp_path / "s6")
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(config, signalset=str(tmp_path / "s6"), inner_folds=9)))
+    assert main(["optimize", "--config", str(p)]) == 1
+    _one_line_error(capsys, "6 records", "needs >= 9")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body, fragments",
+    [
+        ("plain,GaussianNB,0,0.5\n", ("metrics.csv", "line 2")),
+        ("plain,GaussianNB,x,0.5,0.5\n", ("metrics.csv", "line 2")),
+        ("plain,GaussianNB,0,0.5,0.5\nrctx,RandomForest,0,0.5,0.5\n", ("GaussianNB", "unequal")),
+        (b"\xff\xfe\x00", ("decode",)),
+    ],
+    ids=["short-line", "bad-fold", "missing-method", "not-text"],
+)
+def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
+    metrics = tmp_path / "metrics.csv"
+    if isinstance(body, bytes):
+        metrics.write_bytes(body)
+    else:
+        metrics.write_text("method,classifier,fold,zo,sqcov\n" + body)
+    assert main(["report", "--metrics", str(metrics)]) == 1
+    _one_line_error(capsys, *fragments)
+
+
+@pytest.mark.parametrize(
+    "permitted, fragment",
+    [
+        ({"1": [1, 2, 3], "2": [1, 2, 3]}, "movement ids 1..3"),
+        ({"1": [1, 2, 9], "2": [1, 2, 3], "3": [1, 2, 3]}, "permitted.1: classes"),
+    ],
+    ids=["missing-movement", "class-out-of-range"],
+)
+def test_enumerate_table_rejects_bad_permitted(tmp_path, capsys, permitted, fragment):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
+    assert main(["enumerate", "--table", str(table)]) == 1
+    _one_line_error(capsys, fragment)

@@ -25,7 +25,7 @@ from conftest import make_structure, random_structure
 def test_five_class_feasible_count_is_12():
     s = five_class_example()
     assert validate_structure(s) == []
-    feas = enumerate_feasible(derive_constraints(s), s)
+    feas = enumerate_feasible(derive_constraints(s))
     assert len(feas) == 12
 
 
@@ -44,15 +44,15 @@ def test_unconstrained_table_gives_factorial():
     table = ConstraintTable(
         num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     )
-    assert len(enumerate_feasible(table, None)) == math.factorial(5)
+    assert len(enumerate_feasible(table)) == math.factorial(5)
 
 
 def test_enumeration_is_lexicographic_and_stable():
     s = six_class_nested()
-    feas = enumerate_feasible(derive_constraints(s), s)
+    feas = enumerate_feasible(derive_constraints(s))
     secs = [b.secondary for b in feas]
     assert secs == sorted(secs)
-    again = [b.secondary for b in enumerate_feasible(derive_constraints(s), s)]
+    again = [b.secondary for b in enumerate_feasible(derive_constraints(s))]
     assert secs == again
 
 
@@ -62,7 +62,7 @@ def test_oracle_equivalence_random_structures():
         C = int(rng.integers(2, 7))
         s = random_structure(rng, C)
         try:
-            feas = enumerate_feasible(derive_constraints(s), s)
+            feas = enumerate_feasible(derive_constraints(s))
         except InfeasibleStructure:
             feas = []
         brute = brute_force_feasible(s)
@@ -71,7 +71,7 @@ def test_oracle_equivalence_random_structures():
 
 def test_every_feasible_binding_passes_independent_walk():
     s = five_class_example()
-    for b in enumerate_feasible(derive_constraints(s), s):
+    for b in enumerate_feasible(derive_constraints(s)):
         assert binding_feasible(s, b)
 
 
@@ -88,7 +88,7 @@ def test_binding_validation_and_class_map():
 
 def test_local_classes_closer_first():
     s = five_class_example()
-    binding = enumerate_feasible(derive_constraints(s), s)[0]
+    binding = enumerate_feasible(derive_constraints(s))[0]
     box1 = s.root.children[0]  # opened by movement 3
     classes = local_classes(s, binding, box1)
     assert classes[0] == 3  # the closer's class leads

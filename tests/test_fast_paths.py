@@ -1,9 +1,9 @@
 """Each fast path against the slow code it replaced, down to equal bits.
 
 The box-fit memo, the one-pass MI scores, block prediction, the
-table-driven sequence walk and the one-pass forest node must leave every
-result as it was; the golden digest pins a whole cross-validated run over
-all three classifiers.
+table-driven sequence walk, the one-pass forest node and the fold-id
+array must leave every result as it was; the golden digest pins a whole
+cross-validated run over all three classifiers.
 """
 
 import hashlib
@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers, optimize
+from ctxclf import classifiers, evaluation, optimize
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
 from ctxclf.context import Binding, load_structure
 from ctxclf.evaluation import (
     RunConfig,
+    SequenceOutcome,
     _class_pools,
     _evaluate_system,
     evaluate_sequence,
@@ -31,7 +32,9 @@ from ctxclf.evaluation import (
 )
 from ctxclf.features import feature_matrix, mutual_information, select_features
 from ctxclf.optimize import feasible_set, kendall_tau, repair
+from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import train_ensemble, train_plain
+from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.structures import eight_class_grips, six_class_nested
 from ctxclf.synth import synth_signalset
 
@@ -366,6 +369,101 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
                     slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
             assert fast == slow
             assert not all(o.error_free for o in slow)  # misses, so wrong-box paths run
+
+
+def fold_plan_assignments(sset, k, seed):
+    """The record id -> fold map of the FoldPlan that the fold-id array replaced (the oracle)."""
+    rng = derive_rng(seed, "stratified_folds", k)
+    assignments = {}
+    for cls in range(1, sset.num_classes + 1):
+        ids = sorted(r.record_id for r in sset.records if r.class_label == cls)
+        order = rng.permutation(len(ids))
+        for pos, idx in enumerate(order):
+            assignments[ids[idx]] = pos % k
+    return assignments
+
+
+def fold_plan_split(assignments, sset, fold):
+    train, test = [], []
+    for i, r in enumerate(sset.records):
+        (test if assignments[r.record_id] == fold else train).append(i)
+    return train, test
+
+
+def loop_stratified_assignments(labels, k, seed):
+    """The inner-fold assignment that the fold-id array replaced (the oracle)."""
+    rng = derive_rng(seed, "stratified_assignments", k)
+    out = np.empty(len(labels), dtype=np.int64)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        order = rng.permutation(len(idx))
+        for pos, o in enumerate(order):
+            out[idx[o]] = pos % k
+    return out
+
+
+@st.composite
+def shuffled_signalsets(draw):
+    """Records in shuffled class order, with more than 10 per class and ids out of row order.
+
+    Ids are unpadded numbers, so "r10" sorts before "r9": row order, numeric
+    order and id order all differ.
+    """
+    C = draw(st.integers(2, 4))
+    per_class = draw(st.lists(st.integers(11, 16), min_size=C, max_size=C))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(1, C + 1), per_class))
+    ids = rng.permutation(len(labels))
+    records = tuple(
+        SignalRecord(f"r{j}", np.zeros((1, 16)), 1000, int(c)) for j, c in zip(ids, labels)
+    )
+    return SignalSet(records=records, num_classes=C, num_channels=1, sample_rate_hz=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_signalsets(), st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**63 - 1))
+def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, master_seed):
+    """The outer and inner folds of run_experiment, as FoldPlan and the assignments made them.
+
+    Every fold's test rows are read where run_experiment and search_binding
+    pool them; models and outcomes are stubbed out, as they do not touch the folds.
+    """
+    pooled = []
+
+    def spy_pools(labels, indices):
+        pooled.append([int(i) for i in indices])
+        return _class_pools(labels, indices)
+
+    config = RunConfig(
+        signalset=sset,
+        structure=six_class_nested(),
+        classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
+        methods=("plain", "octx"),
+        cv_folds=cv_folds,
+        inner_folds=inner_folds,
+        master_seed=master_seed,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_class_pools", spy_pools)
+        mp.setattr(
+            evaluation, "feature_matrix", lambda s: (np.zeros((len(s.records), 1)), s.labels())
+        )
+        mp.setattr(evaluation, "train_plain", lambda *args, **kwargs: None)
+        mp.setattr(evaluation, "train_ensemble", lambda *args, **kwargs: None)
+        mp.setattr(evaluation, "_evaluate_system", lambda *args: [SequenceOutcome(hits=(True,))])
+        run_experiment(config)
+
+    labels = sset.labels()
+    assignments = fold_plan_assignments(sset, cv_folds, derive_seed(master_seed, "outer"))
+    expected = []
+    for fold in range(cv_folds):
+        train, test = fold_plan_split(assignments, sset, fold)
+        expected.append(test)
+        inner_seed = derive_seed(master_seed, "inner", fold, "GaussianNB")
+        inner = loop_stratified_assignments(labels[train], inner_folds, inner_seed)
+        for f in range(inner_folds):
+            expected.append([train[i] for i in range(len(train)) if inner[i] == f])
+    assert pooled == expected
 
 
 def test_run_experiment_golden_digest():

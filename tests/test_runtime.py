@@ -26,7 +26,7 @@ def scalar_training_data(num_classes, copies=2):
 
 def perfect_ensemble(structure, binding=None, alg="NearestNeighbor"):
     if binding is None:
-        binding = enumerate_feasible(derive_constraints(structure), structure)[0]
+        binding = enumerate_feasible(derive_constraints(structure))[0]
     X, y = scalar_training_data(structure.num_classes)
     return train_ensemble(structure, binding, X, y, ClassifierSpec(algorithm=alg), 1.0)
 
@@ -98,7 +98,7 @@ def test_train_ensemble_rejects_infeasible_binding():
 
 def test_train_ensemble_uncovered_class():
     s = five_class_example()
-    binding = enumerate_feasible(derive_constraints(s), s)[0]
+    binding = enumerate_feasible(derive_constraints(s))[0]
     X, y = scalar_training_data(5)
     keep = y != 4
     with pytest.raises(UncoveredClass):

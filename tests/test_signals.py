@@ -80,32 +80,32 @@ def test_segment_windows_and_errors():
 
 
 def test_stratified_folds_balance_and_determinism():
-    sset = toy_signalset(num_classes=3, records_per_class=10)
-    plan = stratified_folds(sset, 4, seed=5)
+    labels = toy_signalset(num_classes=3, records_per_class=10).labels()
+    folds = stratified_folds(labels, 4, np.random.default_rng(5))
     for cls in range(1, 4):
-        ids = [r.record_id for r in sset.records if r.class_label == cls]
-        counts = [sum(1 for i in ids if plan.fold_of(i) == f) for f in range(4)]
-        assert max(counts) - min(counts) <= 1
-    again = stratified_folds(sset, 4, seed=5)
-    assert plan.assignments == again.assignments
-    other = stratified_folds(sset, 4, seed=6)
-    assert plan.assignments != other.assignments
+        counts = np.bincount(folds[labels == cls], minlength=4)
+        assert len(counts) == 4 and counts.max() - counts.min() <= 1
+    again = stratified_folds(labels, 4, np.random.default_rng(5))
+    assert np.array_equal(folds, again)
+    other = stratified_folds(labels, 4, np.random.default_rng(6))
+    assert not np.array_equal(folds, other)
 
 
 def test_split_partitions_everything():
-    sset = toy_signalset(num_classes=2, records_per_class=8)
-    plan = stratified_folds(sset, 4, seed=0)
+    labels = toy_signalset(num_classes=2, records_per_class=8).labels()
+    folds = stratified_folds(labels, 4, np.random.default_rng(0))
+    assert folds.shape == labels.shape
     seen = set()
     for fold in range(4):
-        train, test = plan.split(sset, fold)
-        assert sorted(train + test) == list(range(len(sset.records)))
-        seen.update(test)
-    assert seen == set(range(len(sset.records)))
+        train, test = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
+        assert sorted([*train.tolist(), *test.tolist()]) == list(range(len(labels)))
+        seen.update(test.tolist())
+    assert seen == set(range(len(labels)))
 
 
 def test_stratified_folds_too_few():
-    sset = toy_signalset(num_classes=2, records_per_class=3)
+    labels = toy_signalset(num_classes=2, records_per_class=3).labels()
     with pytest.raises(TooFewPerClass):
-        stratified_folds(sset, 4, seed=0)
+        stratified_folds(labels, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        stratified_folds(sset, 1, seed=0)
+        stratified_folds(labels, 1, np.random.default_rng(0))
