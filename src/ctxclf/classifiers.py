@@ -29,9 +29,9 @@ class ClassifierSpec:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.num_trees < 1:
-            raise ValueError("num_trees must be >= 1")
+            raise ValueError(f"num_trees: must be >= 1, got {self.num_trees}")
 
 
 @dataclass(frozen=True)

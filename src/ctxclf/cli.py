@@ -12,10 +12,12 @@ import hashlib
 import json
 import math
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import ctxclf
-from ctxclf.classifiers import ALGORITHMS, ClassifierSpec
+from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import (
     ConstraintTable,
     derive_constraints,
@@ -25,7 +27,7 @@ from ctxclf.context import (
 )
 from ctxclf.errors import CtxclfError, InfeasibleStructure
 from ctxclf.evaluation import (
-    METHODS,
+    METRICS_CSV_HEADER,
     MetricsRow,
     MetricsTable,
     RunConfig,
@@ -61,77 +63,58 @@ def _expect(d: dict, key: str, kind, path: str, default=None, required=False):
     return value
 
 
-def _parse_ea(d: dict, path: str) -> EAParams:
-    defaults = EAParams()
-    kwargs = {}
-    for name in (
-        "population_size",
-        "tournament_size",
-        "crossover_prob",
-        "mutation_prob",
-        "stagnation_horizon",
-        "max_generations",
-    ):
-        kind = float if name in ("crossover_prob", "mutation_prob") else int
-        kwargs[name] = _expect(d, name, kind, path, default=getattr(defaults, name))
-    kwargs["crossover_op"] = _expect(d, "crossover_op", str, path, default=defaults.crossover_op)
-    unknown = set(d) - set(kwargs)
+def _from_fields(cls, d: dict, path: str, keys=(), required=(), **given):
+    """Build dataclass `cls` from the config object `d`.
+
+    Each int/float/str field not in `given` is read from the key of its name,
+    with the field's own default. `keys` are the other keys the caller reads;
+    any other key is an unknown field.
+    """
+    hints = typing.get_type_hints(cls)
+    scalars = [f for f in fields(cls) if f.name not in given and hints[f.name] in (int, float, str)]
+    unknown = set(d) - {f.name for f in scalars} - set(keys)
     if unknown:
         raise ConfigError(f"{path}{sorted(unknown)[0]}: unknown field")
+    for f in scalars:
+        given[f.name] = _expect(d, f.name, hints[f.name], path, f.default, f.name in required)
     try:
-        return EAParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}")
+        return cls(**given)
+    except ValueError as exc:  # the dataclass checks name the field first
+        raise ConfigError(f"{path}{exc}")
 
 
 def load_run_config(path) -> tuple[RunConfig, dict, Path]:
-    """Parse a run config file; returns (config, raw dict, output dir)."""
+    """Parse a run config file; returns (config, raw dict, output dir).
+
+    Defaults and range checks are those of RunConfig, EAParams and
+    ClassifierSpec; a key that names none of their fields is an error.
+    """
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected an object")
 
     sset = load_signalset(_expect(raw, "signalset", str, "", required=True))
     structure = load_structure(_expect(raw, "structure", str, "", required=True))
-
-    methods = tuple(_expect(raw, "methods", list, "", default=list(METHODS)))
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ConfigError(f"methods[{i}]: unknown method {m!r}")
-
-    clf_raw = _expect(raw, "classifiers", list, "", default=[{"algorithm": "GaussianNB"}])
-    specs = []
-    for i, entry in enumerate(clf_raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"classifiers[{i}]: expected an object")
-        alg = _expect(entry, "algorithm", str, f"classifiers[{i}].", required=True)
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"classifiers[{i}].algorithm: unknown algorithm {alg!r}")
-        specs.append(
-            ClassifierSpec(
-                algorithm=alg,
-                num_trees=_expect(entry, "num_trees", int, f"classifiers[{i}].", default=20),
-                seed=_expect(entry, "seed", int, f"classifiers[{i}].", default=0),
-            )
+    if structure.num_classes != sset.num_classes:
+        raise ConfigError(
+            f"structure: {structure.num_classes} classes, but the signalset has {sset.num_classes}"
         )
-
-    ea = _parse_ea(_expect(raw, "ea", dict, "", default={}), "ea.")
-    try:
-        config = RunConfig(
-            signalset=sset,
-            structure=structure,
-            classifier_specs=tuple(specs),
-            methods=methods,
-            cv_folds=_expect(raw, "cv_folds", int, "", default=10),
-            inner_folds=_expect(raw, "inner_folds", int, "", default=3),
-            repetitions=_expect(raw, "repetitions", int, "", default=20),
-            inner_repetitions=_expect(raw, "inner_repetitions", int, "", default=5),
-            feature_fraction=_expect(raw, "feature_fraction", float, "", default=0.5),
-            ea_params=ea,
-            exhaustive_limit=_expect(raw, "exhaustive_limit", int, "", default=500),
-            master_seed=_expect(raw, "master_seed", int, "", default=0),
-        )
-    except ValueError as exc:  # RunConfig range checks name the field first
-        raise ConfigError(str(exc))
+    given = {"signalset": sset, "structure": structure}
+    if "methods" in raw:
+        given["methods"] = tuple(_expect(raw, "methods", list, ""))
+    if "classifiers" in raw:
+        specs = []
+        for i, entry in enumerate(_expect(raw, "classifiers", list, "")):
+            at = f"classifiers[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{at}: expected an object")
+            specs.append(_from_fields(ClassifierSpec, entry, f"{at}.", required=("algorithm",)))
+        given["classifier_specs"] = tuple(specs)
+    if "ea" in raw:  # the EA seed is derived from the master seed, never read
+        ea = _expect(raw, "ea", dict, "")
+        given["ea_params"] = _from_fields(EAParams, ea, "ea.", seed=EAParams.seed)
+    keys = ("signalset", "structure", "classifiers", "methods", "ea", "output_dir")
+    config = _from_fields(RunConfig, raw, "", keys, **given)
     out_dir = Path(_expect(raw, "output_dir", str, "", default="out"))
     return config, raw, out_dir
 
@@ -223,6 +206,7 @@ def cmd_enumerate(args) -> int:
 def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
     config, raw, out_dir = load_run_config(args.config)
+    _check_fold_counts(config, outer=False)
     X, y = feature_matrix(config.signalset)
     feasible = feasible_set(config.structure)
     results, traces = {}, {}
@@ -248,22 +232,33 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _check_fold_counts(config: RunConfig) -> None:
-    """Each outer fold, and for OCtx each inner fold, needs a record of every class."""
+def _check_fold_counts(config: RunConfig, outer: bool) -> None:
+    """Each fold needs a record of every class.
+
+    `run` (outer) deals all records into `cv_folds` folds and, for OCtx, the
+    records of an outer training fold into `inner_folds`; `optimize` deals all
+    records into `inner_folds`.
+    """
     cls, count = min(config.signalset.class_counts.items(), key=lambda item: item[1])
-    if config.cv_folds > count:
-        raise ConfigError(f"cv_folds: {config.cv_folds} folds, but class {cls} has {count} records")
-    train_count = count - math.ceil(count / config.cv_folds)  # the fewest in an outer training fold
-    if "octx" in config.methods and config.inner_folds > train_count:
+    where = ""
+    if outer:
+        if config.cv_folds > count:
+            raise ConfigError(
+                f"cv_folds: {config.cv_folds} folds, but class {cls} has {count} records"
+            )
+        if "octx" not in config.methods:
+            return
+        count -= math.ceil(count / config.cv_folds)  # the fewest in an outer training fold
+        where = " in an outer training fold"
+    if config.inner_folds > count:
         raise ConfigError(
-            f"inner_folds: {config.inner_folds} folds, but class {cls} has {train_count} records"
-            " in an outer training fold"
+            f"inner_folds: {config.inner_folds} folds, but class {cls} has {count} records{where}"
         )
 
 
 def cmd_run(args) -> int:
     config, raw, out_dir = load_run_config(args.config)
-    _check_fold_counts(config)
+    _check_fold_counts(config, outer=True)
     table = run_experiment(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(table.to_csv())
@@ -279,7 +274,7 @@ def _read_metrics_csv(path) -> MetricsTable:
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "method,classifier,fold,zo,sqcov":
+        if header != METRICS_CSV_HEADER:
             raise ConfigError(f"{path}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             try:

@@ -11,7 +11,7 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def sqcov_metric(outcomes) -> float:
 class RunConfig:
     signalset: SignalSet
     structure: ContextStructure
-    classifier_specs: tuple[ClassifierSpec, ...]
+    classifier_specs: tuple[ClassifierSpec, ...] = (ClassifierSpec(),)
     methods: tuple[str, ...] = METHODS
     cv_folds: int = 10
     inner_folds: int = 3
@@ -169,9 +169,9 @@ class RunConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
+                raise ValueError(f"methods[{i}]: unknown method {m!r}")
         # range checks up front, so a bad value fails before the run, not inside the inner CV
         for name, least in (
             ("cv_folds", 2), ("inner_folds", 2), ("repetitions", 1), ("inner_repetitions", 1)
@@ -191,6 +191,9 @@ class MetricsRow:
     sqcov: float
 
 
+METRICS_CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
+
+
 @dataclass(frozen=True)
 class MetricsTable:
     rows: tuple[MetricsRow, ...]
@@ -198,7 +201,7 @@ class MetricsTable:
     optimizer_traces: dict = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
-        lines = ["method,classifier,fold,zo,sqcov"]
+        lines = [METRICS_CSV_HEADER]
         for r in self.rows:
             lines.append(f"{r.method},{r.classifier},{r.fold},{r.zo!r},{r.sqcov!r}")
         return "\n".join(lines) + "\n"

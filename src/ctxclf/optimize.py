@@ -49,15 +49,16 @@ class EAParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        for name, least in (
+            ("population_size", 2), ("tournament_size", 1), ("stagnation_horizon", 1)
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if self.crossover_op not in ("OX1", "OX2"):
-            raise ValueError(f"unknown crossover operator {self.crossover_op!r}")
-        for p in (self.crossover_prob, self.mutation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be within [0, 1]")
-        if self.stagnation_horizon < 1:
-            raise ValueError("stagnation_horizon must be >= 1")
+            raise ValueError(f"crossover_op: unknown crossover operator {self.crossover_op!r}")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}: must be in [0, 1], got {getattr(self, name)}")
 
 
 def kendall_tau(p, q) -> int:

@@ -1,9 +1,13 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from ctxclf.cli import ConfigError, load_run_config, main
-from ctxclf.context import structure_to_dict
+from ctxclf.context import load_structure, structure_to_dict
+from ctxclf.evaluation import RunConfig
 from ctxclf.signals import save_signalset
 from ctxclf.structures import five_class_example, six_class_nested
 from ctxclf.synth import synth_signalset
@@ -199,6 +203,27 @@ def test_run_reports_config_error(run_setup, capsys):
     assert "repetitions" in capsys.readouterr().err
 
 
+def _with_field(config, path, value):
+    """`config` with `value` at `path`: a root key, `ea.<key>` or `classifiers[0].<key>`."""
+    head, _, key = path.rpartition(".")
+    if head == "ea":
+        return dict(config, ea={key: value})
+    if head == "classifiers[0]":
+        return dict(config, classifiers=[dict(config["classifiers"][0], **{key: value})])
+    return dict(config, **{key: value})
+
+
+def _rejected_before_run(tmp_path, capsys, config, prefix):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
+        load_run_config(p)
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR: {prefix}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()  # rejected before the run starts
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -208,18 +233,39 @@ def test_run_reports_config_error(run_setup, capsys):
         ("inner_folds", 1),
         ("repetitions", 0),
         ("inner_repetitions", 0),
+        ("classifiers[0].num_trees", 0),
+        ("ea.tournament_size", 0),
+        ("ea.crossover_op", "OX3"),
+        ("ea.crossover_prob", 1.5),
     ],
 )
 def test_run_rejects_out_of_range_field(run_setup, capsys, field, value):
     tmp_path, _, config = run_setup
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(dict(config, **{field: value})))
-    with pytest.raises(ConfigError, match=f"^{field}: "):
-        load_run_config(p)
-    assert main(["run", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"ERROR: {field}: ") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists()  # rejected before the run starts
+    _rejected_before_run(tmp_path, capsys, _with_field(config, field, value), f"{field}: ")
+
+
+@pytest.mark.parametrize("field", ["cv_fold", "classifiers[0].num_tree", "ea.populaton_size"])
+def test_run_rejects_unknown_field(run_setup, capsys, field):
+    tmp_path, _, config = run_setup
+    _rejected_before_run(tmp_path, capsys, _with_field(config, field, 2), f"{field}: unknown field")
+
+
+def test_run_rejects_structure_class_count(run_setup, five_path, capsys):
+    tmp_path, _, config = run_setup
+    bad = dict(config, structure=str(five_path))  # five classes, six in the signalset
+    _rejected_before_run(tmp_path, capsys, bad, "structure: 5 classes, but the signalset has 6")
+
+
+def test_minimal_config_loads_dataclass_defaults(run_setup):
+    tmp_path, _, config = run_setup
+    p = tmp_path / "minimal.json"
+    p.write_text(json.dumps({"signalset": config["signalset"], "structure": config["structure"]}))
+    loaded, raw, out_dir = load_run_config(p)
+    expected = RunConfig(loaded.signalset, load_structure(config["structure"]))
+    for f in fields(RunConfig):
+        if f.name != "signalset":  # a SignalSet holds arrays
+            assert getattr(loaded, f.name) == getattr(expected, f.name), f.name
+    assert out_dir == Path("out")
 
 
 def _one_line_error(capsys, *fragments):
@@ -303,7 +349,7 @@ def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(config, signalset=str(tmp_path / "s6"), inner_folds=9)))
     assert main(["optimize", "--config", str(p)]) == 1
-    _one_line_error(capsys, "6 records", "needs >= 9")
+    _one_line_error(capsys, "inner_folds: 9", "6 records")
     assert not (tmp_path / "out").exists()
 
 

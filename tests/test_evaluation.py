@@ -174,7 +174,7 @@ def test_metrics_table_csv_and_summary(small_run):
 
 def test_run_config_rejects_unknown_method():
     sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"methods\[1\]"):
         RunConfig(
             signalset=sset,
             structure=five_class_example(),
