@@ -63,6 +63,13 @@ def _expect(d: dict, key: str, kind, path: str, default=None, required=False):
     return value
 
 
+def _nonempty_list(d: dict, key: str) -> list:
+    items = _expect(d, key, list, "")
+    if not items:
+        raise ConfigError(f"{key}: expected a non-empty list")
+    return items
+
+
 def _from_fields(cls, d: dict, path: str, keys=(), required=(), **given):
     """Build dataclass `cls` from the config object `d`.
 
@@ -101,10 +108,10 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
         )
     given = {"signalset": sset, "structure": structure}
     if "methods" in raw:
-        given["methods"] = tuple(_expect(raw, "methods", list, ""))
+        given["methods"] = tuple(_nonempty_list(raw, "methods"))
     if "classifiers" in raw:
         specs = []
-        for i, entry in enumerate(_expect(raw, "classifiers", list, "")):
+        for i, entry in enumerate(_nonempty_list(raw, "classifiers")):
             at = f"classifiers[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{at}: expected an object")

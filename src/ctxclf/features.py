@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctxclf.errors import SubbandTooShort
+from ctxclf.errors import SignalsetError, SubbandTooShort
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.wavelet import dwt_db6
 
 SUBBAND_NAMES = ("A3", "D3", "D2", "D1")
 FEATURE_NAMES = ("MAV", "SSC", "AR1", "AR2", "AR3")
 FEATURES_PER_SUBBAND = len(FEATURE_NAMES)
+AR_ORDER = 3
+FEATURE_BLOCK_ROWS = 16  # channel rows extracted together by feature_matrix
 
 
 @dataclass(frozen=True)
@@ -73,54 +75,119 @@ class FeatureMask:
         return x[..., list(self.selected)]
 
 
-def ar_coefficients(subband: np.ndarray, order: int = 3) -> np.ndarray:
+def ar_coefficients(subband: np.ndarray, order: int = AR_ORDER) -> np.ndarray:
     """Levinson-Durbin on the biased autocorrelation; zero-variance -> zeros."""
     x = np.asarray(subband, dtype=np.float64)
-    n = len(x)
-    if n < order + 1:
-        raise SubbandTooShort(f"need >= {order + 1} samples for AR({order}), got {n}")
-    r = np.array([np.dot(x[: n - k], x[k:]) / n for k in range(order + 1)])
-    if r[0] <= 0.0:
-        return np.zeros(order)
-    a = np.zeros(order)
-    err = r[0]
-    for m in range(order):
-        acc = r[m + 1] - np.dot(a[:m], r[m:0:-1])
-        k = acc / err
-        a_new = a.copy()
-        a_new[m] = k
-        a_new[:m] = a[:m] - k * a[m - 1 :: -1] if m else a_new[:m]
-        a = a_new
-        err *= 1.0 - k * k
-        if err <= 0.0:
-            break
-    return a
+    return _levinson(_autocorrelation(x[None, :], order))[0]
 
 
 def slope_sign_changes(subband: np.ndarray) -> int:
     x = np.asarray(subband, dtype=np.float64)
-    d = np.diff(x)
-    return int(np.sum(d[:-1] * d[1:] < 0))
+    return int(_slope_sign_changes(x[None, :])[0])
+
+
+def _autocorrelation(block: np.ndarray, order: int) -> np.ndarray:
+    """Biased autocorrelation lags 0..order of each row: (rows, order + 1).
+
+    Each lag is a batched dot product over the rows as given; a strided
+    subband keeps the stride np.dot would see, and so its bits. Like np.dot,
+    rows with a negative or zero stride are copied to contiguous first, and
+    a lag over one sample pair is a plain product (which keeps a -0.0).
+    """
+    n = block.shape[1]
+    if n < order + 1:
+        raise SubbandTooShort(f"need >= {order + 1} samples for AR({order}), got {n}")
+    if block.strides[1] <= 0:
+        block = np.ascontiguousarray(block)
+    lags = np.empty((len(block), order + 1))
+    for k in range(order + 1):
+        if k < n - 1:
+            lags[:, k] = (block[:, None, : n - k] @ block[:, k:, None])[:, 0, 0]
+        else:
+            lags[:, k] = block[:, 0] * block[:, k]
+    return lags / n
+
+
+def _levinson(r: np.ndarray) -> np.ndarray:
+    """AR coefficients of each row of lags r (rows, order + 1), all rows in step.
+
+    A row with r0 <= 0 gets zeros; a row whose prediction error drops to
+    <= 0 keeps the coefficients of that step and leaves the recursion. The
+    inner products run on a contiguous reversed copy of r, the operands
+    np.dot hands to BLAS, so each row gets the bits of the one-row recursion.
+    """
+    rows, order = r.shape[0], r.shape[1] - 1
+    out = np.zeros((rows, order))
+    live = np.flatnonzero(~(r[:, 0] <= 0.0))
+    r = r[live]
+    reversed_r = np.ascontiguousarray(r[:, :0:-1])  # r_order, ..., r_1
+    a = np.zeros((len(live), order))
+    err = r[:, 0]
+    for m in range(order):
+        dot = (a[:, None, :m] @ reversed_r[:, order - m :, None])[:, 0, 0]
+        k = (r[:, m + 1] - dot) / err
+        if m:
+            a[:, :m] = a[:, :m] - k[:, None] * a[:, m - 1 :: -1]
+        a[:, m] = k
+        err = err * (1.0 - k * k)
+        stop = err <= 0.0
+        if stop.any():
+            out[live[stop]] = a[stop]
+            keep = ~stop
+            live, r, reversed_r, a, err = live[keep], r[keep], reversed_r[keep], a[keep], err[keep]
+    out[live] = a
+    return out
+
+
+def _slope_sign_changes(block: np.ndarray) -> np.ndarray:
+    d = block[:, 1:] - block[:, :-1]
+    return (d[:, :-1] * d[:, 1:] < 0).sum(axis=1)
+
+
+def _block_features(block: np.ndarray) -> np.ndarray:
+    """(rows, subbands, features) of a block of equal-length channel rows."""
+    subbands = dwt_db6(block, levels=3)
+    out = np.empty((len(block), len(subbands), FEATURES_PER_SUBBAND))
+    lags = np.empty((len(block), len(subbands), AR_ORDER + 1))
+    for s, sb in enumerate(subbands):
+        out[:, s, 0] = np.abs(sb).sum(axis=1) / sb.shape[1]  # MAV, as np.mean divides
+        out[:, s, 1] = _slope_sign_changes(sb)
+        lags[:, s] = _autocorrelation(sb, AR_ORDER)
+    ar = _levinson(lags.reshape(-1, AR_ORDER + 1))
+    out[:, :, 2:] = ar.reshape(len(block), len(subbands), AR_ORDER)
+    return out
 
 
 def extract_features(record: SignalRecord) -> FeatureVector:
     """3-level db6 decomposition per channel, five statistics per subband."""
-    values = []
-    for ch in range(record.num_channels):
-        subbands = dwt_db6(record.channels[ch], levels=3)
-        for sb in subbands:
-            if len(sb) < 4:
-                raise SubbandTooShort(f"subband of length {len(sb)} is too short")
-            values.append(np.mean(np.abs(sb)))
-            values.append(float(slope_sign_changes(sb)))
-            values.extend(ar_coefficients(sb, order=3))
-    return FeatureVector(values=np.array(values), num_channels=record.num_channels)
+    values = _block_features(record.channels).ravel()
+    return FeatureVector(values=values, num_channels=record.num_channels)
 
 
 def feature_matrix(sset: SignalSet) -> tuple[np.ndarray, np.ndarray]:
-    """Stack features for every record: (X, labels), rows in record order."""
-    rows = [extract_features(r).values for r in sset.records]
-    return np.vstack(rows), sset.labels()
+    """Stack features for every record: (X, labels), rows in record order.
+
+    Records of one length are stacked ``FEATURE_BLOCK_ROWS`` channel rows at
+    a time and extracted as one block; each row is bit-equal to
+    ``extract_features`` of its record.
+    """
+    records = sset.records
+    by_length: dict[int, list[int]] = {}
+    for i, r in enumerate(records):
+        by_length.setdefault(r.num_samples, []).append(i)
+    per_block = max(1, FEATURE_BLOCK_ROWS // sset.num_channels)
+    X = np.empty((len(records), sset.num_channels * len(SUBBAND_NAMES) * FEATURES_PER_SUBBAND))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused below
+        for same_length in by_length.values():
+            for start in range(0, len(same_length), per_block):
+                rows = same_length[start : start + per_block]
+                block = np.concatenate([records[i].channels for i in rows])
+                X[rows] = _block_features(block).reshape(len(rows), -1)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = records[int(np.argmin(finite))]
+        raise SignalsetError(f"record {bad.record_id}: non-finite feature values")
+    return X, sset.labels()
 
 
 def mutual_information(feature, labels, bins: int = 10) -> float:

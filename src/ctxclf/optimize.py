@@ -144,34 +144,57 @@ def mutate(op: str, perm, rng: np.random.Generator) -> tuple:
 MUTATION_OPS = ("Swap", "Insert", "Scramble", "Inversion")
 
 
-def repair(candidate, feasible: list[Binding]) -> Binding:
+class RepairIndex:
+    """The arrays `repair` reads from one feasible list, built once per search.
+
+    ``first`` maps each secondary to its first listed binding, ``positions``
+    is the (|F|, C) table of where each class sits in each binding, and
+    ``upper``/``lower`` are the C(C-1)/2 position pairs.
+    """
+
+    def __init__(self, feasible: list[Binding]):
+        if not feasible:
+            raise InfeasibleStructure("feasible set is empty")
+        self.first: dict[tuple, Binding] = {}
+        for b in feasible:
+            self.first.setdefault(b.secondary, b)
+        self.secondaries = np.array([b.secondary for b in feasible], dtype=np.int64)
+        C = self.secondaries.shape[1]
+        self.positions = np.empty(self.secondaries.shape, dtype=np.int16)  # [r, v - 1]: where v sits
+        np.put_along_axis(
+            self.positions, self.secondaries - 1, np.arange(C, dtype=np.int16)[None, :], axis=1
+        )
+        self.upper, self.lower = np.triu_indices(C, 1)
+
+
+def repair(candidate, feasible: list[Binding], index: RepairIndex | None = None) -> Binding:
     """Nearest feasible binding by Kendall-tau; ties to lexicographic order.
 
-    The distances to all of ``feasible`` are counted at once, over the
-    C(C-1)/2 position pairs, ``REPAIR_CHUNK_ROWS`` bindings at a time. The
-    binding returned is the object from ``feasible``; among equal secondaries
-    the first listed.
+    A candidate already in ``feasible`` is looked up. Otherwise the distances
+    to all of ``feasible`` are counted at once, over the C(C-1)/2 position
+    pairs, ``REPAIR_CHUNK_ROWS`` bindings at a time. The binding returned is
+    the object from ``feasible``; among equal secondaries the first listed.
+    ``index`` is ``RepairIndex(feasible)``, built here when not given.
     """
-    if not feasible:
-        raise InfeasibleStructure("feasible set is empty")
-    cand = np.array([int(v) for v in candidate], dtype=np.int64)
-    secondaries = np.array([b.secondary for b in feasible], dtype=np.int64)
+    if index is None:
+        index = RepairIndex(feasible)
+    cand = tuple(int(v) for v in candidate)
     C = len(cand)
-    if sorted(cand.tolist()) != list(range(1, C + 1)) or secondaries.shape[1] != C:
+    if sorted(cand) != list(range(1, C + 1)) or index.positions.shape[1] != C:
         raise ValueError("inputs must be permutations of 1..C of equal length")
-    upper, lower = np.triu_indices(C, 1)
+    if cand in index.first:
+        return index.first[cand]
+    columns = np.array(cand) - 1
     distance = np.empty(len(feasible), dtype=np.int64)
     for start in range(0, len(feasible), REPAIR_CHUNK_ROWS):
-        chunk = secondaries[start : start + REPAIR_CHUNK_ROWS]
-        positions = np.empty(chunk.shape, dtype=np.int16)  # positions[r, v - 1]: where v sits in r
-        np.put_along_axis(positions, chunk - 1, np.arange(C, dtype=np.int16)[None, :], axis=1)
-        ranks = positions[:, cand - 1]  # where each candidate position's class sits in r
-        distance[start : start + len(chunk)] = np.count_nonzero(
-            ranks[:, upper] > ranks[:, lower], axis=1
+        # where each candidate position's class sits in each binding
+        ranks = index.positions[start : start + REPAIR_CHUNK_ROWS, columns]
+        distance[start : start + len(ranks)] = np.count_nonzero(
+            ranks[:, index.upper] > ranks[:, index.lower], axis=1
         )
     nearest = np.flatnonzero(distance == distance.min())
     # lexsort is stable, so equal secondaries keep their listed order
-    first = nearest[np.lexsort(secondaries[nearest].T[::-1])[0]]
+    first = nearest[np.lexsort(index.secondaries[nearest].T[::-1])[0]]
     return feasible[int(first)]
 
 
@@ -215,6 +238,7 @@ def ea_search(
     fit = fitness if isinstance(fitness, Fitness) else Fitness(fitness)
     rng = derive_rng(params.seed, "ea_search")
     feasible = sorted(feasible, key=lambda b: b.secondary)
+    index = RepairIndex(feasible)
 
     def random_individual() -> Binding:
         return feasible[int(rng.integers(0, len(feasible)))]
@@ -246,7 +270,7 @@ def ea_search(
                 if rng.random() < params.mutation_prob:
                     op = MUTATION_OPS[int(rng.integers(0, len(MUTATION_OPS)))]
                     child = mutate(op, child, rng)
-                kids.append(repair(child, feasible))
+                kids.append(repair(child, feasible, index))
             offspring.extend(kids)
         offspring = offspring[: params.population_size]
         off_scores = [fit(b) for b in offspring]

@@ -163,8 +163,31 @@ def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:
         for row in reader:
             if len(row) != num_channels:
                 raise RaggedRecord(f"record {path.stem}: ragged row with {len(row)} columns")
-            data.append([float(v) for v in row])
-    return np.asarray(data, dtype=np.float64)
+            try:
+                data.append([float(v) for v in row])
+            except ValueError:
+                col = next(j for j, v in enumerate(row) if not _is_number(v))
+                raise _bad_value(path, len(data) + 1, header[col], repr(row[col])) from None
+    values = np.asarray(data, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, col = bad[0]
+        raise _bad_value(path, i + 1, header[col], float(values[i, col]))
+    return values
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_value(path: Path, row: int, column: str, value) -> SignalsetError:
+    return SignalsetError(
+        f"record {path.stem}: row {row}, column {column}: expected a finite number, got {value}"
+    )
 
 
 def save_signalset(sset: SignalSet, path) -> None:

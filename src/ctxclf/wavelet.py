@@ -4,9 +4,16 @@ Two boundary modes are provided. The default half-sample symmetric
 extension is what feature extraction uses; it avoids edge artifacts but is
 redundant. The periodic mode is a square orthonormal transform (exact
 Parseval, exact inverse) and backs the reconstruction and energy checks.
+
+The decomposition takes one vector or a block of equal-length rows (for
+instance every channel of a record). A block is filtered with one gather
+and one correlation per filter and level, and each of its rows gets the
+same bits as that row decomposed on its own.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,40 +45,67 @@ DB6_HIGHPASS = (DB6_LOWPASS[::-1] * np.where(np.arange(12) % 2 == 0, 1.0, -1.0))
 TAPS = len(DB6_LOWPASS)
 
 
-def _analysis_symmetric(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    pad = TAPS - 1
-    ext = np.pad(x, pad, mode="symmetric")
-    full = np.correlate(ext, filt, mode="valid")  # length n + pad
-    return full[::2]
+@lru_cache(maxsize=256)
+def _symmetric_index(n: int) -> np.ndarray:
+    """Sample index of each position of the symmetric extension of n samples (read-only)."""
+    idx = np.pad(np.arange(n), TAPS - 1, mode="symmetric")
+    idx.flags.writeable = False
+    return idx
 
 
-def _analysis_periodic(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    n = len(x)
+def _analysis_symmetric(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high-pass, low-pass) outputs, decimated by 2, of each row of x.
+
+    The rows are extended with one gather and laid end to end, so each filter
+    is one correlation over the whole block; the windows that straddle two
+    rows are skipped by the stride-2 views returned. Each output is the same
+    12-tap dot product as on the row alone.
+    """
+    rows, n = x.shape
+    width = n + 2 * (TAPS - 1)
+    ext = x.take(_symmetric_index(n), axis=1).ravel()  # C order, so ravel is a view
+    shape = (rows, (n + TAPS) // 2)  # ceil((n + TAPS - 1) / 2) outputs per row
+    strides = (width * ext.itemsize, 2 * ext.itemsize)
+    return tuple(
+        np.ndarray(shape, ext.dtype, np.correlate(ext, filt, mode="valid"), strides=strides)
+        for filt in (DB6_HIGHPASS, DB6_LOWPASS)
+    )
+
+
+def _analysis_periodic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = x.shape[1]
     if n % 2:
         raise SignalTooShort("periodic mode requires even length at every level")
     k = np.arange(n // 2)
-    idx = (2 * k[:, None] + np.arange(TAPS)[None, :]) % n
-    return x[idx] @ filt
+    windows = x.take((2 * k[:, None] + np.arange(TAPS)[None, :]) % n, axis=1)
+    return windows @ DB6_HIGHPASS, windows @ DB6_LOWPASS
 
 
 def dwt_db6(samples, levels: int = 3, mode: str = "symmetric") -> list[np.ndarray]:
-    """Decompose into subbands ordered [A_levels, D_levels, ..., D2, D1]."""
+    """Decompose into subbands ordered [A_levels, D_levels, ..., D2, D1].
+
+    ``samples`` is one vector of n samples, or a (rows, n) block that is
+    decomposed row by row. A vector gives 1-D subbands; a block gives
+    (rows, length) subbands whose row i is the decomposition of row i.
+    """
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D sample vector")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D sample vector or a 2-D block of rows, got {x.ndim}-D")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if len(x) < 2**levels:
-        raise SignalTooShort(f"need >= {2 ** levels} samples for {levels} levels, got {len(x)}")
+    n = x.shape[-1]
+    if n < 2**levels:
+        raise SignalTooShort(f"need >= {2 ** levels} samples for {levels} levels, got {n}")
     if mode not in ("symmetric", "periodic"):
         raise ValueError(f"unknown boundary mode {mode!r}")
     analyze = _analysis_symmetric if mode == "symmetric" else _analysis_periodic
     details = []
-    approx = x
+    approx = x.reshape(-1, n)
     for _ in range(levels):
-        details.append(analyze(approx, DB6_HIGHPASS))
-        approx = analyze(approx, DB6_LOWPASS)
-    return [approx] + details[::-1]
+        detail, approx = analyze(approx)
+        details.append(detail)
+    subbands = [approx] + details[::-1]
+    return subbands if x.ndim == 2 else [sb[0] for sb in subbands]
 
 
 def idwt_db6_periodic(subbands: list[np.ndarray]) -> np.ndarray:

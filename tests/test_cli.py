@@ -250,6 +250,13 @@ def test_run_rejects_unknown_field(run_setup, capsys, field):
     _rejected_before_run(tmp_path, capsys, _with_field(config, field, 2), f"{field}: unknown field")
 
 
+@pytest.mark.parametrize("key", ["methods", "classifiers"])
+def test_run_rejects_empty_list(run_setup, capsys, key):
+    tmp_path, _, config = run_setup
+    bad = dict(config, **{key: []})
+    _rejected_before_run(tmp_path, capsys, bad, f"{key}: expected a non-empty list")
+
+
 def test_run_rejects_structure_class_count(run_setup, five_path, capsys):
     tmp_path, _, config = run_setup
     bad = dict(config, structure=str(five_path))  # five classes, six in the signalset
@@ -291,6 +298,27 @@ def test_run_reports_label_out_of_range(run_setup, capsys):
     (records / "extra_7.csv").write_text(first.read_text())  # six classes
     assert main(["run", "--config", str(cfg_path)]) == 1
     _one_line_error(capsys, "extra_7", "label 7")
+
+
+@pytest.mark.parametrize(
+    "value, fragments",
+    [
+        ("abc", ("row 3, column c1", "'abc'")),
+        ("nan", ("row 3, column c1", "got nan")),
+        ("-inf", ("row 3, column c1", "got -inf")),
+        ("1e308", ("non-finite feature values",)),  # finite, but MAV/AR overflow
+    ],
+    ids=["not-a-number", "nan", "inf", "feature-overflow"],
+)
+def test_run_rejects_bad_record_value(run_setup, capsys, value, fragments):
+    tmp_path, cfg_path, _ = run_setup
+    record = sorted((tmp_path / "sset" / "records").glob("*.csv"))[0]
+    lines = record.read_text().splitlines()
+    lines[3] = ",".join([value] + lines[3].split(",")[1:])  # data row 3, first column
+    record.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    _one_line_error(capsys, f"record {record.stem}: ", *fragments)
+    assert not (tmp_path / "out").exists()
 
 
 def test_enumerate_table_bad_json(tmp_path, capsys):

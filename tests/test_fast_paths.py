@@ -1,22 +1,24 @@
 """Each fast path against the slow code it replaced, down to equal bits.
 
 The box-fit memo, the one-pass MI scores, block prediction, the
-table-driven sequence walk, the one-pass forest node and the fold-id
-array must leave every result as it was; the golden digest pins a whole
-cross-validated run over all three classifiers.
+table-driven sequence walk, the one-pass forest node, the fold-id array,
+the indexed repair and block feature extraction must leave every result
+as it was; the golden digest pins a whole cross-validated run over all
+three classifiers.
 """
 
 import hashlib
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers, evaluation, optimize
+from ctxclf import classifiers, evaluation, features, optimize
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
 from ctxclf.context import Binding, load_structure
 from ctxclf.evaluation import (
@@ -30,13 +32,22 @@ from ctxclf.evaluation import (
     sample_object_sequences,
     sequence_to_classes,
 )
-from ctxclf.features import feature_matrix, mutual_information, select_features
-from ctxclf.optimize import feasible_set, kendall_tau, repair
+from ctxclf.errors import SignalsetError, SubbandTooShort
+from ctxclf.features import (
+    ar_coefficients,
+    extract_features,
+    feature_matrix,
+    mutual_information,
+    select_features,
+    slope_sign_changes,
+)
+from ctxclf.optimize import RepairIndex, feasible_set, kendall_tau, repair
 from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import train_ensemble, train_plain
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.structures import eight_class_grips, six_class_nested
 from ctxclf.synth import synth_signalset
+from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
 
 SIX_CLASS_JSON = Path(__file__).resolve().parent.parent / "structures" / "six_class.json"
 
@@ -305,7 +316,9 @@ def repair_problems(draw):
 @given(repair_problems())
 def test_counted_repair_equals_loop_repair(problem):
     candidate, feasible = problem
-    assert repair(candidate, feasible) is loop_repair(candidate, feasible)
+    expected = loop_repair(candidate, feasible)
+    assert repair(candidate, feasible) is expected
+    assert repair(candidate, feasible, RepairIndex(feasible)) is expected
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1000])
@@ -313,11 +326,174 @@ def test_counted_repair_on_grips_feasible_set(monkeypatch, chunk_rows):
     if chunk_rows:
         monkeypatch.setattr(optimize, "REPAIR_CHUNK_ROWS", chunk_rows)  # 8 chunks
     feasible = feasible_set(eight_class_grips())
+    index = RepairIndex(feasible)
     rng = np.random.default_rng(12)
     for _ in range(5):
         candidate = tuple(int(v) for v in rng.permutation(8) + 1)
-        assert repair(candidate, feasible) is loop_repair(candidate, feasible)
+        expected = loop_repair(candidate, feasible)
+        assert repair(candidate, feasible) is expected
+        assert repair(candidate, feasible, index) is expected
     assert repair(feasible[-1].secondary, feasible) is feasible[-1]
+    assert repair(feasible[-1].secondary, feasible, index) is feasible[-1]
+
+
+def loop_analysis_symmetric(x, filt):
+    """One filter of one level on one vector: the per-channel code block extraction replaced."""
+    ext = np.pad(x, TAPS - 1, mode="symmetric")
+    return np.correlate(ext, filt, mode="valid")[::2]
+
+
+def loop_dwt_db6(x, levels=3):
+    details = []
+    approx = np.asarray(x, dtype=np.float64)
+    for _ in range(levels):
+        details.append(loop_analysis_symmetric(approx, DB6_HIGHPASS))
+        approx = loop_analysis_symmetric(approx, DB6_LOWPASS)
+    return [approx] + details[::-1]
+
+
+def loop_ar_coefficients(x, order=3):
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    r = np.array([np.dot(x[: n - k], x[k:]) / n for k in range(order + 1)])
+    if r[0] <= 0.0:
+        return np.zeros(order)
+    a = np.zeros(order)
+    err = r[0]
+    for m in range(order):
+        acc = r[m + 1] - np.dot(a[:m], r[m:0:-1])
+        k = acc / err
+        a_new = a.copy()
+        a_new[m] = k
+        a_new[:m] = a[:m] - k * a[m - 1 :: -1] if m else a_new[:m]
+        a = a_new
+        err *= 1.0 - k * k
+        if err <= 0.0:
+            break
+    return a
+
+
+def loop_slope_sign_changes(x):
+    d = np.diff(np.asarray(x, dtype=np.float64))
+    return int(np.sum(d[:-1] * d[1:] < 0))
+
+
+def loop_feature_values(record):
+    """Channel by channel, subband by subband (the oracle); before the finite check."""
+    values = []
+    for ch in range(record.num_channels):
+        for sb in loop_dwt_db6(record.channels[ch]):
+            values.append(np.mean(np.abs(sb)))
+            values.append(float(loop_slope_sign_changes(sb)))
+            values.extend(loop_ar_coefficients(sb))
+    return np.array(values)
+
+
+CHANNEL_KINDS = ("normal", "integer", "constant", "zero", "ramp", "walk")
+
+
+@st.composite
+def channel_rows(draw, rows, n):
+    """`rows` channels of n samples, each of one kind and one scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = np.empty((rows, n))
+    for i in range(rows):
+        kind = draw(st.sampled_from(CHANNEL_KINDS))
+        scale = 10.0 ** draw(st.sampled_from([-200, -8, -3, 0, 0, 3, 8, 150]))
+        if kind == "normal":
+            out[i] = rng.standard_normal(n) * scale
+        elif kind == "integer":
+            out[i] = rng.integers(-6, 7, n)
+        elif kind == "constant":
+            out[i] = rng.standard_normal() * scale
+        elif kind == "zero":
+            out[i] = 0.0
+        elif kind == "ramp":  # Levinson stops early on a ramp
+            out[i] = np.arange(n) * scale
+        else:
+            out[i] = np.cumsum(rng.standard_normal(n)) * scale
+    return out
+
+
+@st.composite
+def records(draw, num_channels=None, n=None):
+    C = num_channels or draw(st.integers(1, 4))
+    n = n or draw(st.integers(16, 700))
+    return SignalRecord("r", draw(channel_rows(C, n)), 1000, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records())
+def test_block_extract_features_equals_channel_loop(record):
+    expected = loop_feature_values(record)
+    assert features._block_features(record.channels).ravel().tobytes() == expected.tobytes()
+    if np.all(np.isfinite(expected)):
+        assert extract_features(record).values.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_features(record)
+
+
+@st.composite
+def ragged_signalsets(draw):
+    """Records of two or three lengths, interleaved, in one set."""
+    C = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(16, 300), min_size=2, max_size=3))
+    recs = []
+    for i in range(draw(st.integers(2, 14))):
+        n = draw(st.sampled_from(lengths))
+        recs.append(SignalRecord(f"r{i}", draw(channel_rows(C, n)), 1000, 1 + i % 2))
+    return SignalSet(tuple(recs), num_classes=2, num_channels=C, sample_rate_hz=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_signalsets(), st.sampled_from([1, 3, 16]))
+def test_block_feature_matrix_equals_stacked_loop(sset, block_rows):
+    expected = np.vstack([loop_feature_values(r) for r in sset.records])
+    with mock.patch.object(features, "FEATURE_BLOCK_ROWS", block_rows):
+        if np.all(np.isfinite(expected)):
+            X, y = feature_matrix(sset)
+            assert X.tobytes() == expected.tobytes()
+            assert y.tolist() == [r.class_label for r in sset.records]
+        else:
+            first_bad = sset.records[int(np.argmin(np.isfinite(expected).all(axis=1)))]
+            with pytest.raises(SignalsetError, match=f"record {first_bad.record_id}:"):
+                feature_matrix(sset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(8, 400), st.integers(1, 3), st.data())
+def test_block_dwt_rows_equal_vector_dwt(rows, n, levels, data):
+    block = data.draw(channel_rows(rows, n))
+    got = dwt_db6(block, levels=levels)
+    for i in range(rows):
+        for sb_block, sb_row, sb_loop in zip(
+            got, dwt_db6(block[i], levels=levels), loop_dwt_db6(block[i], levels=levels)
+        ):
+            assert sb_block[i].tobytes() == sb_row.tobytes() == sb_loop.tobytes()
+    if n % 2**levels == 0:
+        periodic = dwt_db6(block, levels=levels, mode="periodic")
+        for i in range(rows):
+            for sb_block, sb_row in zip(periodic, dwt_db6(block[i], levels=levels, mode="periodic")):
+                assert sb_block[i].tobytes() == sb_row.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 300), st.data())
+def test_ar_and_ssc_equal_loop_on_any_stride(n, data):
+    x = data.draw(channel_rows(1, n))[0]
+    x[data.draw(st.sampled_from([0, n // 2, n - 1]))] = data.draw(st.sampled_from([0.0, -0.0]))
+    for view in (x, x[::2], x[::-1], x[1::3], np.broadcast_to(x[0], (n,))):
+        if len(view) >= 4:
+            assert ar_coefficients(view).tobytes() == loop_ar_coefficients(view).tobytes()
+            assert slope_sign_changes(view) == loop_slope_sign_changes(view)
+
+
+def test_ar_on_four_samples_keeps_the_signed_zero_lag():
+    x = np.array([0.0, 0.0, 0.0, -3.0])  # lag 3 is 0.0 * -3.0 = -0.0, so AR3 is -0.0
+    assert ar_coefficients(x).tobytes() == loop_ar_coefficients(x).tobytes()
+    with pytest.raises(SubbandTooShort):
+        ar_coefficients(x[:3])
 
 
 @pytest.fixture(scope="module")

@@ -91,7 +91,7 @@ def test_input_validation():
     with pytest.raises(SignalTooShort):
         dwt_db6(np.ones(31), levels=1, mode="periodic")  # odd length
     with pytest.raises(ValueError):
-        dwt_db6(np.ones((4, 4)))
+        dwt_db6(np.ones((2, 4, 64)))  # a block is 2-D: (rows, samples)
     with pytest.raises(ValueError):
         dwt_db6(np.ones(64), levels=0)
     with pytest.raises(ValueError):
