@@ -137,13 +137,24 @@ def load_structure(path) -> ContextStructure:
     return structure_from_dict(doc)
 
 
+def _integer(value, path: str) -> int:
+    """A JSON integer field; a string, float or boolean is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def structure_from_dict(doc: dict) -> ContextStructure:
     try:
-        num_classes = int(doc["num_classes"])
+        num_classes = _integer(doc["num_classes"], "num_classes")
         movements = tuple(
-            Movement(id=int(m["id"]), name=str(m.get("name", ""))) for m in doc["movements"]
+            Movement(id=_integer(m["id"], f"movements[{i}].id"), name=str(m.get("name", "")))
+            for i, m in enumerate(doc["movements"])
         )
-        box_docs = {int(b["id"]): b for b in doc["boxes"]}
+        box_docs, box_paths = {}, {}  # box id -> its document, and that document's field path
+        for i, b in enumerate(doc["boxes"]):
+            bid = _integer(b["id"], f"boxes[{i}].id")
+            box_docs[bid], box_paths[bid] = b, f"boxes[{i}]"
     except (KeyError, TypeError) as e:
         raise StructureError(f"missing or malformed structure field: {e}") from e
     if 0 not in box_docs:
@@ -156,9 +167,10 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             if parent is not None:
                 raise StructureError("root box must have parent null")
             continue
-        if parent is None or int(parent) not in box_docs:
+        pid = None if parent is None else _integer(parent, f"{box_paths[bid]}.parent")
+        if pid not in box_docs:
             raise StructureError(f"box {bid}: unknown parent {parent}")
-        children_of[int(parent)].append(bid)
+        children_of[pid].append(bid)
 
     seen: set[int] = set()
 
@@ -173,12 +185,18 @@ def structure_from_dict(doc: dict) -> ContextStructure:
         if bid != 0 and opener is None:
             raise StructureError(f"box {bid}: missing opens_with_movement")
         closer = b.get("closes_with_movement")
+        path = box_paths[bid]
         return BoxNode(
             index=bid,
-            opener=None if opener is None else int(opener),
-            internal_movements=tuple(int(m) for m in b.get("internal_movements", [])),
+            opener=None if opener is None else _integer(opener, f"{path}.opens_with_movement"),
+            internal_movements=tuple(
+                _integer(m, f"{path}.internal_movements[{k}]")
+                for k, m in enumerate(b.get("internal_movements", []))
+            ),
             children=tuple(build(c) for c in sorted(children_of[bid])),
-            declared_closer=None if closer is None else int(closer),
+            declared_closer=(
+                None if closer is None else _integer(closer, f"{path}.closes_with_movement")
+            ),
         )
 
     root = build(0)

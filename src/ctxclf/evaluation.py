@@ -11,6 +11,7 @@ error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import (
     ContextEnsemble,
     PlainModel,
+    box_transitions,
     initial_state,
     predict_tables,
     reset,
@@ -102,14 +104,20 @@ def sequence_to_classes(
 def sample_object_sequences(
     class_seq, test_pool: dict[int, list[int]], R: int, rng: np.random.Generator
 ) -> list[list[int]]:
-    """R object-index sequences, each position drawn uniformly with replacement."""
+    """R object-index sequences, each position drawn uniformly with replacement.
+
+    One draw call for all R x len(class_seq) positions, sequence by sequence:
+    the same indices, and the same generator state after, as one
+    ``rng.integers(0, pool size)`` per position.
+    """
+    pools = []
     for c in class_seq:
         if not test_pool.get(c):
             raise CtxclfError(f"test pool has no objects of class {c}")
-    out = []
-    for _ in range(R):
-        out.append([test_pool[c][int(rng.integers(0, len(test_pool[c])))] for c in class_seq])
-    return out
+        pools.append(test_pool[c])
+    sizes = np.array([len(pool) for pool in pools] * R, dtype=np.int64)
+    picks = iter(rng.integers(0, sizes).tolist())
+    return [[pool[next(picks)] for pool in pools] for _ in range(R)]
 
 
 def evaluate_sequence(system, objects, true_classes) -> SequenceOutcome:
@@ -233,23 +241,24 @@ def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]
     return pools
 
 
-def _evaluate_system(system, binding, structure, X, pools, R, rng) -> list[SequenceOutcome]:
+def _evaluate_system(
+    system, binding, structure, X, pools, R, rng, cache=None
+) -> list[SequenceOutcome]:
     """Outcomes of R object sequences per movement sequence, drawn from the pools.
 
-    Each box model predicts the whole test pool once; the sequences are then
-    walked over those prediction tables, as evaluate_sequence would feed them.
+    Each box model predicts the whole test pool once (or reads its table from
+    ``cache``, see predict_tables); the sequences are then walked over those
+    prediction tables, as evaluate_sequence would feed them.
     """
-    rows = sorted(i for objects in pools.values() for i in objects)
-    table_row = {i: r for r, i in enumerate(rows)}
-    tables = predict_tables(system, X[rows])
+    rows = [i for objects in pools.values() for i in objects]
+    tables = predict_tables(system, X, rows, cache)
+    start, transitions = box_transitions(system)
     outcomes = []
     for seq in generate_movement_sequences(structure):
         classes = sequence_to_classes(seq, structure, binding)
-        for obj_idx in sample_object_sequences(classes, pools, R, rng):
-            predicted = walk_tables(system, tables, [table_row[i] for i in obj_idx])
-            outcomes.append(
-                SequenceOutcome(hits=tuple(p == c for p, c in zip(predicted, classes)))
-            )
+        for objects in sample_object_sequences(classes, pools, R, rng):
+            predicted = walk_tables(transitions, tables, objects, start)
+            outcomes.append(SequenceOutcome(hits=tuple(map(operator.eq, predicted, classes))))
     return outcomes
 
 
@@ -260,8 +269,9 @@ def search_binding(
 
     Up to ``exhaustive_limit`` feasible bindings every one is evaluated;
     above it the EA searches, seeded from the master seed, fold and algorithm.
-    Each inner fold keeps one box-fit memo for all the bindings evaluated,
-    so a box problem (inner training rows plus box class set) is fitted once.
+    Each inner fold keeps one box-fit memo and one prediction cache for all
+    the bindings evaluated, so a box problem (inner training rows plus box
+    class set) is fitted and predicted once.
     Returns (binding, fitness, evaluations, EA trace or None when exhaustive).
     """
     inner_seed = derive_seed(config.master_seed, "inner", fold, spec.algorithm)
@@ -273,17 +283,18 @@ def search_binding(
     splits = []
     for inner in range(k):
         tr, te = train_indices[folds != inner], train_indices[folds == inner]
-        splits.append((X[tr], y[tr], _class_pools(y, te), {}))
+        splits.append((X[tr], y[tr], _class_pools(y, te), {}, {}))
 
     def objective(binding: Binding) -> float:
         scores = []
-        for inner, (X_tr, y_tr, pools, memo) in enumerate(splits):
+        for inner, (X_tr, y_tr, pools, memo, cache) in enumerate(splits):
             ensemble = train_ensemble(
                 config.structure, binding, X_tr, y_tr, spec, config.feature_fraction, memo=memo
             )
             rng = derive_rng(inner_seed, "sample", inner, *binding.secondary)
             outcomes = _evaluate_system(
-                ensemble, binding, config.structure, X, pools, config.inner_repetitions, rng
+                ensemble, binding, config.structure, X, pools, config.inner_repetitions, rng,
+                cache,
             )
             scores.append(sqcov_metric(outcomes))
         return float(np.mean(scores))
@@ -327,6 +338,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
 
             X_tr, y_tr = X[train_idx], y[train_idx]
             memo: dict = {}  # box fits of this (spec, fold) training set
+            cache: dict = {}  # their prediction tables over this fold's test pool
             systems: dict[str, tuple] = {}
             if "plain" in config.methods:
                 plain = train_plain(X_tr, y_tr, spec, config.feature_fraction, memo=memo)
@@ -355,7 +367,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                     *binding.secondary,
                 )
                 outcomes = _evaluate_system(
-                    system, binding, config.structure, X, pools, config.repetitions, rng
+                    system, binding, config.structure, X, pools, config.repetitions, rng, cache
                 )
                 rows.append(
                     MetricsRow(

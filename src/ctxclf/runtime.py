@@ -19,7 +19,6 @@ from ctxclf.context import (
     Binding,
     BoxNode,
     ContextStructure,
-    binding_feasible,
     local_classes,
     structure_from_dict,
     structure_to_dict,
@@ -173,14 +172,16 @@ def train_ensemble(
     """Fit one (mask, model) pair per box on the box-restricted rows (see _fit_box for memo)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if not binding_feasible(structure, binding):
-        raise DuplicateClassInBox("binding is infeasible for this structure")
+    try:
+        boxes = [(box, local_classes(structure, binding, box)) for box in structure.root.walk()]
+    except DuplicateClassInBox:
+        raise DuplicateClassInBox("binding is infeasible for this structure") from None
+    present = set(np.unique(y).tolist())
     masks: dict[int, FeatureMask] = {}
     models: dict[int, TrainedModel] = {}
-    for box in structure.root.walk():
-        classes = local_classes(structure, binding, box)
+    for box, classes in boxes:
         for c in classes:
-            if np.sum(y == c) == 0:
+            if c not in present:
                 raise UncoveredClass(f"box {box.index}: class {c} absent from training data")
         masks[box.index], models[box.index] = _fit_box(
             X, y, classes, spec, feature_fraction, memo
@@ -242,31 +243,80 @@ def _transition(binding: Binding, stack: list[BoxNode], j: int) -> int:
     )  # unreachable when model range equals the box's class set
 
 
-def predict_tables(system, X) -> dict[int, list[int]]:
-    """Each box model's class for every row of X, one block predict per box.
+def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list[int]]:
+    """Each box model's class for the listed rows of X, one block predict per box.
 
-    A PlainModel has one table, under box index 0.
+    A table is indexed by row of X (unlisted rows read 0). A PlainModel has
+    one table, under box index 0. A box fit is a pure function of its class
+    set for a given training set (see _fit_box), so ``cache`` (a dict keyed by
+    ``model.classes``) may hold tables made before from fits on the same
+    training set, for the same X and rows; a cache must never be shared
+    between training sets or test pools.
     """
     if isinstance(system, PlainModel):
-        return {0: system.predict(X).tolist()}
-    return {
-        i: predict(model, system.masks[i].apply(X)).tolist()
-        for i, model in system.models.items()
-    }
+        fits = {0: (system.mask, system.model)}
+    else:
+        fits = {i: (system.masks[i], model) for i, model in system.models.items()}
+    if cache is None:
+        cache = {}
+    rows = np.asarray(rows, dtype=np.int64)
+    tables = {}
+    for i, (mask, model) in fits.items():
+        if model.classes not in cache:
+            table = np.zeros(len(X), dtype=np.int64)
+            table[rows] = predict(model, mask.apply(X[rows]))
+            cache[model.classes] = table.tolist()
+        tables[i] = cache[model.classes]
+    return tables
 
 
-def walk_tables(system, tables: dict[int, list[int]], rows) -> list[int]:
-    """Predicted classes of a sequence of table rows, starting in the initial state.
+def box_transitions(system) -> tuple[int, dict[int, dict[int, int]]]:
+    """(initial box, {box: {class: box after that class}}) of a system's machine.
+
+    Pushes and pops always follow the root-to-box path, so the machine's
+    state is the current box alone. Each entry is what ``_transition`` does
+    with that class: the closer's class pops to the parent, else the first
+    member movement of that class pushes the box it opens or stays. A
+    PlainModel is one box, index 0, that every class of its model keeps.
+    """
+    if isinstance(system, PlainModel):
+        return 0, {0: dict.fromkeys(system.model.classes, 0)}
+    binding = system.binding
+    table: dict[int, dict[int, int]] = {}
+
+    def visit(box: BoxNode, parent: int | None):
+        moves = {}
+        if parent is not None:
+            moves[binding.class_of_movement(box.opener)] = parent
+        opened: dict[int, int] = {}
+        for child in box.children:
+            opened.setdefault(child.opener, child.index)
+        for m in box.member_movements():
+            moves.setdefault(binding.class_of_movement(m), opened.get(m, box.index))
+        table[box.index] = moves
+        for child in box.children:
+            visit(child, box.index)
+
+    visit(system.structure.root, None)
+    return system.structure.root.index, table
+
+
+def walk_tables(
+    transitions: dict[int, dict[int, int]], tables: dict[int, list[int]], rows, box: int
+) -> list[int]:
+    """Predicted classes of a sequence of table rows, starting in box ``box``.
 
     The same transitions as ``step``, with each box model's class read from
-    its table instead of predicted anew.
+    its table and the next box from ``transitions`` (see box_transitions).
     """
-    if isinstance(system, PlainModel):
-        return [tables[0][r] for r in rows]
-    stack = [system.structure.root]
     out = []
     for r in rows:
-        j = tables[stack[-1].index][r]
-        _transition(system.binding, stack, j)
+        j = tables[box][r]
+        try:
+            box = transitions[box][j]
+        except KeyError:
+            raise DuplicateClassInBox(
+                f"box {box}: predicted class {j} has no interpretation"
+            ) from None
         out.append(j)
     return out

@@ -168,7 +168,7 @@ def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:
             except ValueError:
                 col = next(j for j, v in enumerate(row) if not _is_number(v))
                 raise _bad_value(path, len(data) + 1, header[col], repr(row[col])) from None
-    values = np.asarray(data, dtype=np.float64)
+    values = np.asarray(data, dtype=np.float64).reshape(len(data), num_channels)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         i, col = bad[0]

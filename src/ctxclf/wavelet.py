@@ -91,6 +91,8 @@ def dwt_db6(samples, levels: int = 3, mode: str = "symmetric") -> list[np.ndarra
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a 1-D sample vector or a 2-D block of rows, got {x.ndim}-D")
+    if x.ndim == 2 and x.shape[0] == 0:
+        raise ValueError(f"empty block of shape {x.shape}: need at least one row")
     if levels < 1:
         raise ValueError("levels must be >= 1")
     n = x.shape[-1]

@@ -321,6 +321,37 @@ def test_run_rejects_bad_record_value(run_setup, capsys, value, fragments):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_header_only_record(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    record = sorted((tmp_path / "sset" / "records").glob("*.csv"))[0]
+    record.write_text(record.read_text().splitlines()[0] + "\n")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    _one_line_error(capsys, f"record {record.stem}: 0 samples, need >= 16")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(num_classes="x"), "num_classes: expected an integer, got 'x'"),
+        (
+            lambda doc: doc["boxes"][1].update(parent="one"),
+            "boxes[1].parent: expected an integer, got 'one'",
+        ),
+    ],
+    ids=["num_classes", "parent"],
+)
+def test_run_rejects_non_integer_structure_field(run_setup, capsys, mutate, message):
+    tmp_path, cfg_path, config = run_setup
+    doc = json.loads(Path(config["structure"]).read_text())
+    mutate(doc)
+    Path(config["structure"]).write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR: {message}\n", err
+    assert not (tmp_path / "out").exists()
+
+
 def test_enumerate_table_bad_json(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text("{not json")

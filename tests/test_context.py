@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,34 @@ def test_structure_from_dict_errors():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("num_classes", "x"),
+        ("movements[2].id", None),
+        ("boxes[0].id", "root"),
+        ("boxes[1].parent", "one"),
+        ("boxes[1].opens_with_movement", [1]),
+        ("boxes[2].internal_movements[1]", "nine"),
+        ("boxes[3].closes_with_movement", float("inf")),
+        ("num_classes", 6.9),
+        ("boxes[1].parent", 0.5),
+        ("boxes[2].internal_movements[0]", "9"),
+        ("boxes[3].parent", True),
+    ],
+)
+def test_structure_from_dict_names_non_integer_fields(path, value):
+    doc = structure_to_dict(six_class_nested())
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    with pytest.raises(StructureError) as exc:
+        structure_from_dict(doc)
+    assert str(exc.value) == f"{path}: expected an integer, got {value!r}"
 
 
 def test_box_accessors():

@@ -2,9 +2,10 @@
 
 The box-fit memo, the one-pass MI scores, block prediction, the
 table-driven sequence walk, the one-pass forest node, the fold-id array,
-the indexed repair and block feature extraction must leave every result
-as it was; the golden digest pins a whole cross-validated run over all
-three classifiers.
+the indexed repair, block feature extraction, the one-call object draws,
+the shared prediction cache and the box transition table must leave
+every result as it was; the golden digests pin a whole cross-validated
+run over all three classifiers, and one on the EA path.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from ctxclf import classifiers, evaluation, features, optimize
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
-from ctxclf.context import Binding, load_structure
+from ctxclf.context import Binding, load_structure, local_classes
 from ctxclf.evaluation import (
     RunConfig,
     SequenceOutcome,
@@ -32,7 +33,7 @@ from ctxclf.evaluation import (
     sample_object_sequences,
     sequence_to_classes,
 )
-from ctxclf.errors import SignalsetError, SubbandTooShort
+from ctxclf.errors import CtxclfError, DuplicateClassInBox, SignalsetError, SubbandTooShort
 from ctxclf.features import (
     ar_coefficients,
     extract_features,
@@ -41,15 +42,23 @@ from ctxclf.features import (
     select_features,
     slope_sign_changes,
 )
-from ctxclf.optimize import RepairIndex, feasible_set, kendall_tau, repair
+from ctxclf.optimize import EAParams, RepairIndex, feasible_set, kendall_tau, repair, trace_to_csv
 from ctxclf.rng import derive_rng, derive_seed
-from ctxclf.runtime import train_ensemble, train_plain
+from ctxclf.runtime import (
+    ContextEnsemble,
+    _transition,
+    box_transitions,
+    train_ensemble,
+    train_plain,
+    walk_tables,
+)
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.structures import eight_class_grips, six_class_nested
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
 
-SIX_CLASS_JSON = Path(__file__).resolve().parent.parent / "structures" / "six_class.json"
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
+SIX_CLASS_JSON = STRUCTURES / "six_class.json"
 
 
 def dict_loop_mi(feature, labels, bins=10):
@@ -541,10 +550,110 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
             slow = []
             for seq in generate_movement_sequences(structure):
                 classes = sequence_to_classes(seq, structure, binding)
-                for objects in sample_object_sequences(classes, pools, 6, rng):
+                for objects in loop_sample_object_sequences(classes, pools, 6, rng):
                     slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
             assert fast == slow
             assert not all(o.error_free for o in slow)  # misses, so wrong-box paths run
+
+
+def structure_files():
+    """Every committed structure file (the constraint table is not one)."""
+    return [p for p in sorted(STRUCTURES.glob("*.json")) if "boxes" in p.read_text()]
+
+
+def root_to_box_paths(structure):
+    """(box, stack of boxes from the root down to it) for every box."""
+    out = []
+
+    def visit(path):
+        out.append((path[-1], path))
+        for child in path[-1].children:
+            visit(path + [child])
+
+    visit([structure.root])
+    return out
+
+
+@pytest.mark.parametrize("path", structure_files(), ids=lambda p: p.stem)
+def test_transition_table_equals_transition(path):
+    structure = load_structure(path)
+    paths = root_to_box_paths(structure)
+    for binding in feasible_set(structure):
+        start, table = box_transitions(ContextEnsemble(structure, binding, {}, {}))
+        assert start == structure.root.index
+        assert sorted(table) == sorted(box.index for box, _ in paths)
+        for box, stack in paths:
+            classes = local_classes(structure, binding, box)
+            assert sorted(table[box.index]) == sorted(classes)
+            for j in classes:
+                after = list(stack)
+                _transition(binding, after, j)
+                assert table[box.index][j] == after[-1].index
+
+
+def test_table_walk_rejects_a_class_with_no_meaning():
+    structure = six_class_nested()
+    start, table = box_transitions(ContextEnsemble(structure, feasible_set(structure)[0], {}, {}))
+    with pytest.raises(DuplicateClassInBox, match=f"box {start}: predicted class 99"):
+        walk_tables(table, {start: [99]}, [0], start)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
+    """One cache over every feasible binding, as one inner split or one outer fold shares it."""
+    X, y = six_class_data
+    structure = six_class_nested()
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
+    train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
+    pools = _class_pools(y, test_idx)
+    memo: dict = {}
+    cache: dict = {}
+    bindings = feasible_set(structure)
+    plain = train_plain(X[train_idx], y[train_idx], spec, memo=memo)
+    systems = [(plain, bindings[0])] + [
+        (train_ensemble(structure, b, X[train_idx], y[train_idx], spec, memo=memo), b)
+        for b in bindings
+    ]
+    for system, binding in systems:
+        shared = _evaluate_system(
+            system, binding, structure, X, pools, 4, np.random.default_rng(9), cache
+        )
+        alone = _evaluate_system(system, binding, structure, X, pools, 4, np.random.default_rng(9))
+        assert shared == alone
+    assert len(cache) == len(memo) < len(bindings) * structure.num_boxes
+
+
+def loop_sample_object_sequences(class_seq, test_pool, R, rng):
+    """One rng.integers call per position: the draws the single block call replaced (the oracle)."""
+    for c in class_seq:
+        if not test_pool.get(c):
+            raise CtxclfError(f"test pool has no objects of class {c}")
+    out = []
+    for _ in range(R):
+        out.append([test_pool[c][int(rng.integers(0, len(test_pool[c])))] for c in class_seq])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 25),
+    st.lists(st.integers(1, 60), min_size=1, max_size=12),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 3]),
+)
+def test_block_draw_equals_per_position_draws(R, pool_sizes, length, seed, earlier):
+    """Same objects and same generator state after, also with a 32-bit half-word buffered."""
+    rng = np.random.default_rng(seed)
+    pools = {c + 1: [100 * (c + 1) + i for i in range(n)] for c, n in enumerate(pool_sizes)}
+    class_seq = tuple(int(c) for c in rng.integers(1, len(pools) + 1, length))
+    fast_rng, slow_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for g in (fast_rng, slow_rng):
+        g.integers(0, 1000, size=earlier, dtype=np.int32)  # an odd count leaves a half-word
+    fast = sample_object_sequences(class_seq, pools, R, fast_rng)
+    assert fast == loop_sample_object_sequences(class_seq, pools, R, slow_rng)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert fast_rng.integers(0, 2**40) == slow_rng.integers(0, 2**40)
 
 
 def fold_plan_assignments(sset, k, seed):
@@ -669,4 +778,47 @@ def test_run_experiment_golden_digest():
     assert (
         hashlib.sha256(csv.encode()).hexdigest()
         == "a3da7671b0510dede5ffd3b314ac05ac5bb5b9a65db125c922e7597fb449b1fd"
+    )
+
+
+def test_run_experiment_ea_path_golden_digest():
+    """sha256 of metrics.csv and of the EA traces for a tiny run on the EA path.
+
+    exhaustive_limit is below the 8 feasible bindings, so every OCtx
+    binding comes from ea_search. Recorded before the block sequence
+    evaluation (one draw call per sequence, shared prediction tables,
+    precomputed box transitions) was added.
+    """
+    config = RunConfig(
+        signalset=synth_signalset(
+            6, records_per_class=8, num_channels=1, samples=128, noise=1.5, seed=13
+        ),
+        structure=six_class_nested(),
+        classifier_specs=(
+            ClassifierSpec(algorithm="GaussianNB"),
+            ClassifierSpec(algorithm="RandomForest", num_trees=3, seed=2),
+        ),
+        cv_folds=2,
+        inner_folds=2,
+        repetitions=3,
+        inner_repetitions=4,
+        ea_params=EAParams(population_size=5, max_generations=3, stagnation_horizon=2),
+        exhaustive_limit=4,
+        master_seed=5,
+    )
+    table = run_experiment(config)
+    assert sorted(table.optimizer_traces) == [
+        ("GaussianNB", 0), ("GaussianNB", 1), ("RandomForest", 0), ("RandomForest", 1)
+    ]
+    traces = "".join(
+        f"{alg} fold {fold}\n{trace_to_csv(table.optimizer_traces[(alg, fold)])}"
+        for alg, fold in sorted(table.optimizer_traces)
+    )
+    assert (
+        hashlib.sha256(table.to_csv().encode()).hexdigest()
+        == "aa511c59621a992a7cbd16fddaa7906bf9996a23cad81916f422e8082f2c8609"
+    )
+    assert (
+        hashlib.sha256(traces.encode()).hexdigest()
+        == "e6fbd3e03540a5a919b6f8221d46a16debb2a5a964a129c2b4611e3c5b2e0b33"
     )

@@ -100,8 +100,8 @@ def test_train_ensemble_uncovered_class():
     s = five_class_example()
     binding = enumerate_feasible(derive_constraints(s))[0]
     X, y = scalar_training_data(5)
-    keep = y != 4
-    with pytest.raises(UncoveredClass):
+    keep = (y != 4) & (y != 2)
+    with pytest.raises(UncoveredClass, match="^box 0: class 2 absent"):  # the first one missing
         train_ensemble(s, binding, X[keep], y[keep], ClassifierSpec(), 1.0)
 
 

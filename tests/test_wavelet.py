@@ -96,3 +96,9 @@ def test_input_validation():
         dwt_db6(np.ones(64), levels=0)
     with pytest.raises(ValueError):
         dwt_db6(np.ones(64), mode="zeropad")
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "periodic"])
+def test_empty_block_is_rejected(mode):
+    with pytest.raises(ValueError, match=r"^empty block of shape \(0, 64\)"):
+        dwt_db6(np.zeros((0, 64)), mode=mode)
