@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,26 @@ class TrainedModel:
             dimension=int(d["dimension"]),
             params=_params_from_jsonable(d["algorithm"], d["params"]),
         )
+
+    @cached_property
+    def _forest_walk(self) -> list[tuple[list, list, list, list, list]]:
+        """A RandomForest's trees as plain lists, built on the first 1-D predict.
+
+        Per tree (feature, threshold, left, right, vote slot of each node's
+        label), the slot being the label's position in ``classes``. Held in
+        the instance dict only: fields, ``to_dict`` and equality never see it.
+        """
+        slot = {c: i for i, c in enumerate(self.classes)}
+        return [
+            (
+                tree["feature"].tolist(),
+                tree["threshold"].tolist(),
+                tree["left"].tolist(),
+                tree["right"].tolist(),
+                [slot[c] for c in tree["label"].tolist()],
+            )
+            for tree in self.params["trees"]
+        ]
 
 
 def _params_to_jsonable(alg: str, params: dict) -> dict:
@@ -208,16 +229,6 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
     }
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> int:
-    node = 0
-    while tree["feature"][node] >= 0:
-        if x[tree["feature"][node]] <= tree["threshold"][node]:
-            node = tree["left"][node]
-        else:
-            node = tree["right"][node]
-    return int(tree["label"][node])
-
-
 def predict(model: TrainedModel, x):
     """Class of one feature vector (an int), or of each row of an (n, d) block (an array).
 
@@ -240,11 +251,16 @@ def predict(model: TrainedModel, x):
             - 0.5 * np.sum((x[None, :] - means) ** 2 / variances, axis=1)
         )
         return model.classes[int(np.argmax(log_post))]
-    votes = np.zeros(len(model.classes), dtype=np.int64)
-    lookup = {c: i for i, c in enumerate(model.classes)}
-    for tree in model.params["trees"]:
-        votes[lookup[_tree_predict(tree, x)]] += 1
-    return model.classes[int(np.argmax(votes))]  # classes sorted: ties to smallest
+    row = x.tolist()  # Python floats compare with the same result as float64
+    votes = [0] * len(model.classes)
+    for feature, threshold, left, right, slot in model._forest_walk:
+        node = 0
+        f = feature[0]
+        while f >= 0:
+            node = left[node] if row[f] <= threshold[node] else right[node]
+            f = feature[node]
+        votes[slot[node]] += 1
+    return model.classes[votes.index(max(votes))]  # classes sorted: ties to smallest
 
 
 def _predict_block(model: TrainedModel, X: np.ndarray) -> np.ndarray:

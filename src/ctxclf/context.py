@@ -137,26 +137,37 @@ def load_structure(path) -> ContextStructure:
     return structure_from_dict(doc)
 
 
-def _integer(value, path: str) -> int:
-    """A JSON integer field; a string, float or boolean is refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StructureError(f"{path}: expected an integer, got {value!r}")
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, path: str):
+    """A JSON value of one kind (int, list or dict); anything else is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise StructureError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
     return value
 
 
+def _required(obj: dict, key: str, kind: type, prefix: str = ""):
+    """obj[key], which must be present and of one kind; ``prefix`` is obj's own path."""
+    path = f"{prefix}.{key}" if prefix else key
+    if key not in obj:
+        raise StructureError(f"{path}: missing")
+    return _expect(obj[key], kind, path)
+
+
 def structure_from_dict(doc: dict) -> ContextStructure:
-    try:
-        num_classes = _integer(doc["num_classes"], "num_classes")
-        movements = tuple(
-            Movement(id=_integer(m["id"], f"movements[{i}].id"), name=str(m.get("name", "")))
-            for i, m in enumerate(doc["movements"])
-        )
-        box_docs, box_paths = {}, {}  # box id -> its document, and that document's field path
-        for i, b in enumerate(doc["boxes"]):
-            bid = _integer(b["id"], f"boxes[{i}].id")
-            box_docs[bid], box_paths[bid] = b, f"boxes[{i}]"
-    except (KeyError, TypeError) as e:
-        raise StructureError(f"missing or malformed structure field: {e}") from e
+    _expect(doc, dict, "structure")
+    num_classes = _required(doc, "num_classes", int)
+    movements = []
+    for i, m in enumerate(_required(doc, "movements", list)):
+        path = f"movements[{i}]"
+        mid = _required(_expect(m, dict, path), "id", int, path)
+        movements.append(Movement(id=mid, name=str(m.get("name", ""))))
+    box_docs, box_paths = {}, {}  # box id -> its document, and that document's field path
+    for i, b in enumerate(_required(doc, "boxes", list)):
+        path = f"boxes[{i}]"
+        bid = _required(_expect(b, dict, path), "id", int, path)
+        box_docs[bid], box_paths[bid] = b, path
     if 0 not in box_docs:
         raise StructureError("structure must contain the root box with id 0")
 
@@ -167,7 +178,7 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             if parent is not None:
                 raise StructureError("root box must have parent null")
             continue
-        pid = None if parent is None else _integer(parent, f"{box_paths[bid]}.parent")
+        pid = None if parent is None else _expect(parent, int, f"{box_paths[bid]}.parent")
         if pid not in box_docs:
             raise StructureError(f"box {bid}: unknown parent {parent}")
         children_of[pid].append(bid)
@@ -186,23 +197,23 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             raise StructureError(f"box {bid}: missing opens_with_movement")
         closer = b.get("closes_with_movement")
         path = box_paths[bid]
+        internal = _expect(b.get("internal_movements", []), list, f"{path}.internal_movements")
         return BoxNode(
             index=bid,
-            opener=None if opener is None else _integer(opener, f"{path}.opens_with_movement"),
+            opener=None if opener is None else _expect(opener, int, f"{path}.opens_with_movement"),
             internal_movements=tuple(
-                _integer(m, f"{path}.internal_movements[{k}]")
-                for k, m in enumerate(b.get("internal_movements", []))
+                _expect(m, int, f"{path}.internal_movements[{k}]") for k, m in enumerate(internal)
             ),
             children=tuple(build(c) for c in sorted(children_of[bid])),
             declared_closer=(
-                None if closer is None else _integer(closer, f"{path}.closes_with_movement")
+                None if closer is None else _expect(closer, int, f"{path}.closes_with_movement")
             ),
         )
 
     root = build(0)
     if seen != set(box_docs):
         raise StructureError(f"boxes unreachable from root: {sorted(set(box_docs) - seen)}")
-    return ContextStructure(num_classes=num_classes, movements=movements, root=root)
+    return ContextStructure(num_classes=num_classes, movements=tuple(movements), root=root)
 
 
 def structure_to_dict(s: ContextStructure) -> dict:

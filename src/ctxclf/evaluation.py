@@ -242,19 +242,20 @@ def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]
 
 
 def _evaluate_system(
-    system, binding, structure, X, pools, R, rng, cache=None
+    system, binding, structure, sequences, X, pools, R, rng, cache=None
 ) -> list[SequenceOutcome]:
     """Outcomes of R object sequences per movement sequence, drawn from the pools.
 
-    Each box model predicts the whole test pool once (or reads its table from
-    ``cache``, see predict_tables); the sequences are then walked over those
-    prediction tables, as evaluate_sequence would feed them.
+    ``sequences`` is ``generate_movement_sequences(structure)``, made once by
+    the caller. Each box model predicts the whole test pool once (or reads
+    its table from ``cache``, see predict_tables); the sequences are then
+    walked over those prediction tables, as evaluate_sequence would feed them.
     """
     rows = [i for objects in pools.values() for i in objects]
     tables = predict_tables(system, X, rows, cache)
     start, transitions = box_transitions(system)
     outcomes = []
-    for seq in generate_movement_sequences(structure):
+    for seq in sequences:
         classes = sequence_to_classes(seq, structure, binding)
         for objects in sample_object_sequences(classes, pools, R, rng):
             predicted = walk_tables(transitions, tables, objects, start)
@@ -284,6 +285,7 @@ def search_binding(
     for inner in range(k):
         tr, te = train_indices[folds != inner], train_indices[folds == inner]
         splits.append((X[tr], y[tr], _class_pools(y, te), {}, {}))
+    sequences = generate_movement_sequences(config.structure)
 
     def objective(binding: Binding) -> float:
         scores = []
@@ -293,8 +295,8 @@ def search_binding(
             )
             rng = derive_rng(inner_seed, "sample", inner, *binding.secondary)
             outcomes = _evaluate_system(
-                ensemble, binding, config.structure, X, pools, config.inner_repetitions, rng,
-                cache,
+                ensemble, binding, config.structure, sequences, X, pools,
+                config.inner_repetitions, rng, cache,
             )
             scores.append(sqcov_metric(outcomes))
         return float(np.mean(scores))
@@ -324,7 +326,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
         derive_rng(derive_seed(config.master_seed, "outer"), "stratified_folds", config.cv_folds),
     )
     feas = feasible_set(config.structure)
-    G = len(generate_movement_sequences(config.structure))
+    sequences = generate_movement_sequences(config.structure)
 
     rows: list[MetricsRow] = []
     traces: dict = {}
@@ -367,7 +369,8 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                     *binding.secondary,
                 )
                 outcomes = _evaluate_system(
-                    system, binding, config.structure, X, pools, config.repetitions, rng, cache
+                    system, binding, config.structure, sequences, X, pools, config.repetitions,
+                    rng, cache,
                 )
                 rows.append(
                     MetricsRow(
@@ -380,6 +383,6 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                 )
     return MetricsTable(
         rows=tuple(rows),
-        sequences_per_fold=G * config.repetitions,
+        sequences_per_fold=len(sequences) * config.repetitions,
         optimizer_traces=traces,
     )

@@ -9,6 +9,7 @@ by mutual information with the label and the top fraction is retained.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +84,7 @@ def ar_coefficients(subband: np.ndarray, order: int = AR_ORDER) -> np.ndarray:
 
 def slope_sign_changes(subband: np.ndarray) -> int:
     x = np.asarray(subband, dtype=np.float64)
-    return int(_slope_sign_changes(x[None, :])[0])
+    return int(np.count_nonzero(_slope_sign_flags(x[None, :])))
 
 
 def _autocorrelation(block: np.ndarray, order: int) -> np.ndarray:
@@ -139,19 +140,33 @@ def _levinson(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slope_sign_changes(block: np.ndarray) -> np.ndarray:
+def _slope_sign_flags(block: np.ndarray) -> np.ndarray:
+    """Whether the slope changes sign at each interior sample of each row: (rows, n - 2)."""
     d = block[:, 1:] - block[:, :-1]
-    return (d[:, :-1] * d[:, 1:] < 0).sum(axis=1)
+    return d[:, :-1] * d[:, 1:] < 0
 
 
 def _block_features(block: np.ndarray) -> np.ndarray:
-    """(rows, subbands, features) of a block of equal-length channel rows."""
+    """(rows, subbands, features) of a block of equal-length channel rows.
+
+    MAV and SSC take one pass over the subbands laid end to end. Each MAV
+    sums its own slice of one ``np.abs``, the same pairwise sum as over the
+    subband alone. The slope-sign flags are computed once; the two flags
+    that span each junction are cleared, so each subband's count is one
+    segment of a single ``np.add.reduceat``.
+    """
     subbands = dwt_db6(block, levels=3)
+    lengths = [sb.shape[1] for sb in subbands]
+    bounds = [0, *itertools.accumulate(lengths)]
+    joined = np.concatenate(subbands, axis=1)
+    magnitude = np.abs(joined)
+    flags = _slope_sign_flags(joined)
+    flags[:, [i for b in bounds[1:-1] for i in (b - 2, b - 1)]] = False
     out = np.empty((len(block), len(subbands), FEATURES_PER_SUBBAND))
+    out[:, :, 1] = np.add.reduceat(flags, bounds[:-1], axis=1, dtype=np.int64)
     lags = np.empty((len(block), len(subbands), AR_ORDER + 1))
     for s, sb in enumerate(subbands):
-        out[:, s, 0] = np.abs(sb).sum(axis=1) / sb.shape[1]  # MAV, as np.mean divides
-        out[:, s, 1] = _slope_sign_changes(sb)
+        out[:, s, 0] = magnitude[:, bounds[s] : bounds[s + 1]].sum(axis=1) / lengths[s]  # as np.mean
         lags[:, s] = _autocorrelation(sb, AR_ORDER)
     ar = _levinson(lags.reshape(-1, AR_ORDER + 1))
     out[:, :, 2:] = ar.reshape(len(block), len(subbands), AR_ORDER)

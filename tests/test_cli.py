@@ -352,6 +352,36 @@ def test_run_rejects_non_integer_structure_field(run_setup, capsys, mutate, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "optimize"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda doc: doc["boxes"][1].update(internal_movements=5),
+            "boxes[1].internal_movements: expected a list, got 5",
+        ),
+        (lambda doc: doc["boxes"].append(7), "boxes[4]: expected an object, got 7"),
+        (lambda doc: doc.update(movements=3), "movements: expected a list, got 3"),
+    ],
+    ids=["internal_movements", "box", "movements"],
+)
+def test_cli_rejects_non_list_or_object_structure_field(
+    run_setup, capsys, command, mutate, message
+):
+    tmp_path, cfg_path, config = run_setup
+    doc = json.loads(Path(config["structure"]).read_text())
+    mutate(doc)
+    Path(config["structure"]).write_text(json.dumps(doc))
+    if command == "validate":
+        argv = ["validate", config["structure"]]
+    else:
+        argv = [command, "--config", str(cfg_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR: {message}\n", err
+    assert not (tmp_path / "out").exists()
+
+
 def test_enumerate_table_bad_json(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text("{not json")

@@ -187,15 +187,62 @@ def test_structure_from_dict_errors():
     ],
 )
 def test_structure_from_dict_names_non_integer_fields(path, value):
+    with pytest.raises(StructureError) as exc:
+        structure_from_dict(six_class_doc_with(path, value))
+    assert str(exc.value) == f"{path}: expected an integer, got {value!r}"
+
+
+MISSING = object()
+
+
+def six_class_doc_with(path, value):
+    """The six-class structure document with the field at ``path`` set to value (or deleted)."""
     doc = structure_to_dict(six_class_nested())
     keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
     node = doc
     for k in keys[:-1]:
         node = node[k]
-    node[keys[-1]] = value
+    if value is MISSING:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, expected",
+    [
+        ("boxes[2].internal_movements", 5, "a list"),
+        ("boxes[1].internal_movements", None, "a list"),
+        ("boxes[1].internal_movements", {"0": 3}, "a list"),
+        ("boxes", {"0": {"id": 0}}, "a list"),
+        ("boxes[1]", 7, "an object"),
+        ("boxes[0]", [0, None], "an object"),
+        ("movements", 3, "a list"),
+        ("movements", "grip", "a list"),
+        ("movements[0]", 1, "an object"),
+    ],
+)
+def test_structure_from_dict_names_non_list_and_non_object_fields(path, value, expected):
+    with pytest.raises(StructureError) as exc:
+        structure_from_dict(six_class_doc_with(path, value))
+    assert str(exc.value) == f"{path}: expected {expected}, got {value!r}"
+
+
+@pytest.mark.parametrize("doc", [[], 5, "structure", None])
+def test_structure_from_dict_refuses_a_non_object_document(doc):
     with pytest.raises(StructureError) as exc:
         structure_from_dict(doc)
-    assert str(exc.value) == f"{path}: expected an integer, got {value!r}"
+    assert str(exc.value) == f"structure: expected an object, got {doc!r}"
+
+
+@pytest.mark.parametrize(
+    "path", ["num_classes", "movements", "boxes", "boxes[2].id", "movements[1].id"]
+)
+def test_structure_from_dict_names_missing_fields(path):
+    with pytest.raises(StructureError) as exc:
+        structure_from_dict(six_class_doc_with(path, MISSING))
+    assert str(exc.value) == f"{path}: missing"
 
 
 def test_box_accessors():

@@ -3,13 +3,15 @@
 The box-fit memo, the one-pass MI scores, block prediction, the
 table-driven sequence walk, the one-pass forest node, the fold-id array,
 the indexed repair, block feature extraction, the one-call object draws,
-the shared prediction cache and the box transition table must leave
-every result as it was; the golden digests pin a whole cross-validated
-run over all three classifiers, and one on the EA path.
+the shared prediction cache, the box transition table, the list-based
+forest walk and the one-pass MAV/SSC must leave every result as it was;
+the golden digests pin a whole cross-validated run over all three
+classifiers, one on the EA path, and the controller's window-by-window path.
 """
 
 import hashlib
 import itertools
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -48,6 +50,9 @@ from ctxclf.runtime import (
     ContextEnsemble,
     _transition,
     box_transitions,
+    initial_state,
+    reset,
+    step,
     train_ensemble,
     train_plain,
     walk_tables,
@@ -291,6 +296,96 @@ def test_nearest_neighbor_block_in_chunks(monkeypatch):
     monkeypatch.setattr(classifiers, "NN_CHUNK_ELEMENTS", 7 * X.size)  # chunks of 7 rows
     assert predict(model, T).tolist() == whole.tolist() == [predict(model, t) for t in T]
     assert predict(model, T[:0]).shape == (0,)
+
+
+def numpy_tree_predict(tree, x):
+    """The numpy-scalar walk of one tree that the list walk replaced (the oracle)."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        if x[tree["feature"][node]] <= tree["threshold"][node]:
+            node = tree["left"][node]
+        else:
+            node = tree["right"][node]
+    return int(tree["label"][node])
+
+
+def oracle_forest_predict(model, x):
+    votes = np.zeros(len(model.classes), dtype=np.int64)
+    lookup = {c: i for i, c in enumerate(model.classes)}
+    for tree in model.params["trees"]:
+        votes[lookup[numpy_tree_predict(tree, x)]] += 1
+    return model.classes[int(np.argmax(votes))]
+
+
+def on_threshold_row(tree, x):
+    """x with each feature set to the threshold of the first node of the walk that tests it."""
+    x = x.copy()
+    seen = set()
+    node = 0
+    while tree["feature"][node] >= 0:
+        f = int(tree["feature"][node])
+        if f not in seen:
+            x[f] = tree["threshold"][node]
+            seen.add(f)
+        node = tree["left"][node] if x[f] <= tree["threshold"][node] else tree["right"][node]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(4, 40),
+    st.integers(2, 5),
+    st.sampled_from([1, 2, 3, 4, 6]),
+    st.booleans(),
+)
+def test_list_forest_walk_equals_numpy_scalar_walk(seed, d, n, k, num_trees, integer_valued):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    T = rng.standard_normal((30, d))
+    if integer_valued:  # rows land on tied values; an even tree count gives vote ties
+        X, T = np.round(X * 2), np.round(T * 2)
+    y = rng.integers(1, k + 1, n)
+    y[:2] = (1, 2)
+    spec = ClassifierSpec(algorithm="RandomForest", num_trees=num_trees, seed=seed % 97)
+    model = train(spec, X, y)
+    trees = model.params["trees"]
+    T = np.vstack([T] + [on_threshold_row(trees[i % len(trees)], T[i]) for i in range(10)])
+    for t in T:
+        got = predict(model, t)
+        assert type(got) is int
+        assert got == oracle_forest_predict(model, t)
+
+
+def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
+    def leaf(label):
+        return {
+            "feature": np.array([-1]), "threshold": np.array([0.0]),
+            "left": np.array([-1]), "right": np.array([-1]), "label": np.array([label]),
+        }
+
+    def forest(*labels):
+        trees = [leaf(c) for c in labels]
+        return classifiers.TrainedModel("RandomForest", (2, 3, 5), 1, {"trees": trees})
+
+    x = np.zeros(1)
+    cases = {(5, 3): 3, (3, 5, 2, 5, 3): 3, (2, 5): 2, (5, 5, 3, 3, 2, 2): 2, (5, 3, 5): 5}
+    for labels, expected in cases.items():
+        model = forest(*labels)
+        assert predict(model, x) == oracle_forest_predict(model, x) == expected
+
+
+def test_forest_walk_lists_leave_the_model_unchanged():
+    rng = np.random.default_rng(12)
+    X, y = rng.standard_normal((30, 4)), rng.integers(1, 4, 30)
+    spec = ClassifierSpec(algorithm="RandomForest", num_trees=4, seed=3)
+    used, fresh = train(spec, X, y), train(spec, X, y)
+    before = json.dumps(used.to_dict())
+    predict(used, X[0])
+    assert json.dumps(used.to_dict()) == before == json.dumps(fresh.to_dict())
+    assert used == fresh and hash(used) == hash(fresh)
+    assert predict(used, X).tolist() == predict(fresh, X).tolist()
 
 
 def loop_repair(candidate, feasible):
@@ -537,6 +632,7 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
     train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
     pools = _class_pools(y, test_idx)
+    sequences = generate_movement_sequences(structure)
     for binding in feasible_set(structure)[:3]:
         systems = (
             train_ensemble(structure, binding, X[train_idx], y[train_idx], spec),
@@ -544,7 +640,7 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
         )
         for system in systems:
             fast = _evaluate_system(
-                system, binding, structure, X, pools, 6, np.random.default_rng(4)
+                system, binding, structure, sequences, X, pools, 6, np.random.default_rng(4)
             )
             rng = np.random.default_rng(4)
             slow = []
@@ -609,6 +705,7 @@ def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
     memo: dict = {}
     cache: dict = {}
     bindings = feasible_set(structure)
+    sequences = generate_movement_sequences(structure)
     plain = train_plain(X[train_idx], y[train_idx], spec, memo=memo)
     systems = [(plain, bindings[0])] + [
         (train_ensemble(structure, b, X[train_idx], y[train_idx], spec, memo=memo), b)
@@ -616,9 +713,11 @@ def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
     ]
     for system, binding in systems:
         shared = _evaluate_system(
-            system, binding, structure, X, pools, 4, np.random.default_rng(9), cache
+            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9), cache
         )
-        alone = _evaluate_system(system, binding, structure, X, pools, 4, np.random.default_rng(9))
+        alone = _evaluate_system(
+            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9)
+        )
         assert shared == alone
     assert len(cache) == len(memo) < len(bindings) * structure.num_boxes
 
@@ -821,4 +920,48 @@ def test_run_experiment_ea_path_golden_digest():
     assert (
         hashlib.sha256(traces.encode()).hexdigest()
         == "e6fbd3e03540a5a919b6f8221d46a16debb2a5a964a129c2b4611e3c5b2e0b33"
+    )
+
+
+def test_controller_path_golden_digest():
+    """sha256 of the classes the controller predicts, one window at a time.
+
+    A seeded stream of object sequences goes through extract_features and
+    step (RandomForest, six_class.json), with reset after each sequence.
+    Recorded before the list-based forest walk and the one-pass MAV/SSC
+    were added; the feature bytes of every window are pinned as well.
+    """
+    structure = load_structure(SIX_CLASS_JSON)
+    binding = feasible_set(structure)[0]
+    train_set = synth_signalset(
+        6, records_per_class=8, num_channels=2, samples=256, noise=6.0, seed=21
+    )
+    X, y = feature_matrix(train_set)
+    spec = ClassifierSpec(algorithm="RandomForest", num_trees=20, seed=21)
+    ensemble = train_ensemble(structure, binding, X, y, spec)
+    windows = synth_signalset(
+        6, records_per_class=10, num_channels=2, samples=256, noise=6.0, seed=22
+    )
+    pools = {c: [r for r in windows.records if r.class_label == c] for c in range(1, 7)}
+    rng = np.random.default_rng(23)
+    movements = generate_movement_sequences(structure)
+    state = initial_state(ensemble)
+    predicted, truth, feature_bytes = [], [], hashlib.sha256()
+    for _ in range(40):
+        classes = sequence_to_classes(movements[rng.integers(len(movements))], structure, binding)
+        for c in classes:
+            values = extract_features(pools[c][rng.integers(len(pools[c]))]).values
+            feature_bytes.update(values.tobytes())
+            j, _, state = step(ensemble, state, values)
+            predicted.append(j)
+            truth.append(c)
+        reset(state)
+    assert predicted != truth  # misses, so wrong-box paths run
+    assert (
+        hashlib.sha256(np.array(predicted, dtype=np.int64).tobytes()).hexdigest()
+        == "e75e8c48ce098cb7f9640d8d5c838aa0d074f261eb3256263bbc95595efc50f6"
+    )
+    assert (
+        feature_bytes.hexdigest()
+        == "ec9bff6b324ab757b93277a6591cc8996986afdea931bb1953c6a5ebe0a646d0"
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ctxclf.classifiers import ClassifierSpec
+from ctxclf.classifiers import ClassifierSpec, predict
 from ctxclf.context import Binding, derive_constraints, enumerate_feasible
 from ctxclf.errors import DuplicateClassInBox, UncoveredClass
 from ctxclf.runtime import (
@@ -121,18 +121,24 @@ def test_one_model_per_box_with_local_classes():
 
 def test_serialization_round_trip(tmp_path):
     s = six_class_nested()
-    ens = perfect_ensemble(s, alg="GaussianNB")
-    path = tmp_path / "ensemble.json"
-    ens.save(path)
-    back = ContextEnsemble.load(path)
-    assert back.structure == ens.structure
-    assert back.binding == ens.binding
-    assert back.spec == ens.spec
-    for c in range(1, 7):
-        state_a, state_b = initial_state(ens), initial_state(back)
-        ja, ma, _ = step(ens, state_a, obj(c))
-        jb, mb, _ = step(back, state_b, obj(c))
-        assert (ja, ma) == (jb, mb)
+    probes = np.linspace(0.0, 7.0, 57)[:, None]  # every class value and every midpoint between
+    for alg in ("GaussianNB", "RandomForest"):
+        ens = perfect_ensemble(s, alg=alg)
+        path = tmp_path / f"ensemble_{alg}.json"
+        ens.save(path)
+        back = ContextEnsemble.load(path)
+        assert back.structure == ens.structure
+        assert back.binding == ens.binding
+        assert back.spec == ens.spec
+        for c in range(1, 7):
+            state_a, state_b = initial_state(ens), initial_state(back)
+            ja, ma, _ = step(ens, state_a, obj(c))
+            jb, mb, _ = step(back, state_b, obj(c))
+            assert (ja, ma) == (jb, mb)
+        for i, model in ens.models.items():
+            loaded = back.models[i]
+            assert [predict(loaded, p) for p in probes] == [predict(model, p) for p in probes]
+            assert predict(loaded, probes).tolist() == predict(model, probes).tolist()
     with pytest.raises(ValueError):
         ContextEnsemble.from_dict({"version": 99})
 
