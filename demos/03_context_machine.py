@@ -2,7 +2,7 @@
 
 Trains one classifier per box on a synthetic set, prints the box tree with
 its movement/class tables, and traces a movement sequence through the
-stack of open boxes.
+boxes, one current box at a time.
 """
 
 from ctxclf.classifiers import ClassifierSpec
@@ -31,12 +31,11 @@ def main():
     for movement, cls in zip(seq.movements, classes):
         x = X[pools[cls][0]]
         predicted, interpreted, state = step(ensemble, state, x)
-        depth = len(state.stack) - 1
         print(
             f"  true class {cls} -> predicted {predicted}, movement {interpreted} "
-            f"(intended {movement}), box depth {depth}"
+            f"(intended {movement}), now in box {state.box}"
         )
-    print(f"machine back at the root: {state.current.is_root}")
+    print(f"machine back at the root: {state.box == structure.root.index}")
 
 
 if __name__ == "__main__":

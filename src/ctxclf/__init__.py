@@ -41,7 +41,7 @@ from ctxclf.optimize import (
     exhaustive_search,
     ea_search,
 )
-from ctxclf.runtime import ContextEnsemble, MachineState, train_ensemble, train_plain, step, reset
+from ctxclf.runtime import ContextEnsemble, train_ensemble, train_plain, step, reset
 from ctxclf.evaluation import (
     SequenceOutcome,
     generate_movement_sequences,

@@ -1,7 +1,8 @@
 """Base classifiers: Euclidean 1-NN, Gaussian naive Bayes, random forest.
 
-All three are self-contained, deterministic given the spec seed, and
-serializable to JSON. Ties always break towards the smallest class label.
+All three are self-contained and deterministic given the spec seed; a
+model exports to a JSON-ready dict. Ties always break towards the
+smallest class label.
 """
 
 from __future__ import annotations
@@ -51,17 +52,6 @@ class TrainedModel:
             "params": _params_to_jsonable(self.algorithm, self.params),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainedModel":
-        if d.get("version") != 1:
-            raise ValueError(f"unsupported model version {d.get('version')}")
-        return TrainedModel(
-            algorithm=d["algorithm"],
-            classes=tuple(int(c) for c in d["classes"]),
-            dimension=int(d["dimension"]),
-            params=_params_from_jsonable(d["algorithm"], d["params"]),
-        )
-
     @cached_property
     def _forest_walk(self) -> list[tuple[list, list, list, list, list]]:
         """A RandomForest's trees as plain lists, built on the first 1-D predict.
@@ -90,27 +80,6 @@ def _params_to_jsonable(alg: str, params: dict) -> dict:
             out[k] = {"__array__": v.tolist(), "dtype": str(v.dtype)}
         elif alg == "RandomForest" and k == "trees":
             out[k] = [{kk: vv.tolist() for kk, vv in t.items()} for t in v]
-        else:
-            out[k] = v
-    return out
-
-
-def _params_from_jsonable(alg: str, params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, dict) and "__array__" in v:
-            out[k] = np.asarray(v["__array__"], dtype=v["dtype"])
-        elif alg == "RandomForest" and k == "trees":
-            out[k] = [
-                {
-                    "feature": np.asarray(t["feature"], dtype=np.int64),
-                    "threshold": np.asarray(t["threshold"], dtype=np.float64),
-                    "left": np.asarray(t["left"], dtype=np.int64),
-                    "right": np.asarray(t["right"], dtype=np.int64),
-                    "label": np.asarray(t["label"], dtype=np.int64),
-                }
-                for t in v
-            ]
         else:
             out[k] = v
     return out

@@ -60,6 +60,8 @@ def _expect(d: dict, key: str, kind, path: str, default=None, required=False):
         raise ConfigError(
             f"{path}{key}: expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}"
         )
+    if kind is int and not -(2**63) <= value < 2**63:  # counts and seeds go to numpy
+        raise ConfigError(f"{path}{key}: {value} does not fit a 64-bit integer")
     return value
 
 
@@ -102,6 +104,9 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
 
     sset = load_signalset(_expect(raw, "signalset", str, "", required=True))
     structure = load_structure(_expect(raw, "structure", str, "", required=True))
+    violations = validate_structure(structure)
+    if violations:
+        raise ConfigError(f"structure: {violations[0]}")
     if structure.num_classes != sset.num_classes:
         raise ConfigError(
             f"structure: {structure.num_classes} classes, but the signalset has {sset.num_classes}"
@@ -167,18 +172,20 @@ def _table_from_file(path) -> ConstraintTable:
         raise ConfigError("table root: expected an object")
     num_classes = _expect(raw, "num_classes", int, "", required=True)
     permitted_raw = _expect(raw, "permitted", dict, "", required=True)
+    # the key count first, so the id set is never larger than the file
+    if len(permitted_raw) != max(num_classes, 0) or set(permitted_raw) != {
+        str(k) for k in range(1, num_classes + 1)
+    }:
+        raise ConfigError(f"permitted: expected movement ids 1..{num_classes}")
     permitted = {}
     for key, classes in permitted_raw.items():
-        if not isinstance(classes, list):
-            raise ConfigError(f"permitted.{key}: expected a list of classes")
-        try:
-            permitted[int(key)] = tuple(int(c) for c in classes)
-        except (TypeError, ValueError):
-            raise ConfigError(f"permitted.{key}: expected an integer movement id and classes")
-        if not set(permitted[int(key)]) <= set(range(1, num_classes + 1)):
-            raise ConfigError(f"permitted.{key}: classes must be in 1..{num_classes}")
-    if set(permitted) != set(range(1, num_classes + 1)):
-        raise ConfigError(f"permitted: expected movement ids 1..{num_classes}")
+        if not isinstance(classes, list) or not all(
+            type(c) is int and 1 <= c <= num_classes for c in classes
+        ):
+            raise ConfigError(
+                f"permitted.{key}: classes must be a list of integers in 1..{num_classes}"
+            )
+        permitted[int(key)] = tuple(classes)
     return ConstraintTable(num_classes=num_classes, permitted=permitted)
 
 

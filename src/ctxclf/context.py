@@ -26,6 +26,9 @@ class Movement:
     name: str = ""
 
 
+ROOT = 0  # the root box's index; structure_from_dict requires it
+
+
 @dataclass(frozen=True)
 class BoxNode:
     """One box: opener (None for the root), plain internals, nested children.
@@ -168,13 +171,13 @@ def structure_from_dict(doc: dict) -> ContextStructure:
         path = f"boxes[{i}]"
         bid = _required(_expect(b, dict, path), "id", int, path)
         box_docs[bid], box_paths[bid] = b, path
-    if 0 not in box_docs:
-        raise StructureError("structure must contain the root box with id 0")
+    if ROOT not in box_docs:
+        raise StructureError(f"structure must contain the root box with id {ROOT}")
 
     children_of: dict[int, list[int]] = {bid: [] for bid in box_docs}
     for bid, b in box_docs.items():
         parent = b.get("parent")
-        if bid == 0:
+        if bid == ROOT:
             if parent is not None:
                 raise StructureError("root box must have parent null")
             continue
@@ -191,9 +194,9 @@ def structure_from_dict(doc: dict) -> ContextStructure:
         seen.add(bid)
         b = box_docs[bid]
         opener = b.get("opens_with_movement")
-        if bid == 0 and opener is not None:
+        if bid == ROOT and opener is not None:
             raise StructureError("root box must not declare an opening movement")
-        if bid != 0 and opener is None:
+        if bid != ROOT and opener is None:
             raise StructureError(f"box {bid}: missing opens_with_movement")
         closer = b.get("closes_with_movement")
         path = box_paths[bid]
@@ -210,7 +213,7 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             ),
         )
 
-    root = build(0)
+    root = build(ROOT)
     if seen != set(box_docs):
         raise StructureError(f"boxes unreachable from root: {sorted(set(box_docs) - seen)}")
     return ContextStructure(num_classes=num_classes, movements=tuple(movements), root=root)
@@ -239,12 +242,17 @@ def structure_to_dict(s: ContextStructure) -> dict:
 
 
 def validate_structure(s: ContextStructure) -> list[str]:
-    """Check the structural assumptions; returns violations, [] when ok."""
+    """Check the structural assumptions; returns violations, [] when ok.
+
+    Wrong movement ids are reported alone: the other checks count against
+    1..2C, which is only known to be as long as the movement list once the
+    ids are right.
+    """
     violations = []
     C = s.num_classes
     ids = sorted(m.id for m in s.movements)
-    if ids != list(range(1, 2 * C + 1)):
-        violations.append(f"movement ids must be exactly 1..{2 * C}, got {ids}")
+    if len(ids) != 2 * C or ids != list(range(1, 2 * C + 1)):
+        return [f"movement ids must be exactly 1..{2 * C}, got {ids}"]
 
     placed: set[int] = set()
     for box in s.root.walk():
@@ -261,6 +269,9 @@ def validate_structure(s: ContextStructure) -> list[str]:
 
     for box in s.root.walk():
         members = box.member_movements()
+        stray = [m for m in members if not 1 <= m <= 2 * C]
+        if stray:
+            violations.append(f"box {box.index} holds movements outside 1..{2 * C}: {stray}")
         if len(members) != len(set(members)):
             violations.append(f"box {box.index} lists a movement twice")
         openers = [c.opener for c in box.children]

@@ -17,17 +17,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec
-from ctxclf.context import Binding, ContextStructure
+from ctxclf.context import ROOT, Binding, ContextStructure
 from ctxclf.errors import CtxclfError
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set
 from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import (
     ContextEnsemble,
-    PlainModel,
-    box_transitions,
     initial_state,
     predict_tables,
-    reset,
     step,
     train_ensemble,
     train_plain,
@@ -121,22 +118,15 @@ def sample_object_sequences(
 
 
 def evaluate_sequence(system, objects, true_classes) -> SequenceOutcome:
-    """Feed objects in order; ensembles are reset to the root afterwards."""
+    """Feed objects in order through the machine, starting at the root."""
     if len(objects) != len(true_classes):
         raise ValueError("objects and true classes must have equal length")
-    hits = []
-    if isinstance(system, ContextEnsemble):
-        state = initial_state(system)
-        for x, truth in zip(objects, true_classes):
-            predicted, _, state = step(system, state, x)
-            hits.append(predicted == truth)
-        reset(state)
-    elif isinstance(system, PlainModel):
-        for x, truth in zip(objects, true_classes):
-            hits.append(system.predict(np.asarray(x)) == truth)
-    else:
+    if not isinstance(system, ContextEnsemble):
         raise TypeError(f"cannot evaluate {type(system).__name__}")
-    return SequenceOutcome(hits=tuple(hits))
+    state = initial_state(system)
+    return SequenceOutcome(
+        hits=tuple(step(system, state, x)[0] == truth for x, truth in zip(objects, true_classes))
+    )
 
 
 def zo_metric(outcomes) -> float:
@@ -253,12 +243,12 @@ def _evaluate_system(
     """
     rows = [i for objects in pools.values() for i in objects]
     tables = predict_tables(system, X, rows, cache)
-    start, transitions = box_transitions(system)
+    transitions, _ = system.transitions
     outcomes = []
     for seq in sequences:
         classes = sequence_to_classes(seq, structure, binding)
         for objects in sample_object_sequences(classes, pools, R, rng):
-            predicted = walk_tables(transitions, tables, objects, start)
+            predicted = walk_tables(transitions, tables, objects, ROOT)
             outcomes.append(SequenceOutcome(hits=tuple(map(operator.eq, predicted, classes))))
     return outcomes
 

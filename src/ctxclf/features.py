@@ -28,7 +28,7 @@ FEATURE_BLOCK_ROWS = 16  # channel rows extracted together by feature_matrix
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A record's feature values plus the (channel, subband, feature) layout."""
+    """A record's feature values, laid out channel by channel, subband by subband."""
 
     values: np.ndarray
     num_channels: int
@@ -46,14 +46,6 @@ class FeatureVector:
     def dimension(self) -> int:
         return len(self.values)
 
-    def layout(self) -> list[tuple[int, str, str]]:
-        out = []
-        for ch in range(self.num_channels):
-            for sb in SUBBAND_NAMES:
-                for name in FEATURE_NAMES:
-                    out.append((ch, sb, name))
-        return out
-
 
 @dataclass(frozen=True)
 class FeatureMask:
@@ -70,10 +62,12 @@ class FeatureMask:
         if sel and (sel[0] < 0 or sel[-1] >= self.source_dim):
             raise ValueError("selected index out of range")
         object.__setattr__(self, "selected", sel)
+        columns = np.array(sel, dtype=np.intp)  # not a field: equality never sees it
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x[..., list(self.selected)]
+        return np.asarray(x, dtype=np.float64)[..., self._columns]
 
 
 def ar_coefficients(subband: np.ndarray, order: int = AR_ORDER) -> np.ndarray:

@@ -3,24 +3,25 @@
 One classifier per box (the root classifier covers all classes); each has
 its own mutual-information feature mask fitted on the box-restricted
 training rows. At run time the ensemble behaves as a finite-state machine:
-the current box's classifier predicts a class, the box-local map turns it
-into a movement, and opening/closing movements push/pop the box stack.
+the current box's classifier predicts a class, and the box's transition
+table turns it into a movement and the box after it. The context-free
+baseline is the same machine with one box that keeps every class.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec, TrainedModel, predict, train
 from ctxclf.context import (
+    ROOT,
     Binding,
     BoxNode,
     ContextStructure,
     local_classes,
-    structure_from_dict,
     structure_to_dict,
 )
 from ctxclf.errors import DuplicateClassInBox, UncoveredClass
@@ -58,37 +59,39 @@ class ContextEnsemble:
             },
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ContextEnsemble":
-        if d.get("version") != 1:
-            raise ValueError(f"unsupported ensemble version {d.get('version')}")
-        structure = structure_from_dict(d["structure"])
-        masks, models = {}, {}
-        for key, entry in d["boxes"].items():
-            i = int(key)
-            m = entry["mask"]
-            masks[i] = FeatureMask(
-                selected=tuple(m["selected"]),
-                source_dim=int(m["source_dim"]),
-                scores=tuple(m["scores"]),
-            )
-            models[i] = TrainedModel.from_dict(entry["model"])
-        return ContextEnsemble(
-            structure=structure,
-            binding=Binding(num_classes=structure.num_classes, secondary=tuple(d["binding"])),
-            masks=masks,
-            models=models,
-            spec=ClassifierSpec(**d["spec"]),
-        )
+    @cached_property
+    def transitions(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+        """({box: {class: box after it}}, {box: {class: movement it means}}).
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        Pushes and pops always follow the root-to-box path, so the machine's
+        state is the current box alone. In a box the closer's class means
+        the opener and pops to the parent; any other class means the first
+        member movement bound to it, which pushes the box that movement
+        opens or stays. Built on first use and held in the instance dict
+        only: fields, ``to_dict``, equality and the box-fit memo never see it.
+        """
+        class_of = self.binding.class_of_movement
+        next_box: dict[int, dict[int, int]] = {}
+        meaning: dict[int, dict[int, int]] = {}
 
-    @staticmethod
-    def load(path) -> "ContextEnsemble":
-        with open(path) as fh:
-            return ContextEnsemble.from_dict(json.load(fh))
+        def visit(box: BoxNode, parent: int | None):
+            nxt, means = {}, {}
+            next_box[box.index], meaning[box.index] = nxt, means
+            if parent is not None:
+                j = class_of(box.opener)
+                nxt[j], means[j] = parent, box.opener
+            opened: dict[int, int] = {}
+            for child in box.children:
+                opened.setdefault(child.opener, child.index)
+            for m in box.member_movements():
+                j = class_of(m)
+                if j not in nxt:
+                    nxt[j], means[j] = opened.get(m, box.index), m
+            for child in box.children:
+                visit(child, box.index)
+
+        visit(self.structure.root, None)
+        return next_box, meaning
 
     def describe(self) -> str:
         """Render the box tree with per-box movement/class tables."""
@@ -121,24 +124,9 @@ class ContextEnsemble:
 
 @dataclass
 class MachineState:
-    """Box stack of the running ensemble; the root is never popped."""
+    """The running ensemble's current box (see ContextEnsemble.transitions)."""
 
-    stack: list[BoxNode]
-
-    @property
-    def current(self) -> BoxNode:
-        return self.stack[-1]
-
-
-@dataclass(frozen=True)
-class PlainModel:
-    """Context-free baseline: one global mask and one model over all classes."""
-
-    mask: FeatureMask
-    model: TrainedModel
-
-    def predict(self, x: np.ndarray) -> int:
-        return predict(self.model, self.mask.apply(x))
+    box: int
 
 
 def _fit_box(X, y, classes, spec: ClassifierSpec, feature_fraction: float, memo=None):
@@ -191,24 +179,26 @@ def train_ensemble(
 
 def train_plain(
     X, y, spec: ClassifierSpec, feature_fraction: float = 0.5, memo: dict | None = None
-) -> PlainModel:
-    """Context-free model over all classes, with the global MI mask (see _fit_box for memo)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    mask, model = _fit_box(X, y, np.unique(y), spec, feature_fraction, memo)
-    return PlainModel(mask=mask, model=model)
+) -> ContextEnsemble:
+    """Context-free baseline: a one-box machine whose root keeps every class of y.
+
+    The binding is the identity, so each class means its own primary
+    movement; the root's box problem (and memo key, see _fit_box) is all of y.
+    """
+    classes = tuple(int(c) for c in np.unique(y))
+    C = max(classes)
+    structure = ContextStructure(num_classes=C, movements=(), root=BoxNode(ROOT, None, classes))
+    identity = Binding(num_classes=C, secondary=tuple(range(1, C + 1)))
+    return train_ensemble(structure, identity, X, y, spec, feature_fraction, memo)
 
 
 def initial_state(ensemble: ContextEnsemble) -> MachineState:
-    return MachineState(stack=[ensemble.structure.root])
+    return MachineState(box=ROOT)
 
 
-def reset(state_or_ensemble) -> MachineState:
-    """Return the state to the initial one (stack = [root])."""
-    if isinstance(state_or_ensemble, ContextEnsemble):
-        return initial_state(state_or_ensemble)
-    state = state_or_ensemble
-    state.stack[:] = state.stack[:1]
+def reset(state: MachineState) -> MachineState:
+    """Return the state to the root, in place."""
+    state.box = ROOT
     return state
 
 
@@ -218,87 +208,41 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     Returns (predicted class, interpreted movement id, state). The state is
     mutated in place and also returned.
     """
-    x = np.asarray(x, dtype=np.float64)
-    box = state.current
-    masked = ensemble.masks[box.index].apply(x)
-    j = predict(ensemble.models[box.index], masked)
-    return j, _transition(ensemble.binding, state.stack, j), state
+    box = state.box
+    j = predict(ensemble.models[box], ensemble.masks[box].apply(x))
+    next_box, meaning = ensemble.transitions
+    try:
+        movement = meaning[box][j]
+    except KeyError:
+        raise _no_meaning(box, j) from None  # unreachable when the model's classes are the box's
+    state.box = next_box[box][j]
+    return j, movement, state
 
 
-def _transition(binding: Binding, stack: list[BoxNode], j: int) -> int:
-    """Interpret class j in the box on top of the stack, push/pop; return the movement."""
-    box = stack[-1]
-    if not box.is_root and binding.class_of_movement(box.opener) == j:
-        stack.pop()
-        return box.opener
-    for m in box.member_movements():
-        if binding.class_of_movement(m) == j:
-            for child in box.children:
-                if child.opener == m:
-                    stack.append(child)
-                    return m
-            return m
-    raise DuplicateClassInBox(
-        f"box {box.index}: predicted class {j} has no interpretation"
-    )  # unreachable when model range equals the box's class set
+def _no_meaning(box: int, j: int) -> DuplicateClassInBox:
+    return DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation")
 
 
 def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list[int]]:
     """Each box model's class for the listed rows of X, one block predict per box.
 
-    A table is indexed by row of X (unlisted rows read 0). A PlainModel has
-    one table, under box index 0. A box fit is a pure function of its class
-    set for a given training set (see _fit_box), so ``cache`` (a dict keyed by
-    ``model.classes``) may hold tables made before from fits on the same
-    training set, for the same X and rows; a cache must never be shared
-    between training sets or test pools.
+    A table is indexed by row of X (unlisted rows read 0). A box fit is a
+    pure function of its class set for a given training set (see _fit_box),
+    so ``cache`` (a dict keyed by ``model.classes``) may hold tables made
+    before from fits on the same training set, for the same X and rows; a
+    cache must never be shared between training sets or test pools.
     """
-    if isinstance(system, PlainModel):
-        fits = {0: (system.mask, system.model)}
-    else:
-        fits = {i: (system.masks[i], model) for i, model in system.models.items()}
     if cache is None:
         cache = {}
     rows = np.asarray(rows, dtype=np.int64)
     tables = {}
-    for i, (mask, model) in fits.items():
+    for i, model in system.models.items():
         if model.classes not in cache:
             table = np.zeros(len(X), dtype=np.int64)
-            table[rows] = predict(model, mask.apply(X[rows]))
+            table[rows] = predict(model, system.masks[i].apply(X[rows]))
             cache[model.classes] = table.tolist()
         tables[i] = cache[model.classes]
     return tables
-
-
-def box_transitions(system) -> tuple[int, dict[int, dict[int, int]]]:
-    """(initial box, {box: {class: box after that class}}) of a system's machine.
-
-    Pushes and pops always follow the root-to-box path, so the machine's
-    state is the current box alone. Each entry is what ``_transition`` does
-    with that class: the closer's class pops to the parent, else the first
-    member movement of that class pushes the box it opens or stays. A
-    PlainModel is one box, index 0, that every class of its model keeps.
-    """
-    if isinstance(system, PlainModel):
-        return 0, {0: dict.fromkeys(system.model.classes, 0)}
-    binding = system.binding
-    table: dict[int, dict[int, int]] = {}
-
-    def visit(box: BoxNode, parent: int | None):
-        moves = {}
-        if parent is not None:
-            moves[binding.class_of_movement(box.opener)] = parent
-        opened: dict[int, int] = {}
-        for child in box.children:
-            opened.setdefault(child.opener, child.index)
-        for m in box.member_movements():
-            moves.setdefault(binding.class_of_movement(m), opened.get(m, box.index))
-        table[box.index] = moves
-        for child in box.children:
-            visit(child, box.index)
-
-    visit(system.structure.root, None)
-    return system.structure.root.index, table
 
 
 def walk_tables(
@@ -307,7 +251,8 @@ def walk_tables(
     """Predicted classes of a sequence of table rows, starting in box ``box``.
 
     The same transitions as ``step``, with each box model's class read from
-    its table and the next box from ``transitions`` (see box_transitions).
+    its table and the next box from ``transitions`` (the first table of
+    ContextEnsemble.transitions).
     """
     out = []
     for r in rows:
@@ -315,8 +260,6 @@ def walk_tables(
         try:
             box = transitions[box][j]
         except KeyError:
-            raise DuplicateClassInBox(
-                f"box {box}: predicted class {j} has no interpretation"
-            ) from None
+            raise _no_meaning(box, j) from None
         out.append(j)
     return out

@@ -106,9 +106,9 @@ def load_signalset(path) -> SignalSet:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise SignalsetError(f"{meta_path}: invalid JSON at line {exc.lineno} column {exc.colno}")
-    num_classes = _meta_int(meta, "num_classes", meta_path)
-    num_channels = _meta_int(meta, "num_channels", meta_path)
-    sample_rate = _meta_int(meta, "sample_rate_hz", meta_path)
+    num_classes = _meta_int(meta, "num_classes", meta_path, 2)
+    num_channels = _meta_int(meta, "num_channels", meta_path, 1)
+    sample_rate = _meta_int(meta, "sample_rate_hz", meta_path, 1)
 
     rec_dir = root / "records"
     csv_paths = sorted(rec_dir.glob("*.csv")) if rec_dir.is_dir() else []
@@ -133,6 +133,10 @@ def load_signalset(path) -> SignalSet:
                 class_label=label,
             )
         )
+    if num_classes > len(records):  # SignalSet would list every class without a record
+        raise SignalsetError(
+            f"{meta_path}: num_classes: {num_classes} classes, but {len(records)} record files"
+        )
     return SignalSet(
         records=tuple(records),
         num_classes=num_classes,
@@ -141,13 +145,16 @@ def load_signalset(path) -> SignalSet:
     )
 
 
-def _meta_int(meta, key: str, path: Path) -> int:
+def _meta_int(meta, key: str, path: Path, least: int) -> int:
+    """meta[key], a JSON integer >= least; a float, string or boolean is refused, not converted."""
     if not isinstance(meta, dict) or key not in meta:
         raise SignalsetError(f"{path}: {key}: required field missing")
-    try:
-        return int(meta[key])
-    except (TypeError, ValueError):
-        raise SignalsetError(f"{path}: {key}: expected an integer, got {meta[key]!r}")
+    value = meta[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SignalsetError(f"{path}: {key}: expected an integer, got {value!r}")
+    if value < least:
+        raise SignalsetError(f"{path}: {key}: must be >= {least}, got {value}")
+    return value
 
 
 def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:

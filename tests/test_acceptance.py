@@ -165,7 +165,7 @@ def test_06_fsm_round_trip(capsys):
             state = initial_state(ens)
             for cls in sequence_to_classes(seq, s, ens.binding):
                 _, _, state = step(ens, state, obj(cls))
-            ok = ok and len(state.stack) == 1 and state.current.is_root
+            ok = ok and state.box == s.root.index
             count += 1
     report(capsys, 6, "every movement sequence returns the machine to the root",
            ok, f"{count} sequences over {len(structures)} structures")
@@ -244,7 +244,7 @@ def test_09_desk_scale_trend(capsys):
     X, y = feature_matrix(sset)
     plain = train_plain(X, y, ClassifierSpec(algorithm="GaussianNB"))
     ok = ok and len(placed) == 2 * structure.num_classes
-    ok = ok and len(plain.model.classes) == structure.num_classes
+    ok = ok and len(plain.models[plain.structure.root.index].classes) == structure.num_classes
     report(capsys, 9, "desk-scale run: OCtx >= RCtx - 0.01 and 2C vs C coverage",
            ok, "; ".join(details))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ctxclf.cli import ConfigError, load_run_config, main
-from ctxclf.context import load_structure, structure_to_dict
+from ctxclf.context import load_structure, structure_to_dict, validate_structure
 from ctxclf.evaluation import RunConfig
 from ctxclf.signals import save_signalset
 from ctxclf.structures import five_class_example, six_class_nested
@@ -379,6 +379,30 @@ def test_cli_rejects_non_list_or_object_structure_field(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"ERROR: {message}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["boxes"][1]["internal_movements"].__setitem__(0, 99),
+        lambda doc: doc["boxes"][1]["internal_movements"].__setitem__(0, -2),
+        lambda doc: doc["boxes"][1].update(opens_with_movement=99),
+        lambda doc: doc.update(movements=doc["movements"][:3]),
+    ],
+    ids=["internal-99", "internal-negative", "opener-99", "three-movements"],
+)
+def test_run_and_optimize_validate_the_structure(run_setup, capsys, command, mutate):
+    """The first violation `validate` would print, as one ERROR line before the run."""
+    tmp_path, cfg_path, config = run_setup
+    doc = json.loads(Path(config["structure"]).read_text())
+    mutate(doc)
+    Path(config["structure"]).write_text(json.dumps(doc))
+    violations = validate_structure(load_structure(config["structure"]))
+    assert violations
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"ERROR: structure: {violations[0]}\n"
     assert not (tmp_path / "out").exists()
 
 

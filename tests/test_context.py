@@ -7,6 +7,7 @@ import pytest
 
 from ctxclf.context import (
     Binding,
+    ContextStructure,
     ConstraintTable,
     brute_force_feasible,
     derive_constraints,
@@ -112,6 +113,15 @@ def test_validate_structure_violations():
     # movement never placed
     s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5])])
     assert any("not placed" in v for v in validate_structure(s))
+    # a member that is no movement id of the structure
+    s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5, 6]), (2, 0, 2, [-2, 99])])
+    assert "box 2 holds movements outside 1..6: [-2, 99]" in validate_structure(s)
+    # wrong movement ids are reported alone, however large C is
+    s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5, 6])])
+    huge = ContextStructure(num_classes=2**64, movements=s.movements, root=s.root)
+    assert validate_structure(huge) == [
+        f"movement ids must be exactly 1..{2**65}, got [1, 2, 3, 4, 5, 6]"
+    ]
     # root must hold exactly the primaries
     s = make_structure(2, [(0, None, None, [2, 3]), (1, 0, 2, [4])])
     assert any("root box" in v for v in validate_structure(s))

@@ -3,8 +3,9 @@
 The box-fit memo, the one-pass MI scores, block prediction, the
 table-driven sequence walk, the one-pass forest node, the fold-id array,
 the indexed repair, block feature extraction, the one-call object draws,
-the shared prediction cache, the box transition table, the list-based
-forest walk and the one-pass MAV/SSC must leave every result as it was;
+the shared prediction cache, the box transition tables (the context
+machine's only definition), the list-based forest walk, the one-pass
+MAV/SSC and the prebuilt mask columns must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from ctxclf import classifiers, evaluation, features, optimize
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
-from ctxclf.context import Binding, load_structure, local_classes
+from ctxclf.context import ROOT, Binding, BoxNode, load_structure, local_classes
 from ctxclf.evaluation import (
     RunConfig,
     SequenceOutcome,
@@ -37,6 +38,7 @@ from ctxclf.evaluation import (
 )
 from ctxclf.errors import CtxclfError, DuplicateClassInBox, SignalsetError, SubbandTooShort
 from ctxclf.features import (
+    FeatureMask,
     ar_coefficients,
     extract_features,
     feature_matrix,
@@ -48,8 +50,6 @@ from ctxclf.optimize import EAParams, RepairIndex, feasible_set, kendall_tau, re
 from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import (
     ContextEnsemble,
-    _transition,
-    box_transitions,
     initial_state,
     reset,
     step,
@@ -58,9 +58,10 @@ from ctxclf.runtime import (
     walk_tables,
 )
 from ctxclf.signals import SignalRecord, SignalSet
-from ctxclf.structures import eight_class_grips, six_class_nested
+from ctxclf.structures import eight_class_grips, five_class_example, six_class_nested
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
+from test_runtime import obj, perfect_ensemble
 
 STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
 SIX_CLASS_JSON = STRUCTURES / "six_class.json"
@@ -126,6 +127,27 @@ def test_one_pass_mi_is_bit_equal_to_dict_loop(problem):
     mask = select_features(X, y, fraction=fraction)
     assert np.array(mask.scores).tobytes() == np.array(scores).tobytes()
     assert mask.selected == selected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(0, 40),
+    picks=st.lists(st.integers(0, 39), max_size=40),
+    rows=st.sampled_from([None, 1, 5]),
+    seed=st.integers(0, 2**16),
+)
+def test_mask_columns_equal_list_indexing(d, picks, rows, seed):
+    """The prebuilt column array takes the bits the per-call list index took."""
+    selected = tuple(sorted({p for p in picks if p < d}))
+    mask = FeatureMask(selected=selected, source_dim=d, scores=(0.0,) * d)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d if rows is None else (rows, d))
+    assert mask.apply(x).tobytes() == x[..., list(selected)].tobytes()
+    assert mask.apply(x).shape == x[..., list(selected)].shape
+    assert mask.apply(x.tolist()).tobytes() == x[..., list(selected)].tobytes()
+    assert not mask._columns.flags.writeable and mask._columns.dtype == np.intp
+    twin = FeatureMask(selected=selected, source_dim=d, scores=(0.0,) * d)
+    assert twin == mask and hash(twin) == hash(mask) and "_columns" not in repr(mask)
 
 
 def test_mutual_information_is_the_one_column_case():
@@ -619,10 +641,47 @@ def test_memoized_fits_equal_fresh_fits(six_class_data, algorithm):
         assert shared.to_dict() == fresh.to_dict()
     # the root box holds every class, so it is the plain model's box problem
     root = fresh.to_dict()["boxes"]["0"]
-    assert plain.model.to_dict() == root["model"]
-    assert list(plain.mask.selected) == root["mask"]["selected"]
-    assert list(plain.mask.scores) == root["mask"]["scores"]
+    assert plain.models[ROOT].to_dict() == root["model"]
+    assert list(plain.masks[ROOT].selected) == root["mask"]["selected"]
+    assert list(plain.masks[ROOT].scores) == root["mask"]["scores"]
     assert len(memo) < len(feasible_set(structure)) * structure.num_boxes
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_plain_is_the_root_box_fit(six_class_data, algorithm):
+    """The plain machine is one box that keeps every class, fitted as the root box is."""
+    X, y = six_class_data
+    structure = load_structure(SIX_CLASS_JSON)
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=2)
+    plain = train_plain(X, y, spec, 0.5)
+    ensemble = train_ensemble(structure, feasible_set(structure)[0], X, y, spec, 0.5)
+    assert plain.to_dict()["boxes"] == {"0": ensemble.to_dict()["boxes"]["0"]}
+    assert plain.structure.root == BoxNode(ROOT, None, tuple(range(1, 7)))
+    assert plain.binding == Binding(num_classes=6, secondary=tuple(range(1, 7)))
+    next_box, meaning = plain.transitions
+    assert next_box == {ROOT: dict.fromkeys(range(1, 7), ROOT)}
+    assert meaning == {ROOT: {c: c for c in range(1, 7)}}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_plain_sequences_equal_per_object_predict(six_class_data, algorithm):
+    """evaluate_sequence on the plain machine is the old per-object predict loop."""
+    X, y = six_class_data
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
+    train_idx, test_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    plain = train_plain(X[train_idx], y[train_idx], spec)
+    model, mask = plain.models[ROOT], plain.masks[ROOT]
+    rng = np.random.default_rng(6)
+    misses = 0
+    for _ in range(30):
+        objects = [X[i] for i in rng.choice(test_idx, size=5)]
+        truth = [int(c) for c in rng.integers(1, 7, size=5)]
+        loop = tuple(
+            predict(model, np.asarray(x)[list(mask.selected)]) == t for x, t in zip(objects, truth)
+        )
+        assert evaluate_sequence(plain, objects, truth) == SequenceOutcome(hits=loop)
+        misses += not all(loop)
+    assert misses
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -670,28 +729,88 @@ def root_to_box_paths(structure):
     return out
 
 
+def stack_transition(binding, stack, j):
+    """The box-stack machine the transition tables replaced (the oracle).
+
+    Interprets class j in the box on top of the stack, pushes or pops, and
+    returns the movement.
+    """
+    box = stack[-1]
+    if not box.is_root and binding.class_of_movement(box.opener) == j:
+        stack.pop()
+        return box.opener
+    for m in box.member_movements():
+        if binding.class_of_movement(m) == j:
+            for child in box.children:
+                if child.opener == m:
+                    stack.append(child)
+                    return m
+            return m
+    raise DuplicateClassInBox(f"box {box.index}: predicted class {j} has no interpretation")
+
+
 @pytest.mark.parametrize("path", structure_files(), ids=lambda p: p.stem)
 def test_transition_table_equals_transition(path):
+    """Every feasible binding, every box, every local class: next box and movement."""
     structure = load_structure(path)
     paths = root_to_box_paths(structure)
     for binding in feasible_set(structure):
-        start, table = box_transitions(ContextEnsemble(structure, binding, {}, {}))
-        assert start == structure.root.index
-        assert sorted(table) == sorted(box.index for box, _ in paths)
+        next_box, meaning = ContextEnsemble(structure, binding, {}, {}).transitions
+        assert structure.root.index == ROOT
+        assert sorted(next_box) == sorted(meaning) == sorted(box.index for box, _ in paths)
         for box, stack in paths:
             classes = local_classes(structure, binding, box)
-            assert sorted(table[box.index]) == sorted(classes)
+            assert sorted(next_box[box.index]) == sorted(meaning[box.index]) == sorted(classes)
             for j in classes:
                 after = list(stack)
-                _transition(binding, after, j)
-                assert table[box.index][j] == after[-1].index
+                movement = stack_transition(binding, after, j)
+                assert next_box[box.index][j] == after[-1].index
+                assert meaning[box.index][j] == movement
+
+
+@pytest.mark.parametrize(
+    "structure", [five_class_example(), six_class_nested()], ids=["five", "six"]
+)
+def test_step_equals_stack_walk(structure):
+    """Random class streams through step and through the stack oracle, every feasible binding.
+
+    The ensemble is perfect (feature value == class), so each class drawn
+    from the current box's own classes is the one step predicts.
+    """
+    rng = np.random.default_rng(12)
+    for binding in feasible_set(structure):
+        ensemble = perfect_ensemble(structure, binding)
+        state, stack = initial_state(ensemble), [structure.root]
+        for _ in range(60):
+            classes = local_classes(structure, binding, stack[-1])
+            j = classes[rng.integers(len(classes))]
+            predicted, movement, state = step(ensemble, state, obj(j))
+            assert (predicted, movement) == (j, stack_transition(binding, stack, j))
+            assert state.box == stack[-1].index
+        reset(state)
+        assert state.box == ROOT
+
+
+def test_step_rejects_a_class_with_no_meaning():
+    structure = six_class_nested()
+    ensemble = perfect_ensemble(structure)
+    box = min(structure.boxes(), key=lambda b: b.movement_count)  # box 2 holds three classes
+    inside = local_classes(structure, ensemble.binding, box)
+    outside = next(c for c in range(1, 7) if c not in inside)
+    ensemble.models[box.index], ensemble.masks[box.index] = ensemble.models[0], ensemble.masks[0]
+    state = initial_state(ensemble)
+    state.box = box.index
+    message = f"^box {box.index}: predicted class {outside} has no interpretation$"
+    with pytest.raises(DuplicateClassInBox, match=message):
+        step(ensemble, state, obj(outside))
 
 
 def test_table_walk_rejects_a_class_with_no_meaning():
     structure = six_class_nested()
-    start, table = box_transitions(ContextEnsemble(structure, feasible_set(structure)[0], {}, {}))
-    with pytest.raises(DuplicateClassInBox, match=f"box {start}: predicted class 99"):
-        walk_tables(table, {start: [99]}, [0], start)
+    next_box, _ = ContextEnsemble(structure, feasible_set(structure)[0], {}, {}).transitions
+    message = f"^box {ROOT}: predicted class 99 has no interpretation$"
+    with pytest.raises(DuplicateClassInBox, match=message):
+        walk_tables(next_box, {ROOT: [99]}, [0], ROOT)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -58,15 +58,15 @@ def test_feature_vector_layout_and_dimension():
     sset = toy_signalset(num_classes=2, records_per_class=2, channels=3)
     fv = extract_features(sset.records[0])
     assert fv.dimension == 3 * len(SUBBAND_NAMES) * len(FEATURE_NAMES)
-    layout = fv.layout()
-    assert layout[0] == (0, "A3", "MAV")
-    assert layout[-1] == (2, "D1", "AR3")
-    # MAV of the first subband matches a direct recomputation
+    # laid out (channel, subband, feature): the first and last values match a direct recomputation
     from ctxclf.wavelet import dwt_db6
 
+    layout = fv.values.reshape(3, len(SUBBAND_NAMES), len(FEATURE_NAMES))
     subbands = dwt_db6(sset.records[0].channels[0], levels=3)
-    assert np.isclose(fv.values[0], np.mean(np.abs(subbands[0])))
-    assert fv.values[1] == slope_sign_changes(subbands[0])
+    assert np.isclose(layout[0, 0, 0], np.mean(np.abs(subbands[0])))
+    assert layout[0, 0, 1] == slope_sign_changes(subbands[0])
+    last = dwt_db6(sset.records[0].channels[2], levels=3)[-1]
+    assert np.allclose(layout[2, -1, 2:], ar_coefficients(last))
 
 
 def test_feature_matrix_shape():

@@ -1,13 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
-from ctxclf.classifiers import ClassifierSpec, predict
-from ctxclf.context import Binding, derive_constraints, enumerate_feasible
+from ctxclf.classifiers import ClassifierSpec
+from ctxclf.context import ROOT, Binding, derive_constraints, enumerate_feasible
 from ctxclf.errors import DuplicateClassInBox, UncoveredClass
 from ctxclf.runtime import (
-    ContextEnsemble,
     initial_state,
     reset,
     step,
@@ -40,24 +37,25 @@ def test_step_pushes_and_pops():
     ens = perfect_ensemble(s)
     binding = ens.binding
     state = initial_state(ens)
-    assert state.current.is_root
+    assert state.box == s.root.index
 
     # movement 3 opens box 1 from the root
     j, movement, state = step(ens, state, obj(3))
     assert (j, movement) == (3, 3)
-    assert state.current.index == 1
+    assert state.box == 1
 
     # inside box 1, a plain member keeps the box open
-    inner = [m for m in state.current.member_movements() if m != 3]
+    box1 = next(b for b in s.root.walk() if b.index == 1)
+    inner = [m for m in box1.member_movements() if m != 3]
     m0 = inner[0]
     j, movement, state = step(ens, state, obj(binding.class_of_movement(m0)))
     assert movement == m0
-    assert state.current.index == 1
+    assert state.box == 1
 
     # predicting the opener's class closes the box
     j, movement, state = step(ens, state, obj(3))
     assert movement == 3
-    assert state.current.is_root
+    assert state.box == s.root.index
 
 
 def test_generated_sequences_return_to_root():
@@ -72,7 +70,7 @@ def test_generated_sequences_return_to_root():
                 j, interpreted, state = step(ens, state, obj(cls))
                 assert j == cls
                 assert interpreted == movement
-            assert len(state.stack) == 1 and state.current.is_root
+            assert state.box == s.root.index
 
 
 def test_reset():
@@ -80,11 +78,9 @@ def test_reset():
     ens = perfect_ensemble(s)
     state = initial_state(ens)
     step(ens, state, obj(3))
-    assert not state.current.is_root
-    reset(state)
-    assert state.current.is_root and len(state.stack) == 1
-    fresh = reset(ens)
-    assert fresh.current.is_root
+    assert state.box != s.root.index
+    assert reset(state) is state
+    assert state.box == s.root.index == ROOT
 
 
 def test_train_ensemble_rejects_infeasible_binding():
@@ -119,30 +115,6 @@ def test_one_model_per_box_with_local_classes():
     assert ens.models[0].classes == tuple(range(1, 7))
 
 
-def test_serialization_round_trip(tmp_path):
-    s = six_class_nested()
-    probes = np.linspace(0.0, 7.0, 57)[:, None]  # every class value and every midpoint between
-    for alg in ("GaussianNB", "RandomForest"):
-        ens = perfect_ensemble(s, alg=alg)
-        path = tmp_path / f"ensemble_{alg}.json"
-        ens.save(path)
-        back = ContextEnsemble.load(path)
-        assert back.structure == ens.structure
-        assert back.binding == ens.binding
-        assert back.spec == ens.spec
-        for c in range(1, 7):
-            state_a, state_b = initial_state(ens), initial_state(back)
-            ja, ma, _ = step(ens, state_a, obj(c))
-            jb, mb, _ = step(back, state_b, obj(c))
-            assert (ja, ma) == (jb, mb)
-        for i, model in ens.models.items():
-            loaded = back.models[i]
-            assert [predict(loaded, p) for p in probes] == [predict(model, p) for p in probes]
-            assert predict(loaded, probes).tolist() == predict(model, probes).tolist()
-    with pytest.raises(ValueError):
-        ContextEnsemble.from_dict({"version": 99})
-
-
 def test_describe_lists_boxes_and_marks():
     ens = perfect_ensemble(five_class_example())
     text = ens.describe()
@@ -154,6 +126,8 @@ def test_describe_lists_boxes_and_marks():
 def test_train_plain_covers_all_classes():
     X, y = scalar_training_data(5, copies=3)
     plain = train_plain(X, y, ClassifierSpec(algorithm="NearestNeighbor"), 1.0)
-    assert plain.model.classes == tuple(range(1, 6))
+    assert plain.models[plain.structure.root.index].classes == tuple(range(1, 6))
+    state = initial_state(plain)
     for c in range(1, 6):
-        assert plain.predict(obj(c)) == c
+        assert step(plain, state, obj(c)) == (c, c, state)
+        assert state.box == plain.structure.root.index

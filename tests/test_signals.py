@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from ctxclf.errors import NoRecords, RaggedRecord, TooFewPerClass, WindowTooLong
+from ctxclf.errors import NoRecords, RaggedRecord, SignalsetError, TooFewPerClass, WindowTooLong
 from ctxclf.signals import (
     SignalRecord,
     SignalSet,
@@ -57,7 +59,7 @@ def test_load_missing_and_malformed(tmp_path):
     root = tmp_path / "s"
     (root / "records").mkdir(parents=True)
     (root / "meta.json").write_text(
-        '{"num_classes": 1, "num_channels": 2, "sample_rate_hz": 1000}'
+        '{"num_classes": 2, "num_channels": 2, "sample_rate_hz": 1000}'
     )
     with pytest.raises(NoRecords):
         load_signalset(root)  # no CSVs
@@ -109,3 +111,31 @@ def test_stratified_folds_too_few():
         stratified_folds(labels, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         stratified_folds(labels, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "key, value, fragment",
+    [
+        ("num_classes", 6.7, "expected an integer, got 6.7"),
+        ("num_classes", "6", "expected an integer, got '6'"),
+        ("num_classes", True, "expected an integer, got True"),
+        ("num_classes", 1, "must be >= 2, got 1"),
+        ("num_channels", 0, "must be >= 1, got 0"),
+        ("sample_rate_hz", 0, "must be >= 1, got 0"),
+        ("sample_rate_hz", -1000, "must be >= 1, got -1000"),
+        ("num_classes", 2**64, f"{2**64} classes, but 6 record files"),
+    ],
+    ids=[
+        "float", "string", "bool", "one-class", "no-channels", "zero-rate", "negative-rate", "huge"
+    ],
+)
+def test_meta_fields_are_strict_integers(tmp_path, key, value, fragment):
+    save_signalset(toy_signalset(num_classes=2, records_per_class=3), tmp_path / "s")
+    meta_path = tmp_path / "s" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(SignalsetError) as info:
+        load_signalset(tmp_path / "s")
+    assert str(info.value).startswith(f"{meta_path}: {key}: ")
+    assert str(info.value).endswith(fragment)
