@@ -32,8 +32,8 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
-        if self.num_trees < 1:
-            raise ValueError(f"num_trees: must be >= 1, got {self.num_trees}")
+        if not 1 <= self.num_trees <= 10_000:
+            raise ValueError(f"num_trees: must be in [1, 10000], got {self.num_trees}")
 
 
 @dataclass(frozen=True)

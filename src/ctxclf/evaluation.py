@@ -171,11 +171,12 @@ class RunConfig:
             if m not in METHODS:
                 raise ValueError(f"methods[{i}]: unknown method {m!r}")
         # range checks up front, so a bad value fails before the run, not inside the inner CV
-        for name, least in (
-            ("cv_folds", 2), ("inner_folds", 2), ("repetitions", 1), ("inner_repetitions", 1)
-        ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+        for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
+        for name in ("repetitions", "inner_repetitions"):
+            if not 1 <= getattr(self, name) <= 10_000:
+                raise ValueError(f"{name}: must be in [1, 10000], got {getattr(self, name)}")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise ValueError(f"feature_fraction: must be in (0, 1], got {self.feature_fraction}")
 

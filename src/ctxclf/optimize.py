@@ -49,11 +49,14 @@ class EAParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (
-            ("population_size", 2), ("tournament_size", 1), ("stagnation_horizon", 1)
+        for name, lo, hi in (
+            ("population_size", 2, 10_000),
+            ("tournament_size", 1, 10_000),
+            ("stagnation_horizon", 1, 100_000),
+            ("max_generations", 0, 100_000),
         ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name}: must be in [{lo}, {hi}], got {getattr(self, name)}")
         if self.crossover_op not in ("OX1", "OX2"):
             raise ValueError(f"crossover_op: unknown crossover operator {self.crossover_op!r}")
         for name in ("crossover_prob", "mutation_prob"):

@@ -158,23 +158,59 @@ def _meta_int(meta, key: str, path: Path, least: int) -> int:
 
 
 def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:
+    """The (samples, num_channels) values below the header of a record CSV.
+
+    A valid record is parsed by one ``np.loadtxt`` call. Its result is kept only
+    when it has one row per data line (``loadtxt`` skips a blank line, which is a
+    ragged row) and every value is finite; any other file goes through
+    ``_read_csv_loop``, which alone reports errors. A file with a blank line goes
+    there at once, as ``loadtxt`` warns when it skips every line.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:  # reported by the csv loop, where it finds it
+        lines = []
+    if lines and lines[-1] == "":
+        lines.pop()
+    try:
+        header = next(csv.reader(lines[:1]), None)
+    except csv.Error:
+        header = None
+    if header is None or len(header) != num_channels or len(lines) < 2 or "" in lines:
+        return _read_csv_loop(path, num_channels)
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return _read_csv_loop(path, num_channels)
+    if values.shape != (len(lines) - 1, num_channels) or not np.isfinite(values).all():
+        return _read_csv_loop(path, num_channels)
+    return values
+
+
+def _read_csv_loop(path: Path, num_channels: int) -> np.ndarray:
+    """``_read_csv_rows`` by ``csv.reader`` and ``float()``; raises every loader error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != num_channels:
-            raise RaggedRecord(
-                f"record {path.stem}: {0 if header is None else len(header)} columns, "
-                f"expected {num_channels}"
-            )
-        data = []
-        for row in reader:
-            if len(row) != num_channels:
-                raise RaggedRecord(f"record {path.stem}: ragged row with {len(row)} columns")
-            try:
-                data.append([float(v) for v in row])
-            except ValueError:
-                col = next(j for j, v in enumerate(row) if not _is_number(v))
-                raise _bad_value(path, len(data) + 1, header[col], repr(row[col])) from None
+        try:
+            header = next(reader, None)
+            if header is None or len(header) != num_channels:
+                raise RaggedRecord(
+                    f"record {path.stem}: {0 if header is None else len(header)} columns, "
+                    f"expected {num_channels}"
+                )
+            data = []
+            for row in reader:
+                if len(row) != num_channels:
+                    raise RaggedRecord(f"record {path.stem}: ragged row with {len(row)} columns")
+                try:
+                    data.append([float(v) for v in row])
+                except ValueError:
+                    col = next(j for j, v in enumerate(row) if not _is_number(v))
+                    raise _bad_value(path, len(data) + 1, header[col], repr(row[col])) from None
+        except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
+            where = "header" if reader.line_num <= 1 else f"row {reader.line_num - 1}"
+            raise SignalsetError(f"record {path.stem}: {where}: {exc}") from None
     values = np.asarray(data, dtype=np.float64).reshape(len(data), num_channels)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
@@ -210,8 +246,7 @@ def save_signalset(sset: SignalSet, path) -> None:
     header = ",".join(f"c{i + 1}" for i in range(sset.num_channels))
     for r in sset.records:
         lines = [header]
-        for row in r.channels.T:
-            lines.append(",".join(repr(float(v)) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in r.channels.T.tolist())
         out = root / "records" / f"{r.record_id}_{r.class_label}.csv"
         # record_id already carries the label suffix when round-tripping
         if r.record_id.endswith(f"_{r.class_label}"):

@@ -244,6 +244,25 @@ def test_run_rejects_out_of_range_field(run_setup, capsys, field, value):
     _rejected_before_run(tmp_path, capsys, _with_field(config, field, value), f"{field}: ")
 
 
+@pytest.mark.parametrize(
+    "field, value, bounds",
+    [
+        ("repetitions", 2**40, "[1, 10000]"),
+        ("inner_repetitions", 10_001, "[1, 10000]"),
+        ("classifiers[0].num_trees", 2**62, "[1, 10000]"),
+        ("ea.population_size", 10_001, "[2, 10000]"),
+        ("ea.tournament_size", 10_001, "[1, 10000]"),
+        ("ea.stagnation_horizon", 100_001, "[1, 100000]"),
+        ("ea.max_generations", 2**62, "[0, 100000]"),
+        ("ea.max_generations", -1, "[0, 100000]"),
+    ],
+)
+def test_run_rejects_a_run_parameter_out_of_its_bounds(run_setup, capsys, field, value, bounds):
+    tmp_path, _, config = run_setup
+    bad = _with_field(config, field, value)
+    _rejected_before_run(tmp_path, capsys, bad, f"{field}: must be in {bounds}, got {value}")
+
+
 @pytest.mark.parametrize("field", ["cv_fold", "classifiers[0].num_tree", "ea.populaton_size"])
 def test_run_rejects_unknown_field(run_setup, capsys, field):
     tmp_path, _, config = run_setup
@@ -327,6 +346,17 @@ def test_run_rejects_header_only_record(run_setup, capsys):
     record.write_text(record.read_text().splitlines()[0] + "\n")
     assert main(["run", "--config", str(cfg_path)]) == 1
     _one_line_error(capsys, f"record {record.stem}: 0 samples, need >= 16")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_field_above_the_csv_limit(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    record = sorted((tmp_path / "sset" / "records").glob("*.csv"))[0]
+    lines = record.read_text().splitlines()
+    lines[2] = "1" * 131073  # data row 2; csv.field_size_limit() is 131072
+    record.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    _one_line_error(capsys, f"record {record.stem}: row 2: field larger than field limit")
     assert not (tmp_path / "out").exists()
 
 

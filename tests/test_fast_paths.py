@@ -5,15 +5,18 @@ table-driven sequence walk, the one-pass forest node, the fold-id array,
 the indexed repair, block feature extraction, the one-call object draws,
 the shared prediction cache, the box transition tables (the context
 machine's only definition), the list-based forest walk, the one-pass
-MAV/SSC and the prebuilt mask columns must leave every result as it was;
+MAV/SSC, the prebuilt mask columns, the ``np.loadtxt`` record reader and
+the one-join record writer must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
 
+import csv
 import hashlib
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers, evaluation, features, optimize
+from ctxclf import classifiers, evaluation, features, optimize, signals
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
 from ctxclf.context import ROOT, Binding, BoxNode, load_structure, local_classes
 from ctxclf.evaluation import (
@@ -36,7 +39,13 @@ from ctxclf.evaluation import (
     sample_object_sequences,
     sequence_to_classes,
 )
-from ctxclf.errors import CtxclfError, DuplicateClassInBox, SignalsetError, SubbandTooShort
+from ctxclf.errors import (
+    CtxclfError,
+    DuplicateClassInBox,
+    RaggedRecord,
+    SignalsetError,
+    SubbandTooShort,
+)
 from ctxclf.features import (
     FeatureMask,
     ar_coefficients,
@@ -57,7 +66,7 @@ from ctxclf.runtime import (
     train_plain,
     walk_tables,
 )
-from ctxclf.signals import SignalRecord, SignalSet
+from ctxclf.signals import SignalRecord, SignalSet, load_signalset, save_signalset
 from ctxclf.structures import eight_class_grips, five_class_example, six_class_nested
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
@@ -967,6 +976,169 @@ def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, m
         for f in range(inner_folds):
             expected.append([train[i] for i in range(len(train)) if inner[i] == f])
     assert pooled == expected
+
+
+def loop_read_csv_rows(path, num_channels):
+    """The csv-module record reader that np.loadtxt replaced, as it was (oracle)."""
+
+    def bad_value(row, column, value):
+        return SignalsetError(
+            f"record {path.stem}: row {row}, column {column}: expected a finite number, got {value}"
+        )
+
+    def is_number(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) != num_channels:
+            raise RaggedRecord(
+                f"record {path.stem}: {0 if header is None else len(header)} columns, "
+                f"expected {num_channels}"
+            )
+        data = []
+        for row in reader:
+            if len(row) != num_channels:
+                raise RaggedRecord(f"record {path.stem}: ragged row with {len(row)} columns")
+            try:
+                data.append([float(v) for v in row])
+            except ValueError:
+                col = next(j for j, v in enumerate(row) if not is_number(v))
+                raise bad_value(len(data) + 1, header[col], repr(row[col])) from None
+    values = np.asarray(data, dtype=np.float64).reshape(len(data), num_channels)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, col = bad[0]
+        raise bad_value(i + 1, header[col], float(values[i, col]))
+    return values
+
+
+ODD_CELLS = (
+    "nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "5e-324", "-0.0", "1_0",
+    "", " ", '"1.5"', '"2', "abc", "0x1p3", "1,5", "١", "１", "+.5", "1.",
+)
+
+
+@st.composite
+def record_texts(draw):
+    """(text, num_channels) of a record CSV: mostly valid rows, some faults."""
+    num_channels = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cell = st.one_of(
+        finite.map(repr),
+        finite.map(lambda v: "%.17g" % v),
+        finite.map(lambda v: f" {v!r} "),
+        st.sampled_from(ODD_CELLS),
+    )
+    width = st.integers(0, num_channels + 1) if draw(st.booleans()) else st.just(num_channels)
+    header = [f"c{i + 1}" for i in range(draw(width))]
+    lines = [",".join(header)]
+    valid = finite.map(repr)
+
+    def row(cells, n=num_channels):
+        return ",".join(draw(st.lists(cells, min_size=n, max_size=n)))
+
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["valid"] * 6 + ["cells", "blank", "spaces", "ragged"]))
+        if kind == "valid":
+            lines.append(row(valid))
+        elif kind == "cells":
+            lines.append(row(cell))
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            n = draw(st.integers(1, num_channels + 2).filter(lambda k: k != num_channels))
+            lines.append(row(valid, n))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, num_channels
+
+
+def read_outcome(read, path, num_channels):
+    try:
+        return read(path, num_channels)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_texts())
+def test_loadtxt_reader_equals_csv_loop(record):
+    text, num_channels = record
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r_1.csv"
+        path.write_bytes(text.encode())
+        want = read_outcome(loop_read_csv_rows, path, num_channels)
+        got = read_outcome(signals._read_csv_rows, path, num_channels)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert not isinstance(got, np.ndarray) and got == want, got
+
+
+@pytest.mark.parametrize("at, where", [(0, "header"), (2, "row 2")])
+def test_long_field_is_a_signalset_error(tmp_path, at, where):
+    lines = ["c1", "1.0", "2.0"]
+    lines[at] = "1" * (csv.field_size_limit() + 1)
+    path = tmp_path / "r_1.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(csv.Error):
+        loop_read_csv_rows(path, 1)
+    with pytest.raises(SignalsetError, match=f"^record r_1: {where}: field larger than field limit"):
+        signals._read_csv_rows(path, 1)
+
+
+def old_save_records(sset, root):
+    """The per-scalar record writer of save_signalset, as it was (oracle)."""
+    header = ",".join(f"c{i + 1}" for i in range(sset.num_channels))
+    for r in sset.records:
+        lines = [header]
+        for row in r.channels.T:
+            lines.append(",".join(repr(float(v)) for v in row))
+        (root / f"{r.record_id}_{r.class_label}.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def odd_valued_signalset():
+    """A synth signalset whose first record holds -0.0, subnormals and +-1e308."""
+    sset = synth_signalset(3, records_per_class=2, num_channels=2, samples=32, seed=5)
+    channels = sset.records[0].channels.copy()
+    channels[:, :6] = [[-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1 / 3]] * 2
+    first = SignalRecord("odd", channels, sset.sample_rate_hz, sset.records[0].class_label)
+    return SignalSet(
+        (first,) + sset.records[1:], sset.num_classes, sset.num_channels, sset.sample_rate_hz
+    )
+
+
+def test_save_signalset_bytes_equal_per_scalar_writer(tmp_path, odd_valued_signalset):
+    save_signalset(odd_valued_signalset, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    old_save_records(odd_valued_signalset, tmp_path / "old")
+    new_files = sorted((tmp_path / "new" / "records").iterdir())
+    assert [p.name for p in new_files] == sorted(p.name for p in (tmp_path / "old").iterdir())
+    for p in new_files:
+        assert p.read_bytes() == (tmp_path / "old" / p.name).read_bytes(), p.name
+
+
+def test_saved_signalset_loads_without_the_csv_loop(tmp_path, monkeypatch, odd_valued_signalset):
+    save_signalset(odd_valued_signalset, tmp_path / "s")
+
+    def no_loop(path, num_channels):
+        raise AssertionError(f"{path.name} went through the csv loop")
+
+    monkeypatch.setattr(signals, "_read_csv_loop", no_loop)
+    back = {r.record_id: r.channels for r in load_signalset(tmp_path / "s").records}
+    for r in odd_valued_signalset.records:
+        assert back[f"{r.record_id}_{r.class_label}"].tobytes() == r.channels.tobytes()
 
 
 def test_run_experiment_golden_digest():
