@@ -54,7 +54,7 @@ class TrainedModel:
 
     @cached_property
     def _forest_walk(self) -> list[tuple[list, list, list, list, list]]:
-        """A RandomForest's trees as plain lists, built on the first 1-D predict.
+        """A RandomForest's trees as plain lists, built on the first predict.
 
         Per tree (feature, threshold, left, right, vote slot of each node's
         label), the slot being the label's position in ``classes``. Held in
@@ -201,40 +201,21 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
 def predict(model: TrainedModel, x):
     """Class of one feature vector (an int), or of each row of an (n, d) block (an array).
 
-    A block gives the same classes as predicting its rows one by one.
+    A vector is predicted as a one-row block, so a block gives the same
+    classes as predicting its rows one by one.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2 and x.shape[1] == model.dimension:
-        return _predict_block(model, x)
-    if x.shape != (model.dimension,):
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dimension:
         raise DimensionMismatch(f"expected {model.dimension} features, got {x.shape}")
-    if model.algorithm == "NearestNeighbor":
-        d2 = np.sum((model.params["X"] - x) ** 2, axis=1)
-        return int(model.params["y"][int(np.argmin(d2))])
-    if model.algorithm == "GaussianNB":
-        means = model.params["means"]
-        variances = model.params["variances"]
-        log_post = (
-            np.log(model.params["priors"])
-            - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)
-            - 0.5 * np.sum((x[None, :] - means) ** 2 / variances, axis=1)
-        )
-        return model.classes[int(np.argmax(log_post))]
-    row = x.tolist()  # Python floats compare with the same result as float64
-    votes = [0] * len(model.classes)
-    for feature, threshold, left, right, slot in model._forest_walk:
-        node = 0
-        f = feature[0]
-        while f >= 0:
-            node = left[node] if row[f] <= threshold[node] else right[node]
-            f = feature[node]
-        votes[slot[node]] += 1
-    return model.classes[votes.index(max(votes))]  # classes sorted: ties to smallest
+    if x.ndim == 2:
+        return _predict_block(model, x)
+    if model.algorithm == "RandomForest":
+        return _forest_vote(model, x.tolist())
+    return int(_predict_block(model, x[None, :])[0])
 
 
 def _predict_block(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Row-wise predict over a block; each reduction runs along the same axis as above."""
-    classes = np.asarray(model.classes, dtype=np.int64)
+    """Row-wise predict over a block."""
     if model.algorithm == "NearestNeighbor":
         train_X, train_y = model.params["X"], model.params["y"]
         step = max(1, NN_CHUNK_ELEMENTS // max(1, train_X.size))
@@ -252,22 +233,18 @@ def _predict_block(model: TrainedModel, X: np.ndarray) -> np.ndarray:
         log_post = log_norm[None, :] - 0.5 * np.sum(
             (X[:, None, :] - means[None, :, :]) ** 2 / variances, axis=2
         )
-        return classes[np.argmax(log_post, axis=1)]
-    votes = np.zeros((len(X), len(classes)), dtype=np.int64)
-    rows = np.arange(len(X))
-    for tree in model.params["trees"]:
-        votes[rows, np.searchsorted(classes, _tree_predict_block(tree, X))] += 1
-    return classes[np.argmax(votes, axis=1)]  # classes sorted: ties to smallest
+        return np.asarray(model.classes, dtype=np.int64)[np.argmax(log_post, axis=1)]
+    return np.array([_forest_vote(model, row) for row in X.tolist()], dtype=np.int64)
 
 
-def _tree_predict_block(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Walk every row down the tree at once; rows stop at their leaf."""
-    feature, threshold = tree["feature"], tree["threshold"]
-    node = np.zeros(len(X), dtype=np.int64)
-    active = np.flatnonzero(feature[node] >= 0)
-    while len(active):
-        at = node[active]
-        go_left = X[active, feature[at]] <= threshold[at]
-        node[active] = np.where(go_left, tree["left"][at], tree["right"][at])
-        active = active[feature[node[active]] >= 0]
-    return tree["label"][node]
+def _forest_vote(model: TrainedModel, row: list) -> int:
+    """Majority vote of the trees on one row of Python floats (they compare as float64 do)."""
+    votes = [0] * len(model.classes)
+    for feature, threshold, left, right, slot in model._forest_walk:
+        node = 0
+        f = feature[0]
+        while f >= 0:
+            node = left[node] if row[f] <= threshold[node] else right[node]
+            f = feature[node]
+        votes[slot[node]] += 1
+    return model.classes[votes.index(max(votes))]  # classes sorted: ties to smallest

@@ -185,7 +185,7 @@ def _table_from_file(path) -> ConstraintTable:
             raise ConfigError(
                 f"permitted.{key}: classes must be a list of integers in 1..{num_classes}"
             )
-        permitted[int(key)] = tuple(classes)
+        permitted[int(key)] = tuple(sorted(set(classes)))
     return ConstraintTable(num_classes=num_classes, permitted=permitted)
 
 

@@ -27,6 +27,7 @@ class Movement:
 
 
 ROOT = 0  # the root box's index; structure_from_dict requires it
+MAX_NESTING = 100  # boxes on a path below the root; structure_from_dict refuses a deeper box
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,15 @@ class BoxNode:
         """Movements recognized inside this box, excluding the closer."""
         return self.internal_movements + tuple(c.opener for c in self.children)
 
+    def slots(self) -> tuple[int, ...]:
+        """Every movement recognized in this box: the closer (the opener again;
+        none at the root), then the members."""
+        return (() if self.is_root else (self.opener,)) + self.member_movements()
+
     @property
     def movement_count(self) -> int:
         """M_l: member movements plus the closer (root has no closer)."""
-        return len(self.member_movements()) + (0 if self.is_root else 1)
+        return len(self.slots())
 
     def walk(self):
         yield self
@@ -71,10 +77,6 @@ class ContextStructure:
     num_classes: int
     movements: tuple[Movement, ...]
     root: BoxNode
-
-    @property
-    def num_movements(self) -> int:
-        return len(self.movements)
 
     @property
     def num_boxes(self) -> int:
@@ -119,16 +121,16 @@ class Binding:
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """Per-secondary-movement permitted classes plus per-box distinctness groups.
+    """Per-secondary-movement permitted classes.
 
     ``permitted[k]`` is the sorted class tuple allowed for movement C+k.
-    Each distinctness group lists the secondary indices k that share a box
-    and must therefore receive mutually distinct classes.
+    No per-box check is needed beyond it: a secondary assignment is a
+    permutation, so the secondary movements sharing a box always receive
+    distinct classes.
     """
 
     num_classes: int
     permitted: dict[int, tuple[int, ...]] = field(compare=False)
-    groups: tuple[tuple[int, ...], ...] = ()
 
 
 def load_structure(path) -> ContextStructure:
@@ -188,7 +190,9 @@ def structure_from_dict(doc: dict) -> ContextStructure:
 
     seen: set[int] = set()
 
-    def build(bid: int) -> BoxNode:
+    def build(bid: int, depth: int) -> BoxNode:
+        if depth > MAX_NESTING:  # before the recursion can reach Python's limit
+            raise StructureError(f"box {bid}: nested more than {MAX_NESTING} boxes below the root")
         if bid in seen:
             raise StructureError(f"box {bid} appears twice in the tree")
         seen.add(bid)
@@ -207,13 +211,13 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             internal_movements=tuple(
                 _expect(m, int, f"{path}.internal_movements[{k}]") for k, m in enumerate(internal)
             ),
-            children=tuple(build(c) for c in sorted(children_of[bid])),
+            children=tuple(build(c, depth + 1) for c in sorted(children_of[bid])),
             declared_closer=(
                 None if closer is None else _expect(closer, int, f"{path}.closes_with_movement")
             ),
         )
 
-    root = build(ROOT)
+    root = build(ROOT, 0)
     if seen != set(box_docs):
         raise StructureError(f"boxes unreachable from root: {sorted(set(box_docs) - seen)}")
     return ContextStructure(num_classes=num_classes, movements=tuple(movements), root=root)
@@ -286,9 +290,7 @@ def validate_structure(s: ContextStructure) -> list[str]:
             violations.append(
                 f"box {box.index} holds {box.movement_count} movements, more than C={C}"
             )
-        primary = [m for m in members if m <= C]
-        if not box.is_root and box.opener is not None and box.opener <= C:
-            primary.append(box.opener)  # closer carries the opener's class
+        primary = [m for m in box.slots() if m <= C]  # the closer carries the opener's class
         if len(primary) != len(set(primary)):
             violations.append(
                 f"box {box.index} binds a class to two movements under the primary map"
@@ -298,11 +300,7 @@ def validate_structure(s: ContextStructure) -> list[str]:
 
 def local_classes(s: ContextStructure, binding: Binding, box: BoxNode) -> tuple[int, ...]:
     """The distinct classes recognized in one box, closer class first."""
-    classes = []
-    if not box.is_root:
-        classes.append(binding.class_of_movement(box.opener))
-    for m in box.member_movements():
-        classes.append(binding.class_of_movement(m))
+    classes = [binding.class_of_movement(m) for m in box.slots()]
     if len(set(classes)) != len(classes):
         raise DuplicateClassInBox(f"box {box.index}: duplicate classes {classes}")
     return tuple(classes)
@@ -319,71 +317,38 @@ def binding_feasible(s: ContextStructure, binding: Binding) -> bool:
 
 
 def derive_constraints(s: ContextStructure) -> ConstraintTable:
-    """Permitted-class sets for every secondary movement, plus box groups."""
+    """Permitted-class sets for every secondary movement."""
     C = s.num_classes
     permitted = {k: set(range(1, C + 1)) for k in range(1, C + 1)}
-    groups = []
     for box in s.root.walk():
-        slot_movements = list(box.member_movements())
-        if not box.is_root:
-            slot_movements.append(box.opener)
-        fixed = {m for m in slot_movements if m <= C}
-        secondary = sorted({m - C for m in slot_movements if m > C})
-        for k in secondary:
-            permitted[k] -= fixed
-        if len(secondary) > 1:
-            groups.append(tuple(secondary))
+        slots = box.slots()
+        fixed = {m for m in slots if m <= C}
+        for m in slots:
+            if m > C:
+                permitted[m - C] -= fixed
     for k in range(1, C + 1):
         if not permitted[k]:
             raise InfeasibleStructure(
                 f"movement {C + k} has no permitted class; the box arrangement is infeasible"
             )
     return ConstraintTable(
-        num_classes=C,
-        permitted={k: tuple(sorted(v)) for k, v in permitted.items()},
-        groups=tuple(groups),
+        num_classes=C, permitted={k: tuple(sorted(v)) for k, v in permitted.items()}
     )
 
 
 def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
     """All feasible secondary permutations, in lexicographic order.
 
-    Iterative Cartesian-product construction over movements C+1..C+C:
-    partial tuples are pruned as soon as they reuse a class or violate a
-    per-box distinctness group. The result may be empty, which signals an
-    infeasible box arrangement.
+    One pass per movement C+1..C+C extends every partial assignment, in
+    order, by each of the movement's permitted classes that it does not use
+    yet; with sorted ``permitted`` tuples the rows stay in lexicographic
+    order. The result may be empty, which signals an infeasible box
+    arrangement.
     """
-    C = table.num_classes
-    groups_touching = {k: [g for g in table.groups if k in g] for k in range(1, C + 1)}
-    out: list[Binding] = []
-    assignment = [0] * (C + 1)  # 1-based
-    used = [False] * (C + 1)
-
-    def extend(k: int):
-        if k > C:
-            out.append(Binding(num_classes=C, secondary=tuple(assignment[1:])))
-            return
-        for c in table.permitted[k]:
-            if used[c]:
-                continue
-            ok = True
-            for g in groups_touching[k]:
-                for other in g:
-                    if other != k and assignment[other] == c:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            assignment[k] = c
-            used[c] = True
-            extend(k + 1)
-            used[c] = False
-            assignment[k] = 0
-
-    extend(1)
-    return out
+    rows: list[tuple[int, ...]] = [()]
+    for k in range(1, table.num_classes + 1):
+        rows = [r + (c,) for r in rows for c in table.permitted[k] if c not in r]
+    return [Binding(num_classes=table.num_classes, secondary=r) for r in rows]
 
 
 def brute_force_feasible(s: ContextStructure) -> list[Binding]:

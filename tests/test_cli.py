@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from dataclasses import fields
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ctxclf.cli import ConfigError, load_run_config, main
-from ctxclf.context import load_structure, structure_to_dict, validate_structure
+from ctxclf.context import MAX_NESTING, load_structure, structure_to_dict, validate_structure
 from ctxclf.evaluation import RunConfig
 from ctxclf.signals import save_signalset
 from ctxclf.structures import five_class_example, six_class_nested
@@ -87,6 +88,24 @@ def test_enumerate_unconstrained_table(tmp_path, capsys):
     )
     assert main(["enumerate", "--table", str(table)]) == 0
     assert capsys.readouterr().out.strip() == "120"
+
+
+@pytest.mark.parametrize(
+    "permitted",
+    [
+        {"1": [1, 1, 2, 3], "2": [1, 2, 3], "3": [3, 3, 1, 2]},
+        {"1": [3, 2, 1], "2": [2, 1, 3], "3": [1, 3, 2]},
+    ],
+    ids=["repeated-class", "unsorted-classes"],
+)
+def test_enumerate_table_lists_each_binding_once_in_order(tmp_path, capsys, permitted):
+    """A class list is a set: repeats count once and bindings come out in lexicographic order."""
+    table, out = tmp_path / "table.json", tmp_path / "feasible.json"
+    table.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
+    assert main(["enumerate", "--table", str(table), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "6"
+    expected = [list(p) for p in itertools.permutations([1, 2, 3])]
+    assert json.loads(out.read_text())["bindings"] == expected
 
 
 def write_infeasible_structure(path):
@@ -529,3 +548,52 @@ def test_enumerate_table_rejects_bad_permitted(tmp_path, capsys, permitted, frag
     table.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
     assert main(["enumerate", "--table", str(table)]) == 1
     _one_line_error(capsys, fragment)
+
+
+def chain_doc(depth):
+    """A valid two-class structure whose boxes form one chain ``depth`` boxes below the root."""
+    cycle = (1, 3, 4, 2)  # box k opens with cycle[k - 1]; the deepest box holds the next one
+    boxes = [{"id": 0, "parent": None, "internal_movements": [2]}]
+    for k in range(1, depth + 1):
+        boxes.append(
+            {
+                "id": k,
+                "parent": k - 1,
+                "opens_with_movement": cycle[(k - 1) % 4],
+                "internal_movements": [cycle[k % 4]] if k == depth else [],
+            }
+        )
+    return {"num_classes": 2, "movements": [{"id": m} for m in range(1, 5)], "boxes": boxes}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "optimize"])
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1500])
+def test_nesting_above_the_limit_is_one_error(tmp_path, capsys, command, depth):
+    save_signalset(synth_signalset(2, records_per_class=6, samples=128, seed=13), tmp_path / "sset")
+    structure = tmp_path / "chain.json"
+    structure.write_text(json.dumps(chain_doc(depth)))
+    config = {
+        "signalset": str(tmp_path / "sset"),
+        "structure": str(structure),
+        "classifiers": [{"algorithm": "GaussianNB"}],
+        "cv_folds": 2,
+        "inner_folds": 2,
+        "repetitions": 2,
+        "inner_repetitions": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    if command == "validate":
+        code = main(["validate", str(structure)])
+    else:
+        code = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    if depth <= MAX_NESTING:
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out").exists() == (command != "validate")
+    else:
+        assert code == 1
+        deepest = MAX_NESTING + 1
+        assert err == f"ERROR: box {deepest}: nested more than {MAX_NESTING} boxes below the root\n"
+        assert not (tmp_path / "out").exists()

@@ -261,5 +261,7 @@ def test_box_accessors():
     boxes = s.boxes()
     assert boxes[0] is s.root
     nested = [b for b in boxes if b.index == 2][0]
+    assert s.root.slots() == s.root.member_movements()
+    assert nested.slots() == (nested.opener,) + nested.member_movements()
     assert s.root.movement_count == len(s.root.member_movements())
     assert nested.movement_count == len(nested.member_movements()) + 1

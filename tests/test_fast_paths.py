@@ -4,7 +4,8 @@ The box-fit memo, the one-pass MI scores, block prediction, the
 table-driven sequence walk, the one-pass forest node, the fold-id array,
 the indexed repair, block feature extraction, the one-call object draws,
 the shared prediction cache, the box transition tables (the context
-machine's only definition), the list-based forest walk, the one-pass
+machine's only definition), the list-based forest walk (vectors and
+blocks), the ordered feasible-set loop, the one-pass
 MAV/SSC, the prebuilt mask columns, the ``np.loadtxt`` record reader and
 the one-join record writer must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
@@ -27,7 +28,16 @@ from hypothesis import strategies as st
 
 from ctxclf import classifiers, evaluation, features, optimize, signals
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
-from ctxclf.context import ROOT, Binding, BoxNode, load_structure, local_classes
+from ctxclf.context import (
+    ROOT,
+    Binding,
+    BoxNode,
+    ConstraintTable,
+    derive_constraints,
+    enumerate_feasible,
+    load_structure,
+    local_classes,
+)
 from ctxclf.evaluation import (
     RunConfig,
     SequenceOutcome,
@@ -67,7 +77,12 @@ from ctxclf.runtime import (
     walk_tables,
 )
 from ctxclf.signals import SignalRecord, SignalSet, load_signalset, save_signalset
-from ctxclf.structures import eight_class_grips, five_class_example, six_class_nested
+from ctxclf.structures import (
+    eight_class_grips,
+    five_class_example,
+    flat_structure,
+    six_class_nested,
+)
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
 from test_runtime import obj, perfect_ensemble
@@ -297,6 +312,49 @@ def test_one_pass_tree_with_eight_labels(kind):
         assert_same_tree(X, y, seed)
 
 
+def vector_predict(model, x):
+    """The 1-D NearestNeighbor/GaussianNB rules that the one-row block replaced (the oracle)."""
+    if model.algorithm == "NearestNeighbor":
+        d2 = np.sum((model.params["X"] - x) ** 2, axis=1)
+        return int(model.params["y"][int(np.argmin(d2))])
+    means = model.params["means"]
+    variances = model.params["variances"]
+    log_post = (
+        np.log(model.params["priors"])
+        - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)
+        - 0.5 * np.sum((x[None, :] - means) ** 2 / variances, axis=1)
+    )
+    return model.classes[int(np.argmax(log_post))]
+
+
+def numpy_tree_predict_block(tree, X):
+    """Every row down one tree at once, the numpy walk the list walk replaced (the oracle)."""
+    feature, threshold = tree["feature"], tree["threshold"]
+    node = np.zeros(len(X), dtype=np.int64)
+    active = np.flatnonzero(feature[node] >= 0)
+    while len(active):
+        at = node[active]
+        go_left = X[active, feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, tree["left"][at], tree["right"][at])
+        active = active[feature[node[active]] >= 0]
+    return tree["label"][node]
+
+
+def numpy_forest_predict_block(model, X):
+    classes = np.asarray(model.classes, dtype=np.int64)
+    votes = np.zeros((len(X), len(classes)), dtype=np.int64)
+    rows = np.arange(len(X))
+    for tree in model.params["trees"]:
+        votes[rows, np.searchsorted(classes, numpy_tree_predict_block(tree, X))] += 1
+    return classes[np.argmax(votes, axis=1)]  # classes sorted: ties to smallest
+
+
+def oracle_predict_rows(model, T):
+    if model.algorithm == "RandomForest":
+        return numpy_forest_predict_block(model, T).tolist()
+    return [vector_predict(model, t) for t in T]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(ALGORITHMS),
@@ -314,8 +372,10 @@ def test_block_predict_equals_row_by_row(algorithm, seed, d, integer_valued):
     y[:2] = (1, 2)
     model = train(ClassifierSpec(algorithm=algorithm, num_trees=5, seed=seed % 100), X, y)
     block = predict(model, T)
+    rows = [predict(model, t) for t in T]
     assert block.dtype == np.int64
-    assert block.tolist() == [predict(model, t) for t in T]
+    assert all(type(c) is int for c in rows)
+    assert block.tolist() == rows == oracle_predict_rows(model, T)
 
 
 def test_nearest_neighbor_block_in_chunks(monkeypatch):
@@ -325,7 +385,7 @@ def test_nearest_neighbor_block_in_chunks(monkeypatch):
     model = train(ClassifierSpec(algorithm="NearestNeighbor"), X, y)
     whole = predict(model, T)
     monkeypatch.setattr(classifiers, "NN_CHUNK_ELEMENTS", 7 * X.size)  # chunks of 7 rows
-    assert predict(model, T).tolist() == whole.tolist() == [predict(model, t) for t in T]
+    assert predict(model, T).tolist() == whole.tolist() == oracle_predict_rows(model, T)
     assert predict(model, T[:0]).shape == (0,)
 
 
@@ -387,6 +447,7 @@ def test_list_forest_walk_equals_numpy_scalar_walk(seed, d, n, k, num_trees, int
         got = predict(model, t)
         assert type(got) is int
         assert got == oracle_forest_predict(model, t)
+    assert predict(model, T).tolist() == numpy_forest_predict_block(model, T).tolist()
 
 
 def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
@@ -405,6 +466,8 @@ def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
     for labels, expected in cases.items():
         model = forest(*labels)
         assert predict(model, x) == oracle_forest_predict(model, x) == expected
+        assert predict(model, x[None]).tolist() == [expected]
+        assert numpy_forest_predict_block(model, x[None]).tolist() == [expected]
 
 
 def test_forest_walk_lists_leave_the_model_unchanged():
@@ -775,6 +838,104 @@ def test_transition_table_equals_transition(path):
                 movement = stack_transition(binding, after, j)
                 assert next_box[box.index][j] == after[-1].index
                 assert meaning[box.index][j] == movement
+
+
+def recursive_enumerate(num_classes, permitted, groups):
+    """The recursive enumerator, group loop included, that the ordered loop replaced (the oracle)."""
+    C = num_classes
+    groups_touching = {k: [g for g in groups if k in g] for k in range(1, C + 1)}
+    out = []
+    assignment = [0] * (C + 1)  # 1-based
+    used = [False] * (C + 1)
+
+    def extend(k):
+        if k > C:
+            out.append(tuple(assignment[1:]))
+            return
+        for c in permitted[k]:
+            if used[c]:
+                continue
+            ok = True
+            for g in groups_touching[k]:
+                for other in g:
+                    if other != k and assignment[other] == c:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            assignment[k] = c
+            used[c] = True
+            extend(k + 1)
+            used[c] = False
+            assignment[k] = 0
+
+    extend(1)
+    return out
+
+
+def box_constraints(structure):
+    """(permitted, groups) as derive_constraints built them with the per-box groups."""
+    C = structure.num_classes
+    permitted = {k: set(range(1, C + 1)) for k in range(1, C + 1)}
+    groups = []
+    for box in structure.root.walk():
+        slot_movements = list(box.member_movements())
+        if not box.is_root:
+            slot_movements.append(box.opener)
+        fixed = {m for m in slot_movements if m <= C}
+        secondary = sorted({m - C for m in slot_movements if m > C})
+        for k in secondary:
+            permitted[k] -= fixed
+        if len(secondary) > 1:
+            groups.append(tuple(secondary))
+    return {k: tuple(sorted(v)) for k, v in permitted.items()}, groups
+
+
+@st.composite
+def permitted_tables(draw):
+    """A permitted table for C = 1..7 (class lists empty to full, in any order) and box groups."""
+    C = draw(st.integers(1, 7))
+    classes = st.integers(1, C)
+    permitted = {k: tuple(draw(st.lists(classes, unique=True))) for k in range(1, C + 1)}
+    groups = draw(st.lists(st.lists(classes, min_size=min(2, C), unique=True), max_size=4))
+    return C, permitted, [tuple(g) for g in groups]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permitted_tables())
+def test_ordered_loop_equals_recursive_enumerator_on_any_table(problem):
+    C, permitted, groups = problem
+    got = [b.secondary for b in enumerate_feasible(ConstraintTable(C, permitted))]
+    assert got == recursive_enumerate(C, permitted, groups)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [load_structure(p) for p in structure_files()]
+    + [five_class_example(), six_class_nested(), eight_class_grips()]
+    + [flat_structure(c) for c in range(2, 9)],
+    ids=[p.stem for p in structure_files()]
+    + ["five", "six", "grips"]
+    + [f"flat{c}" for c in range(2, 9)],
+)
+def test_ordered_loop_equals_recursive_enumerator_on_structures(structure):
+    permitted, groups = box_constraints(structure)
+    table = derive_constraints(structure)
+    assert table.permitted == permitted
+    got = [b.secondary for b in enumerate_feasible(table)]
+    assert got == recursive_enumerate(structure.num_classes, permitted, groups)
+    assert got == sorted(got)
+
+
+def test_ordered_loop_equals_recursive_enumerator_on_the_table_file():
+    raw = json.loads((STRUCTURES / "unconstrained_c5_table.json").read_text())
+    permitted = {int(k): tuple(v) for k, v in raw["permitted"].items()}
+    got = [b.secondary for b in enumerate_feasible(ConstraintTable(raw["num_classes"], permitted))]
+    assert got == recursive_enumerate(raw["num_classes"], permitted, []) == list(
+        itertools.permutations(range(1, 6))
+    )
 
 
 @pytest.mark.parametrize(
