@@ -35,6 +35,7 @@ from ctxclf.evaluation import (
     search_binding,
 )
 from ctxclf.features import feature_matrix
+from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
 from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
 from ctxclf.signals import load_signalset
 from ctxclf.stats import average_ranks, wilcoxon_holm
@@ -48,25 +49,8 @@ class ConfigError(CtxclfError):
     """Config schema violation; message carries the offending field path."""
 
 
-def _expect(d: dict, key: str, kind, path: str, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}{key}: required field missing")
-        return default
-    value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(
-            f"{path}{key}: expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}"
-        )
-    if kind is int and not -(2**63) <= value < 2**63:  # counts and seeds go to numpy
-        raise ConfigError(f"{path}{key}: {value} does not fit a 64-bit integer")
-    return value
-
-
 def _nonempty_list(d: dict, key: str) -> list:
-    items = _expect(d, key, list, "")
+    items = read_field(d, key, list, "", ConfigError)
     if not items:
         raise ConfigError(f"{key}: expected a non-empty list")
     return items
@@ -85,7 +69,10 @@ def _from_fields(cls, d: dict, path: str, keys=(), required=(), **given):
     if unknown:
         raise ConfigError(f"{path}{sorted(unknown)[0]}: unknown field")
     for f in scalars:
-        given[f.name] = _expect(d, f.name, hints[f.name], path, f.default, f.name in required)
+        default = REQUIRED if f.name in required else f.default
+        value = given[f.name] = read_field(d, f.name, hints[f.name], path, ConfigError, default)
+        if hints[f.name] is int and not -(2**63) <= value < 2**63:  # counts and seeds go to numpy
+            raise ConfigError(f"{path}{f.name}: {value} does not fit a 64-bit integer")
     try:
         return cls(**given)
     except ValueError as exc:  # the dataclass checks name the field first
@@ -98,12 +85,9 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
     Defaults and range checks are those of RunConfig, EAParams and
     ClassifierSpec; a key that names none of their fields is an error.
     """
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root: expected an object")
-
-    sset = load_signalset(_expect(raw, "signalset", str, "", required=True))
-    structure = load_structure(_expect(raw, "structure", str, "", required=True))
+    raw = expect(read_json(path, ConfigError), dict, "config root", ConfigError)
+    sset = load_signalset(read_field(raw, "signalset", str, "", ConfigError))
+    structure = load_structure(read_field(raw, "structure", str, "", ConfigError))
     violations = validate_structure(structure)
     if violations:
         raise ConfigError(f"structure: {violations[0]}")
@@ -118,16 +102,15 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
         specs = []
         for i, entry in enumerate(_nonempty_list(raw, "classifiers")):
             at = f"classifiers[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{at}: expected an object")
+            expect(entry, dict, at, ConfigError)
             specs.append(_from_fields(ClassifierSpec, entry, f"{at}.", required=("algorithm",)))
         given["classifier_specs"] = tuple(specs)
     if "ea" in raw:  # the EA seed is derived from the master seed, never read
-        ea = _expect(raw, "ea", dict, "")
+        ea = read_field(raw, "ea", dict, "", ConfigError)
         given["ea_params"] = _from_fields(EAParams, ea, "ea.", seed=EAParams.seed)
     keys = ("signalset", "structure", "classifiers", "methods", "ea", "output_dir")
     config = _from_fields(RunConfig, raw, "", keys, **given)
-    out_dir = Path(_expect(raw, "output_dir", str, "", default="out"))
+    out_dir = Path(read_field(raw, "output_dir", str, "", ConfigError, "out"))
     return config, raw, out_dir
 
 
@@ -158,20 +141,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
-
-
 def _table_from_file(path) -> ConstraintTable:
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("table root: expected an object")
-    num_classes = _expect(raw, "num_classes", int, "", required=True)
-    permitted_raw = _expect(raw, "permitted", dict, "", required=True)
+    raw = expect(read_json(path, ConfigError), dict, "table root", ConfigError)
+    num_classes = read_field(raw, "num_classes", int, "", ConfigError)
+    permitted_raw = read_field(raw, "permitted", dict, "", ConfigError)
     # the key count first, so the id set is never larger than the file
     if len(permitted_raw) != max(num_classes, 0) or set(permitted_raw) != {
         str(k) for k in range(1, num_classes + 1)
@@ -179,12 +152,10 @@ def _table_from_file(path) -> ConstraintTable:
         raise ConfigError(f"permitted: expected movement ids 1..{num_classes}")
     permitted = {}
     for key, classes in permitted_raw.items():
-        if not isinstance(classes, list) or not all(
-            type(c) is int and 1 <= c <= num_classes for c in classes
-        ):
-            raise ConfigError(
-                f"permitted.{key}: classes must be a list of integers in 1..{num_classes}"
-            )
+        at = f"permitted.{key}"
+        for i, c in enumerate(expect(classes, list, at, ConfigError)):
+            if not 1 <= expect(c, int, f"{at}[{i}]", ConfigError) <= num_classes:
+                raise ConfigError(f"{at}: classes must be a list of integers in 1..{num_classes}")
         permitted[int(key)] = tuple(sorted(set(classes)))
     return ConstraintTable(num_classes=num_classes, permitted=permitted)
 

@@ -13,11 +13,10 @@ the same class.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ctxclf.errors import DuplicateClassInBox, InfeasibleStructure, StructureError
+from ctxclf.jsonfile import expect, read_field, read_json
 
 
 @dataclass(frozen=True)
@@ -135,43 +134,24 @@ class ConstraintTable:
 
 def load_structure(path) -> ContextStructure:
     """Read a structure JSON file; raises StructureError on malformed input."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise StructureError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
-    return structure_from_dict(doc)
-
-
-_KINDS = {int: "an integer", list: "a list", dict: "an object"}
-
-
-def _expect(value, kind: type, path: str):
-    """A JSON value of one kind (int, list or dict); anything else is refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise StructureError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _required(obj: dict, key: str, kind: type, prefix: str = ""):
-    """obj[key], which must be present and of one kind; ``prefix`` is obj's own path."""
-    path = f"{prefix}.{key}" if prefix else key
-    if key not in obj:
-        raise StructureError(f"{path}: missing")
-    return _expect(obj[key], kind, path)
+    return structure_from_dict(read_json(path, StructureError))
 
 
 def structure_from_dict(doc: dict) -> ContextStructure:
-    _expect(doc, dict, "structure")
-    num_classes = _required(doc, "num_classes", int)
+    expect(doc, dict, "structure", StructureError)
+    num_classes = read_field(doc, "num_classes", int, "", StructureError)
     movements = []
-    for i, m in enumerate(_required(doc, "movements", list)):
+    for i, m in enumerate(read_field(doc, "movements", list, "", StructureError)):
         path = f"movements[{i}]"
-        mid = _required(_expect(m, dict, path), "id", int, path)
-        movements.append(Movement(id=mid, name=str(m.get("name", ""))))
+        expect(m, dict, path, StructureError)
+        mid = read_field(m, "id", int, f"{path}.", StructureError)
+        name = read_field(m, "name", str, f"{path}.", StructureError, "")
+        movements.append(Movement(id=mid, name=name))
     box_docs, box_paths = {}, {}  # box id -> its document, and that document's field path
-    for i, b in enumerate(_required(doc, "boxes", list)):
+    for i, b in enumerate(read_field(doc, "boxes", list, "", StructureError)):
         path = f"boxes[{i}]"
-        bid = _required(_expect(b, dict, path), "id", int, path)
+        expect(b, dict, path, StructureError)
+        bid = read_field(b, "id", int, f"{path}.", StructureError)
         box_docs[bid], box_paths[bid] = b, path
     if ROOT not in box_docs:
         raise StructureError(f"structure must contain the root box with id {ROOT}")
@@ -183,7 +163,8 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             if parent is not None:
                 raise StructureError("root box must have parent null")
             continue
-        pid = None if parent is None else _expect(parent, int, f"{box_paths[bid]}.parent")
+        where = f"{box_paths[bid]}.parent"
+        pid = None if parent is None else expect(parent, int, where, StructureError)
         if pid not in box_docs:
             raise StructureError(f"box {bid}: unknown parent {parent}")
         children_of[pid].append(bid)
@@ -196,25 +177,25 @@ def structure_from_dict(doc: dict) -> ContextStructure:
         if bid in seen:
             raise StructureError(f"box {bid} appears twice in the tree")
         seen.add(bid)
-        b = box_docs[bid]
-        opener = b.get("opens_with_movement")
+        b, path = box_docs[bid], box_paths[bid]
+        opener, closer = (
+            None if b.get(key) is None else expect(b[key], int, f"{path}.{key}", StructureError)
+            for key in ("opens_with_movement", "closes_with_movement")
+        )
         if bid == ROOT and opener is not None:
             raise StructureError("root box must not declare an opening movement")
         if bid != ROOT and opener is None:
             raise StructureError(f"box {bid}: missing opens_with_movement")
-        closer = b.get("closes_with_movement")
-        path = box_paths[bid]
-        internal = _expect(b.get("internal_movements", []), list, f"{path}.internal_movements")
+        internal = read_field(b, "internal_movements", list, f"{path}.", StructureError, [])
         return BoxNode(
             index=bid,
-            opener=None if opener is None else _expect(opener, int, f"{path}.opens_with_movement"),
+            opener=opener,
             internal_movements=tuple(
-                _expect(m, int, f"{path}.internal_movements[{k}]") for k, m in enumerate(internal)
+                expect(m, int, f"{path}.internal_movements[{k}]", StructureError)
+                for k, m in enumerate(internal)
             ),
             children=tuple(build(c, depth + 1) for c in sorted(children_of[bid])),
-            declared_closer=(
-                None if closer is None else _expect(closer, int, f"{path}.closes_with_movement")
-            ),
+            declared_closer=closer,
         )
 
     root = build(ROOT, 0)
@@ -272,29 +253,21 @@ def validate_structure(s: ContextStructure) -> list[str]:
         )
 
     for box in s.root.walk():
-        members = box.member_movements()
-        stray = [m for m in members if not 1 <= m <= 2 * C]
+        slots = box.slots()
+        stray = [m for m in box.member_movements() if not 1 <= m <= 2 * C]
         if stray:
             violations.append(f"box {box.index} holds movements outside 1..{2 * C}: {stray}")
-        if len(members) != len(set(members)):
+        if len(slots) != len(set(slots)):  # the closer counts: no member may be the opener
             violations.append(f"box {box.index} lists a movement twice")
-        openers = [c.opener for c in box.children]
-        if len(openers) != len(set(openers)):
-            violations.append(f"box {box.index} has two nested boxes with the same opener")
         if box.declared_closer is not None and box.declared_closer != box.opener:
             violations.append(
                 f"box {box.index}: closing movement {box.declared_closer} cannot share a class "
                 f"with opening movement {box.opener}"
             )
-        if box.movement_count > C:
-            violations.append(
-                f"box {box.index} holds {box.movement_count} movements, more than C={C}"
-            )
-        primary = [m for m in box.slots() if m <= C]  # the closer carries the opener's class
-        if len(primary) != len(set(primary)):
-            violations.append(
-                f"box {box.index} binds a class to two movements under the primary map"
-            )
+        if len(slots) > C:
+            violations.append(f"box {box.index} holds {len(slots)} movements, more than C={C}")
+        if len(slots) < 2:  # its classifier would see one class
+            violations.append(f"box {box.index} holds fewer than 2 movements")
     return violations
 
 

@@ -227,9 +227,7 @@ def _mi_scores(X: np.ndarray, labels, bins: int) -> np.ndarray:
         raise ValueError("need at least 2 distinct labels")
 
     edges = np.quantile(X, np.linspace(0.0, 1.0, bins + 1)[1:-1], axis=0)  # (bins - 1, d)
-    x_bin = np.stack(
-        [np.searchsorted(edges[:, j], X[:, j], side="right") for j in range(d)], axis=1
-    )
+    x_bin = (X[:, None, :] >= edges[None]).sum(axis=1)  # the edges each value reaches
 
     # cell id per (column, bin, label), column-major so each column's rows are contiguous
     column = np.arange(d)

@@ -24,6 +24,7 @@ from ctxclf.errors import (
     TooFewPerClass,
     WindowTooLong,
 )
+from ctxclf.jsonfile import expect, read_field, read_json
 
 MIN_SAMPLES = 16
 
@@ -102,10 +103,7 @@ def load_signalset(path) -> SignalSet:
     meta_path = root / "meta.json"
     if not meta_path.is_file():
         raise NoRecords(f"missing metadata file {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SignalsetError(f"{meta_path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    meta = expect(read_json(meta_path, SignalsetError), dict, str(meta_path), SignalsetError)
     num_classes = _meta_int(meta, "num_classes", meta_path, 2)
     num_channels = _meta_int(meta, "num_channels", meta_path, 1)
     sample_rate = _meta_int(meta, "sample_rate_hz", meta_path, 1)
@@ -145,13 +143,9 @@ def load_signalset(path) -> SignalSet:
     )
 
 
-def _meta_int(meta, key: str, path: Path, least: int) -> int:
-    """meta[key], a JSON integer >= least; a float, string or boolean is refused, not converted."""
-    if not isinstance(meta, dict) or key not in meta:
-        raise SignalsetError(f"{path}: {key}: required field missing")
-    value = meta[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SignalsetError(f"{path}: {key}: expected an integer, got {value!r}")
+def _meta_int(meta: dict, key: str, path: Path, least: int) -> int:
+    """meta[key], a JSON integer >= least."""
+    value = read_field(meta, key, int, f"{path}: ", SignalsetError)
     if value < least:
         raise SignalsetError(f"{path}: {key}: must be >= {least}, got {value}")
     return value

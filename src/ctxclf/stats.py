@@ -26,28 +26,11 @@ def average_ranks(per_subject_values: list[dict[str, float]]) -> dict[str, float
     for values in per_subject_values:
         if sorted(values) != methods:
             raise ValueError("all subjects must report the same methods")
-        ranks = _rank_descending([values[m] for m in methods], best=len(methods))
-        for m, r in zip(methods, ranks):
+        ranks = _midranks(np.array([values[m] for m in methods], dtype=np.float64))
+        for m, r in zip(methods, ranks.tolist()):
             totals[m] += r
     n = len(per_subject_values)
     return {m: totals[m] / n for m in methods}
-
-
-def _rank_descending(values: list[float], best: int) -> list[float]:
-    """Ranks best..1 from highest to lowest value, ties averaged."""
-    k = len(values)
-    sorted_idx = sorted(range(k), key=lambda i: -values[i])
-    out = [0.0] * k
-    pos = 0
-    while pos < k:
-        j = pos
-        while j + 1 < k and values[sorted_idx[j + 1]] == values[sorted_idx[pos]]:
-            j += 1
-        mean = sum(best - p for p in range(pos, j + 1)) / (j - pos + 1)
-        for p in range(pos, j + 1):
-            out[sorted_idx[p]] = mean
-        pos = j + 1
-    return out
 
 
 def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
@@ -74,6 +57,7 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks from the lowest value up; ties share the mean of their ranks."""
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0

@@ -540,8 +540,10 @@ def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
     [
         ({"1": [1, 2, 3], "2": [1, 2, 3]}, "movement ids 1..3"),
         ({"1": [1, 2, 9], "2": [1, 2, 3], "3": [1, 2, 3]}, "permitted.1: classes"),
+        ({"1": [1, "2"], "2": [1, 2, 3], "3": [1, 2, 3]}, "permitted.1[1]: expected an integer"),
+        ({"1": 5, "2": [1, 2, 3], "3": [1, 2, 3]}, "permitted.1: expected a list, got 5"),
     ],
-    ids=["missing-movement", "class-out-of-range"],
+    ids=["missing-movement", "class-out-of-range", "class-not-an-integer", "not-a-list"],
 )
 def test_enumerate_table_rejects_bad_permitted(tmp_path, capsys, permitted, fragment):
     table = tmp_path / "table.json"
@@ -597,3 +599,50 @@ def test_nesting_above_the_limit_is_one_error(tmp_path, capsys, command, depth):
         deepest = MAX_NESTING + 1
         assert err == f"ERROR: box {deepest}: nested more than {MAX_NESTING} boxes below the root\n"
         assert not (tmp_path / "out").exists()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # decodes only with a recursion per bracket
+
+
+@pytest.mark.parametrize("target", ["validate", "enumerate", "table", "config", "meta"])
+def test_deeply_nested_json_is_one_error(run_setup, capsys, target):
+    tmp_path, cfg_path, config = run_setup
+    files = {
+        "validate": config["structure"],
+        "enumerate": config["structure"],
+        "table": tmp_path / "table.json",
+        "config": cfg_path,
+        "meta": tmp_path / "sset" / "meta.json",
+    }
+    Path(files[target]).write_text(DEEP)
+    argv = {
+        "validate": ["validate", config["structure"]],
+        "enumerate": ["enumerate", config["structure"]],
+        "table": ["enumerate", "--table", str(files["table"])],
+    }.get(target, ["run", "--config", str(cfg_path)])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"ERROR: {files[target]}: invalid JSON: nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+@pytest.mark.parametrize(
+    "boxes, violation",
+    [
+        (  # box 2 lists its own opener, so its closer and that member share a class
+            [(0, None, None, [2, 3]), (1, 0, 1, [5]), (2, 1, 4, [4, 6])],
+            "box 2 lists a movement twice",
+        ),
+        (  # box 3 holds only its closer, so its classifier would see one class
+            [(0, None, None, [3]), (1, 0, 1, [4, 5]), (2, 0, 2, []), (3, 2, 6, [])],
+            "box 3 holds fewer than 2 movements",
+        ),
+    ],
+    ids=["own-opener-as-member", "closer-only"],
+)
+def test_validate_refuses_a_box_a_binding_cannot_serve(tmp_path, capsys, command, boxes, violation):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(structure_to_dict(make_structure(3, boxes))))
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"violation: {violation}\n")

@@ -3,7 +3,8 @@
 The inputs are a valid run config, its structure, a constraint table and the
 signalset's meta.json or one record CSV. A mutation drops a key, sets it to
 null, to a value of the wrong type, to an empty list, to nan, inf, a huge or
-a negative number, or replaces the whole file with bytes that are not text.
+a negative number, or replaces the whole file with bytes that are not text or
+with a JSON array nested too deeply to decode.
 A failing command prints at most one stderr line, an ``ERROR:`` or
 ``violation:`` line, and leaves no output behind.
 """
@@ -27,10 +28,11 @@ from ctxclf.synth import synth_signalset
 from conftest import make_structure
 
 MUTATIONS = (
-    "drop", "null", "wrong type", "empty list", "nan", "inf", "huge", "negative", "bytes"
+    "drop", "null", "wrong type", "empty list", "nan", "inf", "huge", "negative", "bytes", "deep"
 )
 HUGE = 2**64  # beyond every 64-bit integer
 NOT_TEXT = b"\xff\xfe\x00\x81"
+DEEP = "[" * 100_000 + "]" * 100_000
 
 STRUCTURE = make_structure(3, [(0, None, None, [3]), (1, 0, 1, [4, 5]), (2, 0, 2, [6])])
 DOCS = {
@@ -70,7 +72,7 @@ def doc_paths(doc, prefix=()):
 
 
 def mutated(value, mutation):
-    """The value a mutation puts in place of ``value`` (every mutation but drop and bytes)."""
+    """The value a mutation puts in place of ``value`` (every mutation but drop, bytes and deep)."""
     if mutation == "wrong type":
         return 7 if isinstance(value, str) else "x"
     if mutation == "negative":
@@ -147,6 +149,8 @@ def write_mutation(work: Path, target, mutation, where):
         file = work / FILES[target]
     if mutation == "bytes":
         file.write_bytes(NOT_TEXT)
+    elif mutation == "deep":
+        file.write_text(DEEP)
     elif target == "record":
         file.write_text(mutate_record(file.read_text(), *where, mutation))
     else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -21,6 +23,22 @@ def test_average_ranks_ties_share_mean():
     assert ranks["c"] == 1.0
     ranks = average_ranks([{"a": 0.5, "b": 0.5, "c": 0.5}])
     assert ranks == {"a": 2.0, "b": 2.0, "c": 2.0}
+
+
+TIED_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(TIED_VALUES, min_size=k, max_size=k), min_size=1, max_size=8)
+    )
+)
+def test_average_ranks_equal_scipy_rankdata(rows):
+    methods = [f"m{i}" for i in range(len(rows[0]))]
+    ranks = average_ranks([dict(zip(methods, row)) for row in rows])
+    totals = sum(scipy_stats.rankdata(row, method="average") for row in rows)
+    assert ranks == {m: t / len(rows) for m, t in zip(methods, totals.tolist())}
 
 
 def test_average_ranks_validation():
