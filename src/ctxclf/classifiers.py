@@ -1,8 +1,7 @@
 """Base classifiers: Euclidean 1-NN, Gaussian naive Bayes, random forest.
 
-All three are self-contained and deterministic given the spec seed; a
-model exports to a JSON-ready dict. Ties always break towards the
-smallest class label.
+All three are self-contained and deterministic given the spec seed. Ties
+always break towards the smallest class label.
 """
 
 from __future__ import annotations
@@ -43,22 +42,13 @@ class TrainedModel:
     dimension: int
     params: dict = field(compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "algorithm": self.algorithm,
-            "classes": list(self.classes),
-            "dimension": self.dimension,
-            "params": _params_to_jsonable(self.algorithm, self.params),
-        }
-
     @cached_property
     def _forest_walk(self) -> list[tuple[list, list, list, list, list]]:
         """A RandomForest's trees as plain lists, built on the first predict.
 
         Per tree (feature, threshold, left, right, vote slot of each node's
         label), the slot being the label's position in ``classes``. Held in
-        the instance dict only: fields, ``to_dict`` and equality never see it.
+        the instance dict only: fields and equality never see it.
         """
         slot = {c: i for i, c in enumerate(self.classes)}
         return [
@@ -71,18 +61,6 @@ class TrainedModel:
             )
             for tree in self.params["trees"]
         ]
-
-
-def _params_to_jsonable(alg: str, params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, np.ndarray):
-            out[k] = {"__array__": v.tolist(), "dtype": str(v.dtype)}
-        elif alg == "RandomForest" and k == "trees":
-            out[k] = [{kk: vv.tolist() for kk, vv in t.items()} for t in v]
-        else:
-            out[k] = v
-    return out
 
 
 def train(spec: ClassifierSpec, X, y) -> TrainedModel:

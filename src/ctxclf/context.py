@@ -27,6 +27,7 @@ class Movement:
 
 ROOT = 0  # the root box's index; structure_from_dict requires it
 MAX_NESTING = 100  # boxes on a path below the root; structure_from_dict refuses a deeper box
+MAX_CLASSES = 20  # validate_structure refuses a larger C; the paper's largest case has C = 8
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,6 @@ class BoxNode:
         none at the root), then the members."""
         return (() if self.is_root else (self.opener,)) + self.member_movements()
 
-    @property
-    def movement_count(self) -> int:
-        """M_l: member movements plus the closer (root has no closer)."""
-        return len(self.slots())
-
     def walk(self):
         yield self
         for c in self.children:
@@ -81,10 +77,6 @@ class ContextStructure:
     def num_boxes(self) -> int:
         """L: boxes beyond the root."""
         return sum(1 for _ in self.root.walk()) - 1
-
-    def boxes(self) -> list[BoxNode]:
-        """All boxes in pre-order, root first."""
-        return list(self.root.walk())
 
     def movement_name(self, movement_id: int) -> str:
         for m in self.movements:
@@ -204,37 +196,17 @@ def structure_from_dict(doc: dict) -> ContextStructure:
     return ContextStructure(num_classes=num_classes, movements=tuple(movements), root=root)
 
 
-def structure_to_dict(s: ContextStructure) -> dict:
-    boxes = []
-
-    def emit(box: BoxNode, parent: int | None):
-        entry = {
-            "id": box.index,
-            "parent": parent,
-            "opens_with_movement": box.opener,
-            "internal_movements": list(box.internal_movements),
-        }
-        boxes.append(entry)
-        for c in box.children:
-            emit(c, box.index)
-
-    emit(s.root, None)
-    return {
-        "num_classes": s.num_classes,
-        "movements": [{"id": m.id, "name": m.name} for m in s.movements],
-        "boxes": boxes,
-    }
-
-
 def validate_structure(s: ContextStructure) -> list[str]:
     """Check the structural assumptions; returns violations, [] when ok.
 
-    Wrong movement ids are reported alone: the other checks count against
-    1..2C, which is only known to be as long as the movement list once the
-    ids are right.
+    Too many classes, then wrong movement ids, are reported alone: the
+    other checks count against 1..2C, which is only known to be as long as
+    the movement list once the ids are right.
     """
     violations = []
     C = s.num_classes
+    if C > MAX_CLASSES:
+        return [f"num_classes: at most {MAX_CLASSES} classes, got {C}"]
     ids = sorted(m.id for m in s.movements)
     if len(ids) != 2 * C or ids != list(range(1, 2 * C + 1)):
         return [f"movement ids must be exactly 1..{2 * C}, got {ids}"]
@@ -271,7 +243,7 @@ def validate_structure(s: ContextStructure) -> list[str]:
     return violations
 
 
-def local_classes(s: ContextStructure, binding: Binding, box: BoxNode) -> tuple[int, ...]:
+def local_classes(binding: Binding, box: BoxNode) -> tuple[int, ...]:
     """The distinct classes recognized in one box, closer class first."""
     classes = [binding.class_of_movement(m) for m in box.slots()]
     if len(set(classes)) != len(classes):
@@ -283,7 +255,7 @@ def binding_feasible(s: ContextStructure, binding: Binding) -> bool:
     """Direct per-box distinctness walk, independent of the enumerator."""
     try:
         for box in s.root.walk():
-            local_classes(s, binding, box)
+            local_classes(binding, box)
     except DuplicateClassInBox:
         return False
     return True

@@ -42,10 +42,6 @@ class FeatureVector:
             raise ValueError("non-finite feature values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class FeatureMask:
@@ -68,17 +64,6 @@ class FeatureMask:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)[..., self._columns]
-
-
-def ar_coefficients(subband: np.ndarray, order: int = AR_ORDER) -> np.ndarray:
-    """Levinson-Durbin on the biased autocorrelation; zero-variance -> zeros."""
-    x = np.asarray(subband, dtype=np.float64)
-    return _levinson(_autocorrelation(x[None, :], order))[0]
-
-
-def slope_sign_changes(subband: np.ndarray) -> int:
-    x = np.asarray(subband, dtype=np.float64)
-    return int(np.count_nonzero(_slope_sign_flags(x[None, :])))
 
 
 def _autocorrelation(block: np.ndarray, order: int) -> np.ndarray:

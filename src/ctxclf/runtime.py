@@ -16,14 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec, TrainedModel, predict, train
-from ctxclf.context import (
-    ROOT,
-    Binding,
-    BoxNode,
-    ContextStructure,
-    local_classes,
-    structure_to_dict,
-)
+from ctxclf.context import ROOT, Binding, BoxNode, ContextStructure, local_classes
 from ctxclf.errors import DuplicateClassInBox, UncoveredClass
 from ctxclf.features import FeatureMask, select_features
 
@@ -36,29 +29,6 @@ class ContextEnsemble:
     models: dict[int, TrainedModel] = field(compare=False)
     spec: ClassifierSpec = ClassifierSpec()
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "structure": structure_to_dict(self.structure),
-            "binding": list(self.binding.secondary),
-            "spec": {
-                "algorithm": self.spec.algorithm,
-                "num_trees": self.spec.num_trees,
-                "seed": self.spec.seed,
-            },
-            "boxes": {
-                str(i): {
-                    "mask": {
-                        "selected": list(self.masks[i].selected),
-                        "source_dim": self.masks[i].source_dim,
-                        "scores": list(self.masks[i].scores),
-                    },
-                    "model": self.models[i].to_dict(),
-                }
-                for i in self.masks
-            },
-        }
-
     @cached_property
     def transitions(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
         """({box: {class: box after it}}, {box: {class: movement it means}}).
@@ -68,7 +38,7 @@ class ContextEnsemble:
         the opener and pops to the parent; any other class means the first
         member movement bound to it, which pushes the box that movement
         opens or stays. Built on first use and held in the instance dict
-        only: fields, ``to_dict``, equality and the box-fit memo never see it.
+        only: fields, equality and the box-fit memo never see it.
         """
         class_of = self.binding.class_of_movement
         next_box: dict[int, dict[int, int]] = {}
@@ -161,7 +131,7 @@ def train_ensemble(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     try:
-        boxes = [(box, local_classes(structure, binding, box)) for box in structure.root.walk()]
+        boxes = [(box, local_classes(binding, box)) for box in structure.root.walk()]
     except DuplicateClassInBox:
         raise DuplicateClassInBox("binding is infeasible for this structure") from None
     present = set(np.unique(y).tolist())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctxclf import features
 from ctxclf.context import ContextStructure, structure_from_dict, validate_structure
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.signals import SignalRecord, SignalSet
@@ -29,6 +30,41 @@ def make_structure(num_classes: int, boxes: list[tuple]) -> ContextStructure:
             ],
         }
     )
+
+
+def structure_to_dict(s: ContextStructure) -> dict:
+    """The structure-file document of s; load_structure reads it back equal."""
+    return {
+        "num_classes": s.num_classes,
+        "movements": [{"id": m.id, "name": m.name} for m in s.movements],
+        "boxes": [
+            {
+                "id": box.index,
+                "parent": parent,
+                "opens_with_movement": box.opener,
+                "internal_movements": list(box.internal_movements),
+            }
+            for box, parent in _with_parents(s.root, None)
+        ],
+    }
+
+
+def _with_parents(box, parent):
+    yield box, parent
+    for child in box.children:
+        yield from _with_parents(child, box.index)
+
+
+def ar_coefficients(subband, order: int = features.AR_ORDER) -> np.ndarray:
+    """One subband's AR coefficients through the block path's autocorrelation and Levinson."""
+    x = np.asarray(subband, dtype=np.float64)
+    return features._levinson(features._autocorrelation(x[None, :], order))[0]
+
+
+def slope_sign_changes(subband) -> int:
+    """One subband's slope-sign-change count through the block path's flags."""
+    x = np.asarray(subband, dtype=np.float64)
+    return int(np.count_nonzero(features._slope_sign_flags(x[None, :])))
 
 
 def random_structure(rng: np.random.Generator, num_classes: int) -> ContextStructure:

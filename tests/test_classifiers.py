@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -120,16 +118,6 @@ def test_random_forest_splits_where_the_midpoint_fails(lo, hi):
     assert tree["label"].tolist() == [1, 1, 2]
     model = train(ClassifierSpec(algorithm="RandomForest", num_trees=9), X, y)
     assert predict(model, X).tolist() == [1, 2]
-
-
-@pytest.mark.parametrize("alg", ALGS)
-def test_serialization_round_trip(alg):
-    """Models are export-only: to_dict is plain JSON and comes back from JSON text unchanged."""
-    X, y = _blobs(seed=8)
-    model = train(ClassifierSpec(algorithm=alg, seed=3), X, y)
-    exported = model.to_dict()
-    assert json.loads(json.dumps(exported, allow_nan=False)) == exported
-    assert exported["algorithm"] == alg and exported["classes"] == list(model.classes)
 
 
 def test_vote_ties_break_to_smallest_class():

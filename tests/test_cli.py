@@ -1,18 +1,21 @@
+import ast
 import itertools
 import json
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from ctxclf.cli import ConfigError, load_run_config, main
-from ctxclf.context import MAX_NESTING, load_structure, structure_to_dict, validate_structure
+from ctxclf.context import MAX_CLASSES, MAX_NESTING, load_structure, validate_structure
 from ctxclf.evaluation import RunConfig
 from ctxclf.signals import save_signalset
-from ctxclf.structures import five_class_example, six_class_nested
+from ctxclf.structures import five_class_example, flat_structure, six_class_nested
 from ctxclf.synth import synth_signalset
-from conftest import make_structure
+from conftest import make_structure, structure_to_dict
 
 
 @pytest.fixture()
@@ -67,6 +70,39 @@ def test_validate_violations(tmp_path, capsys):
     p.write_text(json.dumps(structure_to_dict(s)))
     assert main(["validate", str(p)]) == 1
     assert "violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_classes", [MAX_CLASSES + 1, 20_000])
+def test_too_many_classes_is_one_violation(tmp_path, capsys, num_classes):
+    """Refused before the per-class checks and before enumerate derives C sets of C classes."""
+    assert validate_structure(flat_structure(MAX_CLASSES)) == []
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(structure_to_dict(flat_structure(num_classes))))
+    expected = ("", f"violation: num_classes: at most {MAX_CLASSES} classes, got {num_classes}\n")
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == expected
+    assert main(["enumerate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == expected
+
+
+def test_cli_import_leaves_out_the_built_in_structures_and_synth():
+    """The CLI imports its submodules directly; the package itself re-exports nothing."""
+    import ctxclf
+
+    src = str(Path(ctxclf.__file__).resolve().parent.parent)
+    code = "import sys, ctxclf.cli; print(sorted(m for m in sys.modules if m.startswith('ctxclf')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout)
+    assert "ctxclf.cli" in loaded
+    assert "ctxclf.synth" not in loaded and "ctxclf.structures" not in loaded
 
 
 def test_enumerate_structure(five_path, tmp_path, capsys):

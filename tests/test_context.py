@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctxclf.context import (
+    MAX_CLASSES,
     Binding,
     ContextStructure,
     ConstraintTable,
@@ -16,12 +18,11 @@ from ctxclf.context import (
     local_classes,
     binding_feasible,
     structure_from_dict,
-    structure_to_dict,
     validate_structure,
 )
 from ctxclf.errors import DuplicateClassInBox, InfeasibleStructure, StructureError
-from ctxclf.structures import five_class_example, six_class_nested
-from conftest import make_structure, random_structure
+from ctxclf.structures import eight_class_grips, five_class_example, six_class_nested
+from conftest import make_structure, random_structure, structure_to_dict
 
 
 def test_five_class_feasible_count_is_12():
@@ -92,7 +93,7 @@ def test_local_classes_closer_first():
     s = five_class_example()
     binding = enumerate_feasible(derive_constraints(s))[0]
     box1 = s.root.children[0]  # opened by movement 3
-    classes = local_classes(s, binding, box1)
+    classes = local_classes(binding, box1)
     assert classes[0] == 3  # the closer's class leads
     assert len(set(classes)) == len(classes)
 
@@ -102,7 +103,7 @@ def test_local_classes_duplicate_raises():
     # secondary (1, 2, 3): box 1 holds movements 4,5,6 -> classes 1,2,3 plus closer 1
     bad = Binding(num_classes=3, secondary=(1, 2, 3))
     with pytest.raises(DuplicateClassInBox):
-        local_classes(s, bad, s.root.children[0])
+        local_classes(bad, s.root.children[0])
     assert not binding_feasible(s, bad)
 
 
@@ -116,12 +117,14 @@ def test_validate_structure_violations():
     # a member that is no movement id of the structure
     s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5, 6]), (2, 0, 2, [-2, 99])])
     assert "box 2 holds movements outside 1..6: [-2, 99]" in validate_structure(s)
-    # wrong movement ids are reported alone, however large C is
+    # wrong movement ids are reported alone, and too many classes before them
     s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5, 6])])
-    huge = ContextStructure(num_classes=2**64, movements=s.movements, root=s.root)
-    assert validate_structure(huge) == [
-        f"movement ids must be exactly 1..{2**65}, got [1, 2, 3, 4, 5, 6]"
+    wider = ContextStructure(num_classes=4, movements=s.movements, root=s.root)
+    assert validate_structure(wider) == [
+        "movement ids must be exactly 1..8, got [1, 2, 3, 4, 5, 6]"
     ]
+    huge = ContextStructure(num_classes=2**64, movements=s.movements, root=s.root)
+    assert validate_structure(huge) == [f"num_classes: at most {MAX_CLASSES} classes, got {2**64}"]
     # root must hold exactly the primaries
     s = make_structure(2, [(0, None, None, [2, 3]), (1, 0, 2, [4])])
     assert any("root box" in v for v in validate_structure(s))
@@ -255,13 +258,30 @@ def test_structure_from_dict_names_missing_fields(path):
     assert str(exc.value) == f"{path}: missing"
 
 
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
+
+
+@pytest.mark.parametrize(
+    "name, built_in",
+    [
+        ("five_class", five_class_example),
+        ("six_class", six_class_nested),
+        ("eight_class_grips", eight_class_grips),
+    ],
+)
+def test_structure_files_equal_the_built_ins(name, built_in):
+    """The benchmark reads the files; the tests and demos build the same structures in code."""
+    assert load_structure(STRUCTURES / f"{name}.json") == built_in()
+
+
 def test_box_accessors():
     s = six_class_nested()
     assert s.num_boxes == 3
-    boxes = s.boxes()
+    boxes = list(s.root.walk())
+    assert [b.index for b in boxes] == [0, 1, 2, 3]  # pre-order, root first
     assert boxes[0] is s.root
-    nested = [b for b in boxes if b.index == 2][0]
+    nested = boxes[2]
     assert s.root.slots() == s.root.member_movements()
     assert nested.slots() == (nested.opener,) + nested.member_movements()
-    assert s.root.movement_count == len(s.root.member_movements())
-    assert nested.movement_count == len(nested.member_movements()) + 1
+    assert len(s.root.slots()) == 6  # M_0: the root has no closer
+    assert len(nested.slots()) == 3  # M_2: the closer m7, then m9 and m10

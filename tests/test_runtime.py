@@ -109,9 +109,7 @@ def test_one_model_per_box_with_local_classes():
     from ctxclf.context import local_classes
 
     for b in boxes:
-        assert ens.models[b.index].classes == tuple(
-            sorted(local_classes(s, ens.binding, b))
-        )
+        assert ens.models[b.index].classes == tuple(sorted(local_classes(ens.binding, b)))
     assert ens.models[0].classes == tuple(range(1, 7))
 
 
