@@ -38,7 +38,6 @@ from ctxclf.features import feature_matrix
 from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
 from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
 from ctxclf.signals import load_signalset
-from ctxclf.stats import average_ranks, wilcoxon_holm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -270,6 +269,10 @@ def _read_metrics_csv(path) -> MetricsTable:
                 )
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: expected {header}, got {line.strip()!r}")
+            for name, text in (("zo", zo), ("sqcov", sqcov)):
+                if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
+                    bad = f"{name} must be a number in [0, 1], got {text!r}"
+                    raise ConfigError(f"{path}: line {lineno}: {bad}")
             rows.append(row)
     table = MetricsTable(rows=tuple(rows), sequences_per_fold=0)
     methods = sorted({r.method for r in rows})
@@ -282,6 +285,7 @@ def _read_metrics_csv(path) -> MetricsTable:
 
 def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
     """Means, stds, average ranks, and Holm-corrected pairwise tests."""
+    from ctxclf.stats import average_ranks, wilcoxon_holm  # only `report` needs them
     out: dict = {"summary": table.summary()["cells"], "ranks": {}, "tests": {}}
     classifiers = sorted({r.classifier for r in table.rows})
     methods = sorted({r.method for r in table.rows})
@@ -302,6 +306,8 @@ def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
 
 
 def cmd_report(args) -> int:
+    if not 0.0 < args.alpha < 1.0:  # nan fails the comparison too
+        raise ConfigError(f"--alpha: must be in (0, 1), got {args.alpha}")
     table = _read_metrics_csv(args.metrics)
     report = report_from_table(table, alpha=args.alpha)
     if args.out:

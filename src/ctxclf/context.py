@@ -61,10 +61,16 @@ class BoxNode:
         none at the root), then the members."""
         return (() if self.is_root else (self.opener,)) + self.member_movements()
 
-    def walk(self):
-        yield self
+    def paths(self, above: tuple = ()):
+        """Each box in pre-order, as the boxes from the root (``above``, then this box) down
+        to it; structure_from_dict bounds the depth by MAX_NESTING."""
+        path = above + (self,)
+        yield path
         for c in self.children:
-            yield from c.walk()
+            yield from c.paths(path)
+
+    def walk(self):
+        return (p[-1] for p in self.paths())
 
 
 @dataclass(frozen=True)

@@ -71,23 +71,13 @@ def generate_movement_sequences(structure: ContextStructure) -> list[MovementSeq
     if not root.children:
         return [MovementSequence(movements=root.member_movements(), path=(root.index,))]
     sequences = []
-
-    def descend(box, prefix_moves: list[int], prefix_path: list):
-        moves = list(prefix_moves)
-        path = prefix_path + [box]
-        if not box.is_root:
-            moves.append(box.opener)
-            moves.extend(box.internal_movements)
-        if box.children:
-            for child in box.children:
-                descend(child, moves, path)
-        else:
-            moves.extend(b.opener for b in reversed(path) if not b.is_root)
-            sequences.append(
-                MovementSequence(movements=tuple(moves), path=tuple(b.index for b in path))
-            )
-
-    descend(root, [], [])
+    for path in root.paths():
+        if path[-1].children:
+            continue
+        boxes = [b for b in path if not b.is_root]
+        moves = [m for b in boxes for m in (b.opener, *b.internal_movements)]
+        moves.extend(b.opener for b in reversed(boxes))
+        sequences.append(MovementSequence(tuple(moves), tuple(b.index for b in path)))
     return sequences
 
 
@@ -170,6 +160,8 @@ class RunConfig:
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"methods[{i}]: unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"methods[{i}]: duplicate method {m!r}")
         # range checks up front, so a bad value fails before the run, not inside the inner CV
         for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
             if getattr(self, name) < 2:
@@ -254,6 +246,17 @@ def _evaluate_system(
     return outcomes
 
 
+def _splits(X, y, indices, k: int, rng: np.random.Generator):
+    """Per stratified fold of the rows ``indices`` (dealt in the order given): the sorted
+    training rows, their X and y, the held-out rows' class pools, and a fresh box-fit memo
+    and prediction cache (both keyed by class set, so never shared between fits)."""
+    indices = np.asarray(indices)
+    folds = stratified_folds(y[indices], k, rng)
+    for fold in range(k):
+        train = np.sort(indices[folds != fold])
+        yield train, X[train], y[train], _class_pools(y, np.sort(indices[folds == fold])), {}, {}
+
+
 def search_binding(
     config: RunConfig, spec, X, y, train_indices, fold: int, feasible: list[Binding]
 ) -> tuple[Binding, float, int, list | None]:
@@ -267,20 +270,15 @@ def search_binding(
     Returns (binding, fitness, evaluations, EA trace or None when exhaustive).
     """
     inner_seed = derive_seed(config.master_seed, "inner", fold, spec.algorithm)
-    train_indices = np.asarray(train_indices)
     k = config.inner_folds
-    folds = stratified_folds(
-        y[train_indices], k, derive_rng(inner_seed, "stratified_assignments", k)
+    splits = list(
+        _splits(X, y, train_indices, k, derive_rng(inner_seed, "stratified_assignments", k))
     )
-    splits = []
-    for inner in range(k):
-        tr, te = train_indices[folds != inner], train_indices[folds == inner]
-        splits.append((X[tr], y[tr], _class_pools(y, te), {}, {}))
     sequences = generate_movement_sequences(config.structure)
 
     def objective(binding: Binding) -> float:
         scores = []
-        for inner, (X_tr, y_tr, pools, memo, cache) in enumerate(splits):
+        for inner, (_, X_tr, y_tr, pools, memo, cache) in enumerate(splits):
             ensemble = train_ensemble(
                 config.structure, binding, X_tr, y_tr, spec, config.feature_fraction, memo=memo
             )
@@ -310,50 +308,32 @@ def run_experiment(config: RunConfig) -> MetricsTable:
     X, y = feature_matrix(sset)
     # folds are dealt over the records in record-id order, whatever order they were loaded in
     by_id = np.argsort([r.record_id for r in sset.records], kind="stable")
-    folds = np.empty(len(y), dtype=np.int64)
-    folds[by_id] = stratified_folds(
-        y[by_id],
-        config.cv_folds,
-        derive_rng(derive_seed(config.master_seed, "outer"), "stratified_folds", config.cv_folds),
-    )
     feas = feasible_set(config.structure)
     sequences = generate_movement_sequences(config.structure)
 
     rows: list[MetricsRow] = []
     traces: dict = {}
     for spec in config.classifier_specs:
-        for fold in range(config.cv_folds):
-            train_idx, test_idx = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
-            pools = _class_pools(y, test_idx)
-
+        outer_rng = derive_rng(
+            derive_seed(config.master_seed, "outer"), "stratified_folds", config.cv_folds
+        )
+        splits = _splits(X, y, by_id, config.cv_folds, outer_rng)  # memo and cache per (spec, fold)
+        for fold, (train_idx, X_tr, y_tr, pools, memo, cache) in enumerate(splits):
             rctx_rng = derive_rng(config.master_seed, "rctx", fold, spec.algorithm)
             rctx_binding = feas[int(rctx_rng.integers(0, len(feas)))]
-
-            X_tr, y_tr = X[train_idx], y[train_idx]
-            memo: dict = {}  # box fits of this (spec, fold) training set
-            cache: dict = {}  # their prediction tables over this fold's test pool
-            systems: dict[str, tuple] = {}
-            if "plain" in config.methods:
-                plain = train_plain(X_tr, y_tr, spec, config.feature_fraction, memo=memo)
-                systems["plain"] = (plain, rctx_binding)
-            if "rctx" in config.methods:
-                ens = train_ensemble(
-                    config.structure, rctx_binding, X_tr, y_tr, spec,
-                    config.feature_fraction, memo=memo,
-                )
-                systems["rctx"] = (ens, rctx_binding)
-            if "octx" in config.methods:
-                best, _, _, trace = search_binding(config, spec, X, y, train_idx, fold, feas)
-                if trace is not None:
-                    traces[(spec.algorithm, fold)] = trace
-                ens = train_ensemble(
-                    config.structure, best, X_tr, y_tr, spec, config.feature_fraction, memo=memo
-                )
-                systems["octx"] = (ens, best)
-
             for method in config.methods:
-                system, binding = systems[method]
-                # plain shares rctx's binding and object draws for comparability
+                binding = rctx_binding  # plain shares rctx's binding and object draws
+                if method == "octx":
+                    binding, _, _, trace = search_binding(config, spec, X, y, train_idx, fold, feas)
+                    if trace is not None:
+                        traces[(spec.algorithm, fold)] = trace
+                if method == "plain":
+                    system = train_plain(X_tr, y_tr, spec, config.feature_fraction, memo=memo)
+                else:
+                    system = train_ensemble(
+                        config.structure, binding, X_tr, y_tr, spec,
+                        config.feature_fraction, memo=memo,
+                    )
                 sample_key = "rctx" if method == "plain" else method
                 rng = derive_rng(
                     config.master_seed, "sample", fold, spec.algorithm, sample_key,

@@ -148,16 +148,18 @@ MUTATION_OPS = ("Swap", "Insert", "Scramble", "Inversion")
 
 
 class RepairIndex:
-    """The arrays `repair` reads from one feasible list, built once per search.
+    """One feasible list and the arrays `repair` reads from it, built once per search.
 
-    ``first`` maps each secondary to its first listed binding, ``positions``
-    is the (|F|, C) table of where each class sits in each binding, and
-    ``upper``/``lower`` are the C(C-1)/2 position pairs.
+    ``feasible`` is the list itself, ``first`` maps each secondary to its
+    first listed binding, ``positions`` is the (|F|, C) table of where each
+    class sits in each binding, and ``upper``/``lower`` are the C(C-1)/2
+    position pairs.
     """
 
     def __init__(self, feasible: list[Binding]):
         if not feasible:
             raise InfeasibleStructure("feasible set is empty")
+        self.feasible = feasible
         self.first: dict[tuple, Binding] = {}
         for b in feasible:
             self.first.setdefault(b.secondary, b)
@@ -170,23 +172,21 @@ class RepairIndex:
         self.upper, self.lower = np.triu_indices(C, 1)
 
 
-def repair(candidate, feasible: list[Binding], index: RepairIndex | None = None) -> Binding:
-    """Nearest feasible binding by Kendall-tau; ties to lexicographic order.
+def repair(candidate, index: RepairIndex) -> Binding:
+    """Nearest binding of ``index.feasible`` by Kendall-tau; ties to lexicographic order.
 
-    A candidate already in ``feasible`` is looked up. Otherwise the distances
-    to all of ``feasible`` are counted at once, over the C(C-1)/2 position
-    pairs, ``REPAIR_CHUNK_ROWS`` bindings at a time. The binding returned is
-    the object from ``feasible``; among equal secondaries the first listed.
-    ``index`` is ``RepairIndex(feasible)``, built here when not given.
+    A candidate already in the list is looked up. Otherwise the distances
+    to all of it are counted at once, over the C(C-1)/2 position pairs,
+    ``REPAIR_CHUNK_ROWS`` bindings at a time. The binding returned is the
+    object from the list; among equal secondaries the first listed.
     """
-    if index is None:
-        index = RepairIndex(feasible)
     cand = tuple(int(v) for v in candidate)
     C = len(cand)
     if sorted(cand) != list(range(1, C + 1)) or index.positions.shape[1] != C:
         raise ValueError("inputs must be permutations of 1..C of equal length")
     if cand in index.first:
         return index.first[cand]
+    feasible = index.feasible
     columns = np.array(cand) - 1
     distance = np.empty(len(feasible), dtype=np.int64)
     for start in range(0, len(feasible), REPAIR_CHUNK_ROWS):
@@ -273,7 +273,7 @@ def ea_search(
                 if rng.random() < params.mutation_prob:
                     op = MUTATION_OPS[int(rng.integers(0, len(MUTATION_OPS)))]
                     child = mutate(op, child, rng)
-                kids.append(repair(child, feasible, index))
+                kids.append(repair(child, index))
             offspring.extend(kids)
         offspring = offspring[: params.population_size]
         off_scores = [fit(b) for b in offspring]

@@ -43,13 +43,13 @@ class ContextEnsemble:
         class_of = self.binding.class_of_movement
         next_box: dict[int, dict[int, int]] = {}
         meaning: dict[int, dict[int, int]] = {}
-
-        def visit(box: BoxNode, parent: int | None):
+        for path in self.structure.root.paths():
+            box = path[-1]
             nxt, means = {}, {}
             next_box[box.index], meaning[box.index] = nxt, means
-            if parent is not None:
+            if len(path) > 1:
                 j = class_of(box.opener)
-                nxt[j], means[j] = parent, box.opener
+                nxt[j], means[j] = path[-2].index, box.opener
             opened: dict[int, int] = {}
             for child in box.children:
                 opened.setdefault(child.opener, child.index)
@@ -57,18 +57,14 @@ class ContextEnsemble:
                 j = class_of(m)
                 if j not in nxt:
                     nxt[j], means[j] = opened.get(m, box.index), m
-            for child in box.children:
-                visit(child, box.index)
-
-        visit(self.structure.root, None)
         return next_box, meaning
 
     def describe(self) -> str:
         """Render the box tree with per-box movement/class tables."""
         lines = []
-
-        def emit(box: BoxNode, depth: int):
-            indent = "  " * depth
+        for path in self.structure.root.paths():
+            box = path[-1]
+            indent = "  " * (len(path) - 1)
             if box.is_root:
                 lines.append(f"{indent}box 0 (initial)")
             else:
@@ -85,10 +81,6 @@ class ContextEnsemble:
                 lines.append(
                     f"{indent}  {name:<12}  {self.binding.class_of_movement(box.opener)} (-)"
                 )
-            for c in box.children:
-                emit(c, depth + 1)
-
-        emit(self.structure.root, 0)
         return "\n".join(lines)
 
 

@@ -55,6 +55,22 @@ def _with_parents(box, parent):
         yield from _with_parents(child, box.index)
 
 
+def chain_doc(depth):
+    """A valid two-class structure whose boxes form one chain ``depth`` boxes below the root."""
+    cycle = (1, 3, 4, 2)  # box k opens with cycle[k - 1]; the deepest box holds the next one
+    boxes = [{"id": 0, "parent": None, "internal_movements": [2]}]
+    for k in range(1, depth + 1):
+        boxes.append(
+            {
+                "id": k,
+                "parent": k - 1,
+                "opens_with_movement": cycle[(k - 1) % 4],
+                "internal_movements": [cycle[k % 4]] if k == depth else [],
+            }
+        )
+    return {"num_classes": 2, "movements": [{"id": m} for m in range(1, 5)], "boxes": boxes}
+
+
 def ar_coefficients(subband, order: int = features.AR_ORDER) -> np.ndarray:
     """One subband's AR coefficients through the block path's autocorrelation and Levinson."""
     x = np.asarray(subband, dtype=np.float64)

@@ -15,7 +15,7 @@ from ctxclf.evaluation import RunConfig
 from ctxclf.signals import save_signalset
 from ctxclf.structures import five_class_example, flat_structure, six_class_nested
 from ctxclf.synth import synth_signalset
-from conftest import make_structure, structure_to_dict
+from conftest import chain_doc, make_structure, structure_to_dict
 
 
 @pytest.fixture()
@@ -103,6 +103,7 @@ def test_cli_import_leaves_out_the_built_in_structures_and_synth():
     loaded = ast.literal_eval(result.stdout)
     assert "ctxclf.cli" in loaded
     assert "ctxclf.synth" not in loaded and "ctxclf.structures" not in loaded
+    assert "ctxclf.stats" not in loaded  # only `report` imports it
 
 
 def test_enumerate_structure(five_path, tmp_path, capsys):
@@ -243,6 +244,10 @@ def test_config_field_path_errors(run_setup):
     bad = dict(config, methods=["plain", "magic"])
     p.write_text(json.dumps(bad))
     with pytest.raises(ConfigError, match=r"methods\[1\]"):
+        load_run_config(p)
+    bad = dict(config, methods=["octx", "plain", "octx"])
+    p.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError, match=r"^methods\[2\]: duplicate method 'octx'$"):
         load_run_config(p)
     p.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="root"):
@@ -558,8 +563,18 @@ def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
         ("plain,GaussianNB,x,0.5,0.5\n", ("metrics.csv", "line 2")),
         ("plain,GaussianNB,0,0.5,0.5\nrctx,RandomForest,0,0.5,0.5\n", ("GaussianNB", "unequal")),
         (b"\xff\xfe\x00", ("decode",)),
+        ("plain,GaussianNB,0,inf,0.5\n", ("metrics.csv", "line 2", "zo", "[0, 1]", "'inf'")),
+        ("plain,GaussianNB,0,0.5,nan\n", ("metrics.csv", "line 2", "sqcov", "[0, 1]", "'nan'")),
+        ("plain,GaussianNB,0,1.5,0.5\n", ("metrics.csv", "line 2", "zo", "[0, 1]", "'1.5'")),
+        (
+            "plain,GaussianNB,0,0.5,0.5\nplain,GaussianNB,1,0.5,-0.1\n",
+            ("metrics.csv", "line 3", "sqcov", "[0, 1]", "'-0.1'"),
+        ),
     ],
-    ids=["short-line", "bad-fold", "missing-method", "not-text"],
+    ids=[
+        "short-line", "bad-fold", "missing-method", "not-text",
+        "inf-zo", "nan-sqcov", "zo-above-1", "negative-sqcov",
+    ],
 )
 def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
     metrics = tmp_path / "metrics.csv"
@@ -569,6 +584,14 @@ def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
         metrics.write_text("method,classifier,fold,zo,sqcov\n" + body)
     assert main(["report", "--metrics", str(metrics)]) == 1
     _one_line_error(capsys, *fragments)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "-1", "2", "nan"])
+def test_report_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    """The level is checked first: the metrics file named here does not exist."""
+    missing = tmp_path / "metrics.csv"
+    assert main(["report", "--metrics", str(missing), "--alpha", alpha]) == 1
+    _one_line_error(capsys, "--alpha: must be in (0, 1)", alpha)
 
 
 @pytest.mark.parametrize(
@@ -586,22 +609,6 @@ def test_enumerate_table_rejects_bad_permitted(tmp_path, capsys, permitted, frag
     table.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
     assert main(["enumerate", "--table", str(table)]) == 1
     _one_line_error(capsys, fragment)
-
-
-def chain_doc(depth):
-    """A valid two-class structure whose boxes form one chain ``depth`` boxes below the root."""
-    cycle = (1, 3, 4, 2)  # box k opens with cycle[k - 1]; the deepest box holds the next one
-    boxes = [{"id": 0, "parent": None, "internal_movements": [2]}]
-    for k in range(1, depth + 1):
-        boxes.append(
-            {
-                "id": k,
-                "parent": k - 1,
-                "opens_with_movement": cycle[(k - 1) % 4],
-                "internal_movements": [cycle[k % 4]] if k == depth else [],
-            }
-        )
-    return {"num_classes": 2, "movements": [{"id": m} for m in range(1, 5)], "boxes": boxes}
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "optimize"])

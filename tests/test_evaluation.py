@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,21 @@ def test_run_experiment_reproducible(small_run):
     assert again.rows == table.rows
 
 
+def test_run_experiment_subset_of_methods_equals_full_run_rows(small_run):
+    """Each method is scored on its own: dropping rctx and reordering leaves the other rows."""
+    config, table = small_run
+    subset = run_experiment(replace(config, methods=("octx", "plain")))
+    expected = [
+        row
+        for fold in range(config.cv_folds)
+        for method in ("octx", "plain")
+        for row in table.rows
+        if (row.fold, row.method) == (fold, method)
+    ]
+    assert list(subset.rows) == expected
+    assert subset.sequences_per_fold == table.sequences_per_fold
+
+
 def test_metrics_table_csv_and_summary(small_run):
     _, table = small_run
     csv = table.to_csv()
@@ -180,4 +197,15 @@ def test_run_config_rejects_unknown_method():
             structure=five_class_example(),
             classifier_specs=(ClassifierSpec(),),
             methods=("plain", "magic"),
+        )
+
+
+def test_run_config_rejects_a_repeated_method():
+    sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
+    with pytest.raises(ValueError, match=r"^methods\[1\]: duplicate method 'octx'$"):
+        RunConfig(
+            signalset=sset,
+            structure=five_class_example(),
+            classifier_specs=(ClassifierSpec(),),
+            methods=("octx", "octx"),
         )

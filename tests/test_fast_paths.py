@@ -4,7 +4,9 @@ The box-fit memo, the one-pass MI scores, block prediction, the
 table-driven sequence walk, the one-pass forest node, the fold-id array,
 the indexed repair, block feature extraction, the one-call object draws,
 the shared prediction cache, the box transition tables (the context
-machine's only definition), the list-based forest walk (vectors and
+machine's only definition), the one walk of the box tree (``BoxNode.paths``
+under the transition tables, ``describe`` and the movement sequences), the
+list-based forest walk (vectors and
 blocks), the ordered feasible-set loop, the one-pass
 MAV/SSC, the prebuilt mask columns, the ``np.loadtxt`` record reader and
 the one-join record writer must leave every result as it was;
@@ -33,10 +35,12 @@ from ctxclf.context import (
     Binding,
     BoxNode,
     ConstraintTable,
+    ContextStructure,
     derive_constraints,
     enumerate_feasible,
     load_structure,
     local_classes,
+    structure_from_dict,
 )
 from ctxclf.evaluation import (
     RunConfig,
@@ -83,7 +87,7 @@ from ctxclf.structures import (
 )
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
-from conftest import ar_coefficients, slope_sign_changes
+from conftest import ar_coefficients, chain_doc, slope_sign_changes
 from test_runtime import obj, perfect_ensemble
 
 STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
@@ -540,8 +544,7 @@ def repair_problems(draw):
 def test_counted_repair_equals_loop_repair(problem):
     candidate, feasible = problem
     expected = loop_repair(candidate, feasible)
-    assert repair(candidate, feasible) is expected
-    assert repair(candidate, feasible, RepairIndex(feasible)) is expected
+    assert repair(candidate, RepairIndex(feasible)) is expected
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 1000])
@@ -553,11 +556,8 @@ def test_counted_repair_on_grips_feasible_set(monkeypatch, chunk_rows):
     rng = np.random.default_rng(12)
     for _ in range(5):
         candidate = tuple(int(v) for v in rng.permutation(8) + 1)
-        expected = loop_repair(candidate, feasible)
-        assert repair(candidate, feasible) is expected
-        assert repair(candidate, feasible, index) is expected
-    assert repair(feasible[-1].secondary, feasible) is feasible[-1]
-    assert repair(feasible[-1].secondary, feasible, index) is feasible[-1]
+        assert repair(candidate, index) is loop_repair(candidate, feasible)
+    assert repair(feasible[-1].secondary, index) is feasible[-1]
 
 
 def loop_analysis_symmetric(x, filt):
@@ -860,6 +860,128 @@ def test_transition_table_equals_transition(path):
                 movement = stack_transition(binding, after, j)
                 assert next_box[box.index][j] == after[-1].index
                 assert meaning[box.index][j] == movement
+
+
+def recursive_transitions(structure, binding):
+    """The recursive visitor that built ContextEnsemble.transitions before BoxNode.paths (the oracle)."""
+    class_of = binding.class_of_movement
+    next_box, meaning = {}, {}
+
+    def visit(box, parent):
+        nxt, means = {}, {}
+        next_box[box.index], meaning[box.index] = nxt, means
+        if parent is not None:
+            j = class_of(box.opener)
+            nxt[j], means[j] = parent, box.opener
+        opened = {}
+        for child in box.children:
+            opened.setdefault(child.opener, child.index)
+        for m in box.member_movements():
+            j = class_of(m)
+            if j not in nxt:
+                nxt[j], means[j] = opened.get(m, box.index), m
+        for child in box.children:
+            visit(child, box.index)
+
+    visit(structure.root, None)
+    return next_box, meaning
+
+
+def recursive_describe(structure, binding):
+    """The recursive visitor that rendered ContextEnsemble.describe before BoxNode.paths (the oracle)."""
+    lines = []
+
+    def emit(box, depth):
+        indent = "  " * depth
+        if box.is_root:
+            lines.append(f"{indent}box 0 (initial)")
+        else:
+            j = binding.class_of_movement(box.opener)
+            name = structure.movement_name(box.opener)
+            lines.append(f"{indent}box {box.index} (opened/closed by {name}, class {j})")
+        lines.append(f"{indent}  Movement      Class")
+        for m in box.member_movements():
+            name = structure.movement_name(m)
+            mark = " (+)" if any(c.opener == m for c in box.children) else ""
+            lines.append(f"{indent}  {name:<12}  {binding.class_of_movement(m)}{mark}")
+        if not box.is_root:
+            name = structure.movement_name(box.opener)
+            lines.append(f"{indent}  {name:<12}  {binding.class_of_movement(box.opener)} (-)")
+        for c in box.children:
+            emit(c, depth + 1)
+
+    emit(structure.root, 0)
+    return "\n".join(lines)
+
+
+def recursive_movement_sequences(structure):
+    """The recursive visitor that built generate_movement_sequences before BoxNode.paths (the oracle)."""
+    root = structure.root
+    if not root.children:
+        return [evaluation.MovementSequence(root.member_movements(), (root.index,))]
+    sequences = []
+
+    def descend(box, prefix_moves, prefix_path):
+        moves = list(prefix_moves)
+        path = prefix_path + [box]
+        if not box.is_root:
+            moves.append(box.opener)
+            moves.extend(box.internal_movements)
+        if box.children:
+            for child in box.children:
+                descend(child, moves, path)
+        else:
+            moves.extend(b.opener for b in reversed(path) if not b.is_root)
+            sequences.append(evaluation.MovementSequence(tuple(moves), tuple(b.index for b in path)))
+
+    descend(root, [], [])
+    return sequences
+
+
+def in_order(tables):
+    """A {box: {class: value}} table as nested item lists, so == also compares dict order."""
+    return [(box, list(row.items())) for box, row in tables.items()]
+
+
+TREE_CASES = (
+    [(p.stem, load_structure(p)) for p in structure_files()]
+    + [("five", five_class_example()), ("six", six_class_nested()), ("grips", eight_class_grips())]
+    + [(f"flat{c}", flat_structure(c)) for c in range(2, 9)]
+    + [("chain100", structure_from_dict(chain_doc(100)))]
+)
+
+
+@pytest.mark.parametrize("structure", [s for _, s in TREE_CASES], ids=[n for n, _ in TREE_CASES])
+def test_box_paths_equal_the_recursive_visitors(structure):
+    """paths() and the three loops over it against the recursions they replaced.
+
+    Transitions are compared with their dict order; describe() as text; the
+    first 50 feasible bindings of each structure.
+    """
+    root = structure.root
+    assert [(p[-1], list(p)) for p in root.paths()] == root_to_box_paths(structure)
+    assert list(root.walk()) == [box for box, _ in root_to_box_paths(structure)]
+    assert generate_movement_sequences(structure) == recursive_movement_sequences(structure)
+    for binding in feasible_set(structure)[:50]:
+        ensemble = ContextEnsemble(structure, binding, {}, {})
+        expected = recursive_transitions(structure, binding)
+        assert [in_order(t) for t in ensemble.transitions] == [in_order(t) for t in expected]
+        assert ensemble.describe() == recursive_describe(structure, binding)
+
+
+def test_box_paths_keep_the_first_wins_rules():
+    """A tree no structure file may hold: two children opened by one movement, and a
+    member bound to its box's closer class. The first child and the closer win, as in
+    the recursive visitors."""
+    children = (BoxNode(1, 3, (4,)), BoxNode(2, 3, (5, 6)))  # 6 is bound to class 3, box 2's closer
+    structure = ContextStructure(3, (), BoxNode(ROOT, None, (1, 2), children))
+    binding = Binding(num_classes=3, secondary=(1, 2, 3))
+    ensemble = ContextEnsemble(structure, binding, {}, {})
+    expected = recursive_transitions(structure, binding)
+    assert [in_order(t) for t in ensemble.transitions] == [in_order(t) for t in expected]
+    assert ensemble.transitions[0][ROOT][3] == 1 and ensemble.transitions[1][2][3] == 3
+    assert ensemble.describe() == recursive_describe(structure, binding)
+    assert generate_movement_sequences(structure) == recursive_movement_sequences(structure)
 
 
 def recursive_enumerate(num_classes, permitted, groups):

@@ -10,6 +10,7 @@ from ctxclf.optimize import (
     EAParams,
     Fitness,
     MUTATION_OPS,
+    RepairIndex,
     crossover,
     ea_search,
     exhaustive_search,
@@ -101,10 +102,11 @@ def test_mutations_preserve_permutation(op):
 def test_repair_minimizes_kendall_distance():
     s = five_class_example()
     feas = feasible_set(s)
+    index = RepairIndex(feas)
     rng = np.random.default_rng(2)
     for _ in range(50):
         cand = tuple(rng.permutation(5) + 1)
-        got = repair(cand, feas)
+        got = repair(cand, index)
         best = min(kendall_tau(cand, b.secondary) for b in feas)
         assert kendall_tau(cand, got.secondary) == best
         # ties resolved to the lexicographically smallest feasible binding
@@ -113,9 +115,9 @@ def test_repair_minimizes_kendall_distance():
         )
         assert got.secondary == tied[0]
     exact = feas[3]
-    assert repair(exact.secondary, feas) is exact
+    assert repair(exact.secondary, index) is exact
     with pytest.raises(InfeasibleStructure):
-        repair((1, 2, 3, 4, 5), [])
+        RepairIndex([])
 
 
 def test_exhaustive_search_argmax_and_memoization():

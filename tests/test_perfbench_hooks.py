@@ -2,13 +2,20 @@
 
 ``perfbench/spans.py`` looks each wrapped function up with ``vars(owner)[attr]``,
 so renaming or deleting one of those names breaks every benchmark run with a
-``KeyError``. This test installs the wrappers once and puts the originals back.
+``KeyError``. These tests install the wrappers and put the originals back.
+A caller that reaches a wrapped function through a local alias instead of the
+module attribute would bypass its span and zero a per-layer metric, so a
+tiny run must record calls of each wrapped layer it exercises.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from ctxclf import optimize
+from ctxclf import evaluation, optimize
+from ctxclf.classifiers import ClassifierSpec
+from ctxclf.structures import six_class_nested
+from ctxclf.synth import synth_signalset
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,3 +38,39 @@ def test_package_spans_install_and_uninstall():
         stale = rec.uninstall()
     assert stale == []
     assert optimize.enumerate_feasible is original
+
+
+def test_a_run_calls_every_layer_through_its_span():
+    spans = load_spans()
+    config = evaluation.RunConfig(
+        signalset=synth_signalset(6, records_per_class=4, samples=128, seed=3),
+        structure=six_class_nested(),
+        classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
+        cv_folds=2,
+        inner_folds=2,
+        repetitions=2,
+        inner_repetitions=1,
+        master_seed=1,
+    )
+    rec = spans.SpanRecorder()
+    try:
+        spans.install_package_spans(rec)
+        evaluation.run_experiment(config)
+    finally:
+        stale = rec.uninstall()
+    assert stale == []
+    calls = Counter(rec.names[i] for i in rec.name_of)
+    for name in (
+        "evaluation.run_experiment",
+        "features.feature_matrix",
+        "optimize.feasible_set",
+        "runtime.train_ensemble",
+        "runtime.train_plain",
+        "features.select_features",
+        "classifiers.train",
+        "classifiers.predict",
+        "optimize.exhaustive_search",
+        "optimize.fitness",
+        "evaluation.sample_object_sequences",
+    ):
+        assert calls[name] > 0, name

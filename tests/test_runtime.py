@@ -121,6 +121,46 @@ def test_describe_lists_boxes_and_marks():
     assert "(+)" in text and "(-)" in text
 
 
+SIX_CLASS_DESCRIBE = """\
+box 0 (initial)
+  Movement      Class
+  m2            2
+  m4            4
+  m5            5
+  m6            6
+  m1            1 (+)
+  m3            3 (+)
+  box 1 (opened/closed by m1, class 1)
+    Movement      Class
+    m4            4
+    m5            5
+    m6            6
+    m8            3
+    m7            2 (+)
+    m1            1 (-)
+    box 2 (opened/closed by m7, class 2)
+      Movement      Class
+      m9            5
+      m10           6
+      m7            2 (-)
+  box 3 (opened/closed by m3, class 3)
+    Movement      Class
+    m5            5
+    m6            6
+    m11           1
+    m12           4
+    m3            3 (-)"""
+
+
+def test_describe_six_class_text():
+    """The whole rendering of six_class_nested under its first feasible binding.
+
+    Recorded when describe() was still a recursive visitor: indents, box
+    order, the (+)/(-) marks and the class column are all pinned.
+    """
+    assert perfect_ensemble(six_class_nested()).describe() == SIX_CLASS_DESCRIBE
+
+
 def test_train_plain_covers_all_classes():
     X, y = scalar_training_data(5, copies=3)
     plain = train_plain(X, y, ClassifierSpec(algorithm="NearestNeighbor"), 1.0)
