@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,26 +41,6 @@ class TrainedModel:
     dimension: int
     params: dict = field(compare=False)
 
-    @cached_property
-    def _forest_walk(self) -> list[tuple[list, list, list, list, list]]:
-        """A RandomForest's trees as plain lists, built on the first predict.
-
-        Per tree (feature, threshold, left, right, vote slot of each node's
-        label), the slot being the label's position in ``classes``. Held in
-        the instance dict only: fields and equality never see it.
-        """
-        slot = {c: i for i, c in enumerate(self.classes)}
-        return [
-            (
-                tree["feature"].tolist(),
-                tree["threshold"].tolist(),
-                tree["left"].tolist(),
-                tree["right"].tolist(),
-                [slot[c] for c in tree["label"].tolist()],
-            )
-            for tree in self.params["trees"]
-        ]
-
 
 def train(spec: ClassifierSpec, X, y) -> TrainedModel:
     X = np.asarray(X, dtype=np.float64)
@@ -90,27 +69,33 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
         }
     else:
         rng = derive_rng(spec.seed, "forest")
+        codes = np.searchsorted(classes, y)  # vote slot of each row's label
         trees = []
         n = len(y)
         for _ in range(spec.num_trees):
             boot = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(X[boot], y[boot], rng))
+            trees.append(_grow_tree(X[boot], codes[boot], len(classes), rng))
         params = {"trees": trees}
     return TrainedModel(
         algorithm=spec.algorithm, classes=classes, dimension=X.shape[1], params=params
     )
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
+def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
     """CART with Gini splits, sqrt(d) features per split, grown to purity.
+
+    ``codes`` are the rows' vote slots in [0, k). The tree is returned as the
+    lists ``(feature, threshold, left, right, slot)`` that ``_forest_vote``
+    walks: one entry per node, feature -1 at a leaf, and each node's vote
+    slot (its majority class, ties to the smallest slot).
 
     Nodes are numbered in pre-order. Each internal node draws its candidate
     features with one ``rng.choice(d, size=n_try, replace=False)`` after the
     leaf tests, in pre-order. That draw order is part of the output: every
     later draw of ``rng``, the next tree's bootstrap too, depends on it.
 
-    A node scores all its candidate splits in one pass: an (n_try, m - 1, k)
-    table of left class counts over the node's k present classes, then the
+    A node scores all its candidate splits in one pass: an (n_try, m - 1, p)
+    table of left class counts over the node's p present classes, then the
     Gini impurities with the expressions of a one-column scan, so each has
     the same bits. The lowest impurity wins; ties go to the first feature in
     sorted order, then to the first position within it. Class counts are
@@ -118,12 +103,11 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
     """
     d = X.shape[1]
     n_try = max(1, int(math.isqrt(d)))
-    classes, codes = np.unique(y, return_inverse=True)
     XT = np.ascontiguousarray(X.T)  # a node's candidate rows sort along the last axis
-    sizes = {}  # m -> (nl, nr, both stacked for the (2, n_try, m - 1, k) count table)
-    feature, threshold, left, right, label = [], [], [], [], []
+    sizes = {}  # m -> (nl, nr, both stacked for the (2, n_try, m - 1, p) count table)
+    feature, threshold, left, right, slot = [], [], [], [], []
     # (rows, class counts, parent node, parent's child list); right is pushed first: pre-order
-    stack = [(np.arange(len(y)), np.bincount(codes, minlength=len(classes)), -1, None)]
+    stack = [(np.arange(len(codes)), np.bincount(codes, minlength=k), -1, None)]
     while stack:
         idx, counts, parent, side = stack.pop()
         node = len(feature)
@@ -133,14 +117,14 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        label.append(int(classes[counts.argmax()]))  # classes sorted: ties to smallest label
+        slot.append(int(counts.argmax()))  # an absent class counts 0; ties to the smallest slot
         m = len(idx)
         if m < MIN_LEAF or np.count_nonzero(counts) == 1:
             continue
         candidates = np.sort(rng.choice(d, size=n_try, replace=False))
         rows = idx[XT[candidates[:, None], idx].argsort(axis=1, kind="stable")]
         xs = XT[candidates[:, None], rows]
-        # k = present classes only: zero columns would regroup the pairwise sum for k >= 8
+        # present classes only: zero columns would regroup the pairwise sum of 8 or more terms
         present = np.flatnonzero(counts)
         onehot = codes[rows][:, :-1, None] == present  # split after position i
         if m not in sizes:
@@ -162,18 +146,12 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
             thr = lo
         f = int(candidates[j])
         mask = XT[f, idx] <= thr
-        left_counts = np.bincount(codes[idx[mask]], minlength=len(classes))
+        left_counts = np.bincount(codes[idx[mask]], minlength=k)
         feature[node] = f
         threshold[node] = thr
         stack.append((idx[~mask], counts - left_counts, node, right))
         stack.append((idx[mask], left_counts, node, left))
-    return {
-        "feature": np.asarray(feature, dtype=np.int64),
-        "threshold": np.asarray(threshold, dtype=np.float64),
-        "left": np.asarray(left, dtype=np.int64),
-        "right": np.asarray(right, dtype=np.int64),
-        "label": np.asarray(label, dtype=np.int64),
-    }
+    return feature, threshold, left, right, slot
 
 
 def predict(model: TrainedModel, x):
@@ -218,7 +196,7 @@ def _predict_block(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 def _forest_vote(model: TrainedModel, row: list) -> int:
     """Majority vote of the trees on one row of Python floats (they compare as float64 do)."""
     votes = [0] * len(model.classes)
-    for feature, threshold, left, right, slot in model._forest_walk:
+    for feature, threshold, left, right, slot in model.params["trees"]:
         node = 0
         f = feature[0]
         while f >= 0:

@@ -27,6 +27,7 @@ from ctxclf.context import (
 )
 from ctxclf.errors import CtxclfError, InfeasibleStructure
 from ctxclf.evaluation import (
+    METHODS,
     METRICS_CSV_HEADER,
     MetricsRow,
     MetricsTable,
@@ -255,7 +256,9 @@ def cmd_run(args) -> int:
 
 
 def _read_metrics_csv(path) -> MetricsTable:
+    """The rows of a metrics file; every method of a classifier must cover the same folds."""
     rows = []
+    folds: dict[tuple[str, str], set[int]] = {}  # (classifier, method) -> folds
     with open(path) as fh:
         header = fh.readline().strip()
         if header != METRICS_CSV_HEADER:
@@ -269,18 +272,27 @@ def _read_metrics_csv(path) -> MetricsTable:
                 )
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: expected {header}, got {line.strip()!r}")
+            where = f"{path}: line {lineno}"
+            if method not in METHODS:
+                raise ConfigError(f"{where}: unknown method {method!r}")
+            if row.fold < 0:
+                raise ConfigError(f"{where}: fold must be >= 0, got {row.fold}")
             for name, text in (("zo", zo), ("sqcov", sqcov)):
                 if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
-                    bad = f"{name} must be a number in [0, 1], got {text!r}"
-                    raise ConfigError(f"{path}: line {lineno}: {bad}")
+                    raise ConfigError(f"{where}: {name} must be a number in [0, 1], got {text!r}")
+            seen = folds.setdefault((clf, method), set())
+            if row.fold in seen:
+                raise ConfigError(f"{where}: repeated row {method},{clf},{row.fold}")
+            seen.add(row.fold)
             rows.append(row)
-    table = MetricsTable(rows=tuple(rows), sequences_per_fold=0)
+    if not rows:
+        raise ConfigError(f"{path}: no metric rows")
     methods = sorted({r.method for r in rows})
     for clf in sorted({r.classifier for r in rows}):
-        counts = {m: len(table.values(m, clf, "zo")) for m in methods}
-        if len(set(counts.values())) > 1:  # ranks and paired tests need every method per fold
-            raise ConfigError(f"{path}: {clf}: unequal rows per method {counts}")
-    return table
+        per_method = {m: sorted(folds.get((clf, m), ())) for m in methods}
+        if len({tuple(f) for f in per_method.values()}) > 1:  # paired fold by fold
+            raise ConfigError(f"{path}: {clf}: unequal folds per method {per_method}")
+    return MetricsTable(rows=tuple(rows), sequences_per_fold=0)
 
 
 def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
@@ -291,11 +303,10 @@ def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
     methods = sorted({r.method for r in table.rows})
     for clf in classifiers:
         for criterion in ("zo", "sqcov"):
-            per_fold = {m: table.values(m, clf, criterion) for m in methods}
-            n = min(len(v) for v in per_fold.values())
-            subjects = [{m: per_fold[m][i] for m in methods} for i in range(n)]
+            per_fold = {m: table.values(m, clf, criterion) for m in methods}  # same folds each
+            subjects = [dict(zip(methods, fold)) for fold in zip(*per_fold.values())]
             out["ranks"].setdefault(clf, {})[criterion] = average_ranks(subjects)
-            if len(methods) >= 2 and n >= 6:
+            if len(methods) >= 2 and len(subjects) >= 6:
                 paired = {
                     f"{a} vs {b}": (per_fold[a], per_fold[b])
                     for i, a in enumerate(methods)

@@ -198,11 +198,9 @@ class MetricsTable:
         return "\n".join(lines) + "\n"
 
     def values(self, method: str, classifier: str, criterion: str) -> list[float]:
-        return [
-            getattr(r, criterion)
-            for r in self.rows
-            if r.method == method and r.classifier == classifier
-        ]
+        """One (method, classifier) cell's values in fold order, whatever the row order."""
+        rows = [r for r in self.rows if r.method == method and r.classifier == classifier]
+        return [getattr(r, criterion) for r in sorted(rows, key=lambda r: r.fold)]
 
     def summary(self) -> dict:
         out: dict = {"sequences_per_fold": self.sequences_per_fold, "cells": {}}

@@ -24,6 +24,7 @@ FEATURE_NAMES = ("MAV", "SSC", "AR1", "AR2", "AR3")
 FEATURES_PER_SUBBAND = len(FEATURE_NAMES)
 AR_ORDER = 3
 FEATURE_BLOCK_ROWS = 16  # channel rows extracted together by feature_matrix
+MI_BINS = 10  # equal-frequency bins per column of the MI scores
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,15 @@ def feature_matrix(sset: SignalSet) -> tuple[np.ndarray, np.ndarray]:
     return X, sset.labels()
 
 
-def mutual_information(feature, labels, bins: int = 10) -> float:
+def mutual_information(feature, labels) -> float:
     """Plug-in MI (nats) between the equal-frequency-binned feature and labels."""
     x = np.asarray(feature, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("feature must be 1-D")
-    return float(_mi_scores(x[:, None], labels, bins)[0])
+    return float(_mi_scores(x[:, None], labels)[0])
 
 
-def _mi_scores(X: np.ndarray, labels, bins: int) -> np.ndarray:
+def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     """MI of every column of X with the labels, in one pass over all columns.
 
     Each column is cut at its own equal-frequency edges and the (bin, label)
@@ -211,14 +212,14 @@ def _mi_scores(X: np.ndarray, labels, bins: int) -> np.ndarray:
     if k < 2:
         raise ValueError("need at least 2 distinct labels")
 
-    edges = np.quantile(X, np.linspace(0.0, 1.0, bins + 1)[1:-1], axis=0)  # (bins - 1, d)
+    edges = np.quantile(X, np.linspace(0.0, 1.0, MI_BINS + 1)[1:-1], axis=0)  # (MI_BINS - 1, d)
     x_bin = (X[:, None, :] >= edges[None]).sum(axis=1)  # the edges each value reaches
 
     # cell id per (column, bin, label), column-major so each column's rows are contiguous
     column = np.arange(d)
-    cell = ((column[None, :] * bins + x_bin) * k + y_idx.reshape(-1, 1)).T.ravel()
-    count = np.bincount(cell, minlength=d * bins * k)
-    px = count.reshape(d * bins, k).sum(axis=1)
+    cell = ((column[None, :] * MI_BINS + x_bin) * k + y_idx.reshape(-1, 1)).T.ravel()
+    count = np.bincount(cell, minlength=d * MI_BINS * k)
+    px = count.reshape(d * MI_BINS, k).sum(axis=1)
     py = np.bincount(y_idx, minlength=k)
 
     cells, first = np.unique(cell, return_index=True)
@@ -228,7 +229,7 @@ def _mi_scores(X: np.ndarray, labels, bins: int) -> np.ndarray:
     ratio = p * n * n / (px[cells // k] * py[cells % k])
     terms = p * np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64, count=len(ratio))
 
-    col_of = cells // (bins * k)
+    col_of = cells // (MI_BINS * k)
     per_column = np.bincount(col_of, minlength=d)
     pos = np.arange(len(cells)) - (np.cumsum(per_column) - per_column)[col_of]
     table = np.zeros((d, 1 + int(per_column.max())))  # leading 0.0 is the running sum's start
@@ -238,7 +239,7 @@ def _mi_scores(X: np.ndarray, labels, bins: int) -> np.ndarray:
     return mi
 
 
-def select_features(matrix, labels, fraction: float = 0.5, bins: int = 10) -> FeatureMask:
+def select_features(matrix, labels, fraction: float = 0.5) -> FeatureMask:
     """Keep the top ceil(fraction*d) columns by MI score, ties to lower index."""
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -246,7 +247,7 @@ def select_features(matrix, labels, fraction: float = 0.5, bins: int = 10) -> Fe
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     d = X.shape[1]
-    scores = _mi_scores(X, labels, bins) if d else np.zeros(0)
+    scores = _mi_scores(X, labels) if d else np.zeros(0)
     keep = math.ceil(fraction * d)
     order = sorted(range(d), key=lambda j: (-scores[j], j))
     selected = tuple(sorted(order[:keep]))

@@ -213,14 +213,11 @@ def feasible_set(structure: ContextStructure) -> list[Binding]:
 
 
 def exhaustive_search(feasible: list[Binding], fitness) -> tuple[Binding, float, list[tuple[Binding, float]]]:
-    """Evaluate every feasible binding once; argmax, ties lexicographic."""
+    """Evaluate every feasible binding once, in the list's (lexicographic) order; first argmax."""
     if not feasible:
         raise InfeasibleStructure("feasible set is empty")
-    table = [(b, float(fitness(b))) for b in sorted(feasible, key=lambda b: b.secondary)]
-    best, best_value = table[0]
-    for b, v in table[1:]:
-        if v > best_value:
-            best, best_value = b, v
+    table = [(b, float(fitness(b))) for b in feasible]
+    best, best_value = max(table, key=lambda entry: entry[1])
     return best, best_value, table
 
 
@@ -233,15 +230,11 @@ class GenerationStats:
 
 
 def ea_search(
-    feasible: list[Binding], fitness, params: EAParams
+    feasible: list[Binding], fit: Fitness, params: EAParams
 ) -> tuple[Binding, float, list[GenerationStats]]:
-    """Evolutionary search over the feasible permutations."""
-    if not feasible:
-        raise InfeasibleStructure("feasible set is empty")
-    fit = fitness if isinstance(fitness, Fitness) else Fitness(fitness)
+    """Evolutionary search over the feasible permutations, listed in lexicographic order."""
+    index = RepairIndex(feasible)  # refuses an empty list
     rng = derive_rng(params.seed, "ea_search")
-    feasible = sorted(feasible, key=lambda b: b.secondary)
-    index = RepairIndex(feasible)
 
     def random_individual() -> Binding:
         return feasible[int(rng.integers(0, len(feasible)))]

@@ -83,6 +83,18 @@ def slope_sign_changes(subband) -> int:
     return int(np.count_nonzero(features._slope_sign_flags(x[None, :])))
 
 
+def tree_arrays(tree, classes) -> dict:
+    """A stored forest tree as the dict of arrays the tree oracles read, leaves as class labels."""
+    feature, threshold, left, right, slot = tree
+    return {
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "label": np.asarray(classes, dtype=np.int64)[slot],
+    }
+
+
 def random_structure(rng: np.random.Generator, num_classes: int) -> ContextStructure:
     """A random valid structure; retries until validation passes."""
     C = num_classes

@@ -4,6 +4,7 @@ import pytest
 from ctxclf import classifiers
 from ctxclf.classifiers import ClassifierSpec, predict, train
 from ctxclf.errors import DegenerateTraining, DimensionMismatch
+from conftest import tree_arrays
 
 ALGS = ("NearestNeighbor", "GaussianNB", "RandomForest")
 
@@ -79,15 +80,14 @@ def test_random_forest_deterministic_per_seed():
     a = train(ClassifierSpec(algorithm="RandomForest", seed=7), X, y)
     b = train(ClassifierSpec(algorithm="RandomForest", seed=7), X, y)
     assert predict(a, q) == predict(b, q)
-    for ta, tb in zip(a.params["trees"], b.params["trees"]):
-        for key in ta:
-            assert np.array_equal(ta[key], tb[key])
+    assert a.params["trees"] == b.params["trees"]
 
 
 def test_random_forest_trees_pure_or_small_leaves():
     X, y = _blobs(seed=6, n_per=15, spread=1.0)
     model = train(ClassifierSpec(algorithm="RandomForest", num_trees=5), X, y)
     for tree in model.params["trees"]:
+        tree = tree_arrays(tree, model.classes)
         assert len(tree["feature"]) >= 1
         leaves = tree["feature"] < 0
         assert leaves.any()
@@ -112,7 +112,7 @@ def _adjacent_pair():
 def test_random_forest_splits_where_the_midpoint_fails(lo, hi):
     """A midpoint outside [lo, hi) would send both rows one way and rebuild the node forever."""
     X, y = np.array([[lo], [hi]]), np.array([1, 2])
-    tree = classifiers._grow_tree(X, y, np.random.default_rng(0))
+    tree = tree_arrays(classifiers._grow_tree(X, y - 1, 2, np.random.default_rng(0)), (1, 2))
     assert tree["feature"].tolist() == [0, -1, -1]
     assert tree["threshold"][0] == lo
     assert tree["label"].tolist() == [1, 1, 2]

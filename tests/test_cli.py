@@ -570,10 +570,23 @@ def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
             "plain,GaussianNB,0,0.5,0.5\nplain,GaussianNB,1,0.5,-0.1\n",
             ("metrics.csv", "line 3", "sqcov", "[0, 1]", "'-0.1'"),
         ),
+        ("", ("metrics.csv", "no metric rows")),
+        ("plain,GaussianNB,0,0.5,0.5\nbest,GaussianNB,0,0.5,0.5\n", ("line 3", "method 'best'")),
+        ("plain,GaussianNB,-1,0.5,0.5\n", ("metrics.csv", "line 2", "fold must be >= 0", "-1")),
+        (
+            "plain,GaussianNB,0,0.5,0.5\nrctx,GaussianNB,0,0.5,0.5\nplain,GaussianNB,0,0.4,0.4\n",
+            ("metrics.csv", "line 4", "repeated row plain,GaussianNB,0"),
+        ),
+        (
+            "plain,GaussianNB,0,0.5,0.5\nplain,GaussianNB,1,0.5,0.5\n"
+            "rctx,GaussianNB,0,0.5,0.5\nrctx,GaussianNB,2,0.5,0.5\n",
+            ("GaussianNB", "unequal folds", "[0, 1]", "[0, 2]"),
+        ),
     ],
     ids=[
         "short-line", "bad-fold", "missing-method", "not-text",
         "inf-zo", "nan-sqcov", "zo-above-1", "negative-sqcov",
+        "header-only", "unknown-method", "negative-fold", "repeated-row", "other-folds",
     ],
 )
 def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
@@ -582,8 +595,27 @@ def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
         metrics.write_bytes(body)
     else:
         metrics.write_text("method,classifier,fold,zo,sqcov\n" + body)
-    assert main(["report", "--metrics", str(metrics)]) == 1
+    out = tmp_path / "report.json"
+    assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 1
     _one_line_error(capsys, *fragments)
+    assert not out.exists()
+
+
+def test_report_pairs_methods_by_fold_not_by_row(tmp_path, capsys):
+    """A file listing one method's folds in reverse order gives the fold-order report."""
+    plain = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60]
+    rctx = [0.15, 0.22, 0.45, 0.41, 0.90, 0.61]  # above plain in every fold, by varying margins
+    lines = [f"plain,GaussianNB,{k},{v},{v}" for k, v in enumerate(plain)]
+    rctx_lines = [f"rctx,GaussianNB,{k},{v},{v}" for k, v in enumerate(rctx)]
+    reports = []
+    for name, body in (("in-order", lines + rctx_lines), ("reversed", lines + rctx_lines[::-1])):
+        metrics, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        metrics.write_text("\n".join(["method,classifier,fold,zo,sqcov"] + body) + "\n")
+        assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[1]["ranks"]["GaussianNB"]["zo"] == {"plain": 1.0, "rctx": 2.0}
+    assert reports[1]["tests"]["GaussianNB"]["zo"]["plain vs rctx"]["significant"]
 
 
 @pytest.mark.parametrize("alpha", ["0", "1", "-1", "2", "nan"])

@@ -87,7 +87,7 @@ from ctxclf.structures import (
 )
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
-from conftest import ar_coefficients, chain_doc, slope_sign_changes
+from conftest import ar_coefficients, chain_doc, slope_sign_changes, tree_arrays
 from test_runtime import obj, perfect_ensemble
 
 STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
@@ -284,13 +284,28 @@ def tree_problems(draw):
 
 
 def assert_same_tree(X, y, seed):
-    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = classifiers._grow_tree(X, y, fast_rng)
+    """The tree grown from the rows' vote slots equals the oracle's, whatever classes are absent.
+
+    The rows are coded against their own labels, then against class sets
+    that add absent classes below, between and above them (a forest codes a
+    bootstrap against all the training labels).
+    """
+    slow_rng = np.random.default_rng(seed)
     slow = column_scan_tree(X, y, slow_rng)
-    for key in ("feature", "threshold", "left", "right", "label"):
-        assert fast[key].dtype == slow[key].dtype
-        assert fast[key].tobytes() == slow[key].tobytes(), key
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state  # same draws, same order
+    present = np.unique(y)
+    gaps = np.setdiff1d(present[:-1] + 1, present)
+    for classes in (
+        present,
+        np.union1d(present, [present[0] - 1, present[-1] + 1]),
+        np.union1d(present, np.concatenate(([present[0] - 2], gaps, [present[-1] + 2]))),
+    ):
+        fast_rng = np.random.default_rng(seed)
+        stored = classifiers._grow_tree(X, np.searchsorted(classes, y), len(classes), fast_rng)
+        fast = tree_arrays(stored, classes)
+        for key in ("feature", "threshold", "left", "right", "label"):
+            assert fast[key].dtype == slow[key].dtype
+            assert fast[key].tobytes() == slow[key].tobytes(), key
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state  # same draws, same order
 
 
 @settings(max_examples=400, deadline=None)
@@ -348,6 +363,7 @@ def numpy_forest_predict_block(model, X):
     votes = np.zeros((len(X), len(classes)), dtype=np.int64)
     rows = np.arange(len(X))
     for tree in model.params["trees"]:
+        tree = tree_arrays(tree, model.classes)
         votes[rows, np.searchsorted(classes, numpy_tree_predict_block(tree, X))] += 1
     return classes[np.argmax(votes, axis=1)]  # classes sorted: ties to smallest
 
@@ -407,6 +423,7 @@ def oracle_forest_predict(model, x):
     votes = np.zeros(len(model.classes), dtype=np.int64)
     lookup = {c: i for i, c in enumerate(model.classes)}
     for tree in model.params["trees"]:
+        tree = tree_arrays(tree, model.classes)
         votes[lookup[numpy_tree_predict(tree, x)]] += 1
     return model.classes[int(np.argmax(votes))]
 
@@ -444,7 +461,7 @@ def test_list_forest_walk_equals_numpy_scalar_walk(seed, d, n, k, num_trees, int
     y[:2] = (1, 2)
     spec = ClassifierSpec(algorithm="RandomForest", num_trees=num_trees, seed=seed % 97)
     model = train(spec, X, y)
-    trees = model.params["trees"]
+    trees = [tree_arrays(tree, model.classes) for tree in model.params["trees"]]
     T = np.vstack([T] + [on_threshold_row(trees[i % len(trees)], T[i]) for i in range(10)])
     for t in T:
         got = predict(model, t)
@@ -454,15 +471,14 @@ def test_list_forest_walk_equals_numpy_scalar_walk(seed, d, n, k, num_trees, int
 
 
 def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
+    classes = (2, 3, 5)
+
     def leaf(label):
-        return {
-            "feature": np.array([-1]), "threshold": np.array([0.0]),
-            "left": np.array([-1]), "right": np.array([-1]), "label": np.array([label]),
-        }
+        return [-1], [0.0], [-1], [-1], [classes.index(label)]
 
     def forest(*labels):
         trees = [leaf(c) for c in labels]
-        return classifiers.TrainedModel("RandomForest", (2, 3, 5), 1, {"trees": trees})
+        return classifiers.TrainedModel("RandomForest", classes, 1, {"trees": trees})
 
     x = np.zeros(1)
     cases = {(5, 3): 3, (3, 5, 2, 5, 3): 3, (2, 5): 2, (5, 5, 3, 3, 2, 2): 2, (5, 3, 5): 5}
@@ -474,13 +490,17 @@ def test_list_forest_walk_breaks_vote_ties_to_the_smallest_class():
 
 
 def model_state(model):
-    """A model's fields and the dtype, shape and bytes of every parameter array, tree nodes too."""
+    """A model's fields, the dtype, shape and bytes of every parameter array, and each tree's lists.
+
+    A tree's lists are compared by the repr of every entry, so a float is
+    compared bit for bit and an int must stay an int.
+    """
 
     def array(v):
         return str(v.dtype), v.shape, v.tobytes()
 
     params = {
-        k: [{kk: array(vv) for kk, vv in tree.items()} for tree in v] if k == "trees" else array(v)
+        k: [[list(map(repr, part)) for part in tree] for tree in v] if k == "trees" else array(v)
         for k, v in model.params.items()
     }
     return model.algorithm, model.classes, model.dimension, params
