@@ -19,7 +19,9 @@ from pathlib import Path
 import ctxclf
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import (
+    MAX_CLASSES,
     ConstraintTable,
+    count_feasible,
     derive_constraints,
     enumerate_feasible,
     load_structure,
@@ -37,7 +39,7 @@ from ctxclf.evaluation import (
 )
 from ctxclf.features import feature_matrix
 from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
-from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
+from ctxclf.optimize import EAParams, feasible_set, refuse_above_guard, trace_to_csv
 from ctxclf.signals import load_signalset
 
 EXIT_OK = 0
@@ -144,6 +146,8 @@ def cmd_validate(args) -> int:
 def _table_from_file(path) -> ConstraintTable:
     raw = expect(read_json(path, ConfigError), dict, "table root", ConfigError)
     num_classes = read_field(raw, "num_classes", int, "", ConfigError)
+    if not 0 <= num_classes <= MAX_CLASSES:  # count_feasible holds 2^C counts
+        raise ConfigError(f"num_classes: expected 0..{MAX_CLASSES}, got {num_classes}")
     permitted_raw = read_field(raw, "permitted", dict, "", ConfigError)
     # the key count first, so the id set is never larger than the file
     if len(permitted_raw) != max(num_classes, 0) or set(permitted_raw) != {
@@ -176,24 +180,25 @@ def cmd_enumerate(args) -> int:
             print(0)
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-    feasible = enumerate_feasible(table)
-    print(len(feasible))
-    if args.out:
+    count = count_feasible(table)
+    print(count)
+    if args.out:  # only a listing is bounded by the guard
+        refuse_above_guard(count)
         payload = {
             "num_classes": table.num_classes,
-            "count": len(feasible),
-            "bindings": [list(b.secondary) for b in feasible],
+            "count": count,
+            "bindings": [list(b.secondary) for b in enumerate_feasible(table)] if count else [],
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    return EXIT_OK if count else EXIT_INFEASIBLE
 
 
 def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
     config, raw, out_dir = load_run_config(args.config)
     _check_fold_counts(config, outer=False)
-    X, y = feature_matrix(config.signalset)
     feasible = feasible_set(config.structure)
+    X, y = feature_matrix(config.signalset)
     results, traces = {}, {}
     for spec in config.classifier_specs:
         best, value, evaluations, trace = search_binding(

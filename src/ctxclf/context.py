@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ctxclf.errors import DuplicateClassInBox, InfeasibleStructure, StructureError
 from ctxclf.jsonfile import expect, read_field, read_json
 
@@ -300,6 +302,28 @@ def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
     for k in range(1, table.num_classes + 1):
         rows = [r + (c,) for r in rows for c in table.permitted[k] if c not in r]
     return [Binding(num_classes=table.num_classes, secondary=r) for r in rows]
+
+
+def count_feasible(table: ConstraintTable) -> int:
+    """``len(enumerate_feasible(table))`` without the list: the permanent of the permitted
+    matrix. ``ways[s]`` counts the assignments of movements C+1..C+|s| to exactly the class
+    set s (bit c - 1 for class c), built one set size at a time. Every count is at most
+    C! <= 20! < 2^63 for C <= MAX_CLASSES, which validation and the table reader enforce.
+    """
+    C = table.num_classes
+    sets = np.arange(1 << C, dtype=np.int64)
+    size = np.zeros(1 << C, dtype=np.int64)  # |s|: one more than s without its top bit
+    for c in range(C):
+        size[1 << c : 2 << c] = size[: 1 << c] + 1
+    ways = np.zeros(1 << C, dtype=np.int64)
+    ways[0] = 1
+    for k in range(1, C + 1):
+        level = sets[size == k - 1]
+        for c in table.permitted[k]:
+            bit = 1 << (c - 1)
+            free = level[level // bit % 2 == 0]  # the sets without class c
+            ways[free + bit] += ways[free]
+    return int(ways[-1])
 
 
 def brute_force_feasible(s: ContextStructure) -> list[Binding]:

@@ -303,10 +303,10 @@ def search_binding(
 def run_experiment(config: RunConfig) -> MetricsTable:
     """Outer stratified CV over Plain / RCtx / OCtx for every classifier spec."""
     sset = config.signalset
+    feas = feasible_set(config.structure)  # first: a set above the guard is refused at once
     X, y = feature_matrix(sset)
     # folds are dealt over the records in record-id order, whatever order they were loaded in
     by_id = np.argsort([r.record_id for r in sset.records], kind="stable")
-    feas = feasible_set(config.structure)
     sequences = generate_movement_sequences(config.structure)
 
     rows: list[MetricsRow] = []

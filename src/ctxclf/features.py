@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,15 +194,44 @@ def mutual_information(feature, labels) -> float:
     return float(_mi_scores(x[:, None], labels)[0])
 
 
+@lru_cache(maxsize=256)
+def _quantile_plan(n: int) -> tuple[np.ndarray, ...]:
+    """(prev, next, gamma, gamma >= 0.5) of the MI edges of n sorted values, read-only.
+
+    numpy's ``linear`` rule: the edge at quantile q has the virtual index
+    v = (n - 1) q, between the values prev = floor(v) and next =
+    min(prev + 1, n - 1), at weight gamma = v - prev.
+    """
+    virtual = (n - 1) * np.linspace(0.0, 1.0, MI_BINS + 1)[1:-1]
+    prev = np.floor(virtual)
+    gamma = (virtual - prev)[:, None]
+    prev = prev.astype(np.intp)
+    plan = (prev, np.minimum(prev + 1, n - 1), gamma, gamma >= 0.5)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _bin_edges(ordered: np.ndarray) -> np.ndarray:
+    """(MI_BINS - 1, d) equal-frequency edges of a column-sorted matrix, interpolated as
+    numpy's ``_lerp``: a + (b - a) gamma, or b - (b - a)(1 - gamma) where gamma >= 0.5."""
+    prev, nxt, gamma, upper = _quantile_plan(len(ordered))
+    below, above = ordered[prev], ordered[nxt]
+    step = above - below
+    return np.where(upper, above - step * (1 - gamma), below + step * gamma)
+
+
 def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     """MI of every column of X with the labels, in one pass over all columns.
 
-    Each column is cut at its own equal-frequency edges and the (bin, label)
-    cells of all columns are counted with one ``np.bincount``. The scores
-    are bit-identical to a per-column sum over a dict of cells: every cell
-    term is p * log(p n^2 / (n_x n_y)) with ``math.log``, and a column's
-    terms are added one by one in the order their cells first appear in the
-    rows (a sequential ``np.cumsum``). Constant columns score 0.
+    Each column is cut at its own equal-frequency edges, taken from one
+    ``np.sort`` of X by numpy's ``linear`` quantile rule (``_bin_edges``).
+    The (bin, label) cells of all columns are counted with one
+    ``np.bincount``. The scores are bit-identical to a per-column sum over
+    a dict of cells: every cell term is p * log(p n^2 / (n_x n_y)) with
+    ``math.log``, called once per distinct ratio, and a column's terms are
+    added one by one in the order their cells first appear in the rows (a
+    sequential ``np.cumsum``). Constant columns score 0; NaN and inf are refused.
     """
     y = np.asarray(labels)
     n, d = X.shape
@@ -212,7 +242,11 @@ def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     if k < 2:
         raise ValueError("need at least 2 distinct labels")
 
-    edges = np.quantile(X, np.linspace(0.0, 1.0, MI_BINS + 1)[1:-1], axis=0)  # (MI_BINS - 1, d)
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite feature values")
+
+    ordered = np.sort(X, axis=0)
+    edges = _bin_edges(ordered)
     x_bin = (X[:, None, :] >= edges[None]).sum(axis=1)  # the edges each value reaches
 
     # cell id per (column, bin, label), column-major so each column's rows are contiguous
@@ -227,7 +261,9 @@ def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     c = count[cells]
     p = c / n
     ratio = p * n * n / (px[cells // k] * py[cells % k])
-    terms = p * np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64, count=len(ratio))
+    distinct, which = np.unique(ratio, return_inverse=True)
+    logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=len(distinct))
+    terms = p * logs[which]
 
     col_of = cells // (MI_BINS * k)
     per_column = np.bincount(col_of, minlength=d)
@@ -235,7 +271,7 @@ def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     table = np.zeros((d, 1 + int(per_column.max())))  # leading 0.0 is the running sum's start
     table[col_of, 1 + pos] = terms
     mi = np.maximum(np.cumsum(table, axis=1)[:, -1], 0.0)
-    mi[np.all(X == X[0], axis=0)] = 0.0
+    mi[ordered[0] == ordered[-1]] = 0.0
     return mi
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctxclf.context import Binding, ContextStructure, enumerate_feasible, derive_constraints
+from ctxclf.context import (
+    Binding,
+    ContextStructure,
+    count_feasible,
+    derive_constraints,
+    enumerate_feasible,
+)
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.rng import derive_rng
 
@@ -202,14 +208,21 @@ def repair(candidate, index: RepairIndex) -> Binding:
 
 
 def feasible_set(structure: ContextStructure) -> list[Binding]:
-    feas = enumerate_feasible(derive_constraints(structure))
-    if not feas:
+    """Every feasible binding in lexicographic order; an empty set or one above the guard
+    is refused from its count, before any binding is built."""
+    table = derive_constraints(structure)
+    count = count_feasible(table)
+    if not count:
         raise InfeasibleStructure("feasible set is empty")
-    if len(feas) > FEASIBLE_SET_GUARD:
+    refuse_above_guard(count)
+    return enumerate_feasible(table)
+
+
+def refuse_above_guard(count: int) -> None:
+    if count > FEASIBLE_SET_GUARD:
         raise InfeasibleStructure(
-            f"feasible set of size {len(feas)} exceeds the {FEASIBLE_SET_GUARD} guard"
+            f"feasible set of size {count} exceeds the {FEASIBLE_SET_GUARD} guard"
         )
-    return feas
 
 
 def exhaustive_search(feasible: list[Binding], fitness) -> tuple[Binding, float, list[tuple[Binding, float]]]:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -125,6 +126,49 @@ def test_enumerate_unconstrained_table(tmp_path, capsys):
     )
     assert main(["enumerate", "--table", str(table)]) == 0
     assert capsys.readouterr().out.strip() == "120"
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+def test_feasible_set_above_the_guard_is_refused_from_its_count(tmp_path, capsys, command):
+    """flat10 has 1,334,961 feasible bindings: refused at once, not after listing them."""
+    save_signalset(synth_signalset(10, records_per_class=4, samples=128, seed=5), tmp_path / "sset")
+    (tmp_path / "flat10.json").write_text(json.dumps(structure_to_dict(flat_structure(10))))
+    config = {
+        "signalset": str(tmp_path / "sset"),
+        "structure": str(tmp_path / "flat10.json"),
+        "classifiers": [{"algorithm": "GaussianNB"}],
+        "cv_folds": 2,
+        "inner_folds": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    _one_line_error(capsys, "feasible set of size 1334961 exceeds the 1000000 guard")
+    assert not (tmp_path / "out").exists()
+
+
+def test_enumerate_counts_a_set_it_could_not_list(tmp_path, capsys):
+    """flat11 (14,684,570 bindings) is counted; only a listing with --out meets the guard."""
+    flat11, out = tmp_path / "flat11.json", tmp_path / "feasible.json"
+    flat11.write_text(json.dumps(structure_to_dict(flat_structure(11))))
+    assert main(["enumerate", str(flat11)]) == 0
+    assert capsys.readouterr() == ("14684570\n", "")
+    assert main(["enumerate", str(flat11), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "14684570\n"
+    assert captured.err == "ERROR: feasible set of size 14684570 exceeds the 1000000 guard\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("num_classes", [-1, MAX_CLASSES + 1])
+def test_enumerate_table_bounds_the_class_count(tmp_path, capsys, num_classes):
+    """Checked before the permitted sets, whose 2^C subsets count_feasible would hold."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"num_classes": num_classes, "permitted": {}}))
+    assert main(["enumerate", "--table", str(table)]) == 1
+    _one_line_error(capsys, f"num_classes: expected 0..{MAX_CLASSES}, got {num_classes}")
 
 
 @pytest.mark.parametrize(

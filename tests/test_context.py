@@ -12,6 +12,7 @@ from ctxclf.context import (
     ContextStructure,
     ConstraintTable,
     brute_force_feasible,
+    count_feasible,
     derive_constraints,
     enumerate_feasible,
     load_structure,
@@ -21,7 +22,12 @@ from ctxclf.context import (
     validate_structure,
 )
 from ctxclf.errors import DuplicateClassInBox, InfeasibleStructure, StructureError
-from ctxclf.structures import eight_class_grips, five_class_example, six_class_nested
+from ctxclf.structures import (
+    eight_class_grips,
+    five_class_example,
+    flat_structure,
+    six_class_nested,
+)
 from conftest import make_structure, random_structure, structure_to_dict
 
 
@@ -70,6 +76,36 @@ def test_oracle_equivalence_random_structures():
             feas = []
         brute = brute_force_feasible(s)
         assert {b.secondary for b in feas} == {b.secondary for b in brute}
+
+
+STRUCTURE_FILES = Path(__file__).resolve().parent.parent / "structures"
+
+
+@pytest.mark.parametrize("name", ["five_class", "six_class", "eight_class_grips", "flat2-9"])
+def test_count_equals_the_listed_feasible_set(name):
+    if name == "flat2-9":
+        tables = [derive_constraints(flat_structure(c)) for c in range(2, 10)]
+    else:
+        tables = [derive_constraints(load_structure(STRUCTURE_FILES / f"{name}.json"))]
+    for table in tables:
+        assert count_feasible(table) == len(enumerate_feasible(table))
+
+
+def test_count_of_random_and_of_large_tables():
+    rng = np.random.default_rng(11)
+    for _ in range(30):  # random tables, empty sets included
+        C = int(rng.integers(0, 7))
+        permitted = {k: tuple(np.flatnonzero(rng.random(C) < 0.6) + 1) for k in range(1, C + 1)}
+        table = ConstraintTable(num_classes=C, permitted=permitted)
+        assert count_feasible(table) == len(enumerate_feasible(table))
+    subfactorial = 1
+    for c in range(1, MAX_CLASSES + 1):  # flat C: the derangements, !C = C !(C-1) + (-1)^C
+        subfactorial = c * subfactorial + (-1) ** c
+        if c in (10, 11, MAX_CLASSES):
+            assert count_feasible(derive_constraints(flat_structure(c))) == subfactorial
+    every_class = tuple(range(1, MAX_CLASSES + 1))
+    unconstrained = ConstraintTable(MAX_CLASSES, {k: every_class for k in every_class})
+    assert count_feasible(unconstrained) == math.factorial(MAX_CLASSES)  # the largest count: int64
 
 
 def test_every_feasible_binding_passes_independent_walk():

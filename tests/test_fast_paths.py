@@ -128,10 +128,10 @@ def dict_loop_select(X, labels, fraction):
 @st.composite
 def mi_problems(draw):
     """A matrix of one column kind plus labels with at least two classes."""
-    n = draw(st.integers(2, 90))
+    n = draw(st.integers(2, 300))
     d = draw(st.integers(1, 16))
     k = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(["continuous", "integer", "rounded", "constant"]))
+    kind = draw(st.sampled_from(["continuous", "integer", "rounded", "constant", "signed_zeros"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((n, d)) * 10.0
     if kind == "integer":  # ties everywhere, as in slope-sign-change counts
@@ -140,6 +140,9 @@ def mi_problems(draw):
         X = np.round(X, 1)
     elif kind == "constant":
         X[:, ::2] = 1.5
+    elif kind == "signed_zeros":  # edges on -0.0 and 0.0, which a sort may order either way
+        X = rng.integers(-1, 2, (n, d)) * 1.0
+        X[X == 0] = rng.choice([-0.0, 0.0], int((X == 0).sum()))
     y = rng.integers(1, k + 1, n)
     y[:2] = (1, 2)
     fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]))
@@ -175,6 +178,36 @@ def test_mask_columns_equal_list_indexing(d, picks, rows, seed):
     assert not mask._columns.flags.writeable and mask._columns.dtype == np.intp
     twin = FeatureMask(selected=selected, source_dim=d, scores=(0.0,) * d)
     assert twin == mask and hash(twin) == hash(mask) and "_columns" not in repr(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mi_problems())
+def test_sorted_edges_bin_as_np_quantile(problem):
+    """The edges from one sort cut every column as np.quantile's edges do.
+
+    Bins, not edge bits, are compared: a sort and np.quantile's partition may
+    order -0.0 and 0.0 differently, and only the ``>=`` bin test reads an edge.
+    The scores' bits are checked on the same problems against ``dict_loop_mi``.
+    """
+    X, _, _ = problem
+    reference = np.quantile(X, np.linspace(0.0, 1.0, features.MI_BINS + 1)[1:-1], axis=0)
+    edges = features._bin_edges(np.sort(X, axis=0))
+    assert edges.shape == reference.shape
+    assert np.array_equal(edges, reference)  # equal values, up to the sign of a zero
+    bins = (X[:, None, :] >= edges[None]).sum(axis=1)
+    assert np.array_equal(bins, (X[:, None, :] >= reference[None]).sum(axis=1))
+
+
+def test_quantile_plan_takes_both_interpolations_and_the_last_value():
+    """Both branches of numpy's lerp are taken, and at n = 1 the next index is clamped to n - 1."""
+    quantiles = np.linspace(0.0, 1.0, features.MI_BINS + 1)[1:-1]
+    for n in range(1, 300):
+        X = np.random.default_rng(n).standard_normal((n, 3))
+        edges = features._bin_edges(np.sort(X, axis=0))
+        assert np.array_equal(edges, np.quantile(X, quantiles, axis=0))
+    _, nxt, gamma, upper = features._quantile_plan(48)
+    assert upper.any() and not upper.all() and not gamma.flags.writeable
+    assert features._quantile_plan(1)[1].tolist() == [0] * len(quantiles)
 
 
 def test_mutual_information_is_the_one_column_case():

@@ -86,6 +86,17 @@ def test_mutual_information_extremes():
     assert mutual_information(np.ones(1000), labels) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mi_scores_refuse_non_finite_values(bad):
+    """Refused as FeatureVector refuses them; a NaN once scored 0.0 without a word."""
+    X = np.random.default_rng(5).standard_normal((12, 3))
+    y = np.repeat([1, 2, 3], 4)
+    X[4, 1] = bad
+    for call in (lambda: select_features(X, y), lambda: mutual_information(X[:, 1], y)):
+        with pytest.raises(ValueError, match="non-finite feature values"):
+            call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mutual_information_nonnegative(seed):

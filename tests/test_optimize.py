@@ -4,7 +4,8 @@ import zlib
 import numpy as np
 import pytest
 
-from ctxclf.context import Binding
+from ctxclf import optimize
+from ctxclf.context import Binding, ConstraintTable
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.optimize import (
     EAParams,
@@ -169,6 +170,17 @@ def test_ea_finds_exhaustive_optimum(op):
             _, value, _ = ea_search(feas, Fitness(synthetic_fitness), params)
             hits += value == target
         assert hits >= 9
+
+
+def test_feasible_set_is_refused_from_its_count(monkeypatch):
+    """An empty set or one above the guard is refused before enumerate_feasible runs."""
+    monkeypatch.setattr(optimize, "enumerate_feasible", lambda table: pytest.fail("listed"))
+    with pytest.raises(InfeasibleStructure, match="feasible set of size 1334961 exceeds"):
+        feasible_set(flat_structure(10))
+    empty = ConstraintTable(3, {1: (1, 2), 2: (1, 2), 3: (1, 2)})
+    monkeypatch.setattr(optimize, "derive_constraints", lambda structure: empty)
+    with pytest.raises(InfeasibleStructure, match="feasible set is empty"):
+        feasible_set(flat_structure(3))
 
 
 def test_ea_singleton_feasible_set():
