@@ -4,18 +4,29 @@ Shows how nesting and re-listed primary movements shrink the feasible set
 of secondary bindings, from the unconstrained C! down to a handful.
 """
 
+from pathlib import Path
+
 from ctxclf.context import (
     ConstraintTable,
     derive_constraints,
     enumerate_feasible,
+    load_structure,
+    structure_from_dict,
     validate_structure,
 )
-from ctxclf.structures import (
-    eight_class_grips,
-    five_class_example,
-    flat_structure,
-    six_class_nested,
-)
+
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
+
+
+def flat_structure(C):
+    """A flat root over the primary movements; each secondary movement sits alone in a box
+    opened by its primary counterpart."""
+    boxes = [{"id": 0, "parent": None, "internal_movements": []}] + [
+        {"id": c, "parent": 0, "opens_with_movement": c, "internal_movements": [C + c]}
+        for c in range(1, C + 1)
+    ]
+    movements = [{"id": m} for m in range(1, 2 * C + 1)]
+    return structure_from_dict({"num_classes": C, "movements": movements, "boxes": boxes})
 
 
 def show(name, structure):
@@ -41,10 +52,10 @@ def main():
     )
     print(f"unconstrained C=5: |feasible set| = {len(enumerate_feasible(unconstrained))}")
 
-    show("five_class_example", five_class_example())
-    show("six_class_nested", six_class_nested())
+    for name in ("five_class", "six_class"):
+        show(f"{name}.json", load_structure(STRUCTURES / f"{name}.json"))
     show("flat_structure(5)", flat_structure(5))
-    show("eight_class_grips", eight_class_grips())
+    show("eight_class_grips.json", load_structure(STRUCTURES / "eight_class_grips.json"))
 
 
 if __name__ == "__main__":

@@ -5,17 +5,21 @@ its movement/class tables, and traces a movement sequence through the
 boxes, one current box at a time.
 """
 
+from pathlib import Path
+
 from ctxclf.classifiers import ClassifierSpec
+from ctxclf.context import load_structure
 from ctxclf.evaluation import generate_movement_sequences, sequence_to_classes
 from ctxclf.features import feature_matrix
 from ctxclf.optimize import feasible_set
 from ctxclf.runtime import initial_state, step, train_ensemble
-from ctxclf.structures import six_class_nested
 from ctxclf.synth import synth_signalset
+
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
 
 
 def main():
-    structure = six_class_nested()
+    structure = load_structure(STRUCTURES / "six_class.json")
     binding = feasible_set(structure)[0]
     sset = synth_signalset(num_classes=6, records_per_class=20, samples=256, seed=4)
     X, y = feature_matrix(sset)

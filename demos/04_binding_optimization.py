@@ -6,8 +6,9 @@ of the space and its trace shows the best-so-far fitness per generation.
 """
 
 import zlib
+from pathlib import Path
 
-from ctxclf.context import Binding
+from ctxclf.context import Binding, load_structure
 from ctxclf.optimize import (
     EAParams,
     Fitness,
@@ -15,7 +16,8 @@ from ctxclf.optimize import (
     exhaustive_search,
     feasible_set,
 )
-from ctxclf.structures import eight_class_grips, six_class_nested
+
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
 
 
 def synthetic_fitness(binding: Binding) -> float:
@@ -25,13 +27,13 @@ def synthetic_fitness(binding: Binding) -> float:
 
 
 def main():
-    small = feasible_set(six_class_nested())
+    small = feasible_set(load_structure(STRUCTURES / "six_class.json"))
     best, value, table = exhaustive_search(small, Fitness(synthetic_fitness))
-    print(f"six_class_nested: {len(table)} bindings scored exhaustively")
+    print(f"six_class.json: {len(table)} bindings scored exhaustively")
     print(f"  optimum {best.secondary} with fitness {value:.4f}")
 
-    large = feasible_set(eight_class_grips())
-    print(f"\neight_class_grips: |feasible set| = {len(large)}, running the EA")
+    large = feasible_set(load_structure(STRUCTURES / "eight_class_grips.json"))
+    print(f"\neight_class_grips.json: |feasible set| = {len(large)}, running the EA")
     fit = Fitness(synthetic_fitness)
     best, value, trace = ea_search(large, fit, EAParams(seed=3))
     print(f"  EA best {best.secondary} with fitness {value:.4f}")

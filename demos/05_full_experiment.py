@@ -5,13 +5,17 @@ per-method ZO and SqCov means, average ranks, and Wilcoxon-Holm tests.
 The noise level is raised so the methods actually differ.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec
+from ctxclf.context import load_structure
 from ctxclf.evaluation import RunConfig, run_experiment
 from ctxclf.stats import average_ranks, wilcoxon_holm
-from ctxclf.structures import six_class_nested
 from ctxclf.synth import synth_signalset
+
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
 
 
 def main():
@@ -20,7 +24,7 @@ def main():
     )
     config = RunConfig(
         signalset=sset,
-        structure=six_class_nested(),
+        structure=load_structure(STRUCTURES / "six_class.json"),
         classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
         cv_folds=6,
         repetitions=10,

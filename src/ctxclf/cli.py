@@ -131,12 +131,18 @@ def _write_manifest(out_dir: Path, raw: dict, seed: int) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_validate(args) -> int:
-    structure = load_structure(args.structure)
+def _valid_structure(path):
+    """The structure file at path, or None once each of its violations is printed."""
+    structure = load_structure(path)
     violations = validate_structure(structure)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return None if violations else structure
+
+
+def cmd_validate(args) -> int:
+    structure = _valid_structure(args.structure)
+    if structure is None:
         return EXIT_ERROR
     c = structure.num_classes
     print(f"OK, C={c}, M={2 * c}, L={structure.num_boxes}")
@@ -168,11 +174,8 @@ def cmd_enumerate(args) -> int:
     if args.table:
         table = _table_from_file(args.table)
     else:
-        structure = load_structure(args.structure)
-        violations = validate_structure(structure)
-        if violations:
-            for v in violations:
-                print(f"violation: {v}", file=sys.stderr)
+        structure = _valid_structure(args.structure)
+        if structure is None:
             return EXIT_ERROR
         try:
             table = derive_constraints(structure)

@@ -294,20 +294,32 @@ def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
 
     One pass per movement C+1..C+C extends every partial assignment, in
     order, by each of the movement's permitted classes that it does not use
-    yet; with sorted ``permitted`` tuples the rows stay in lexicographic
-    order. The result may be empty, which signals an infeasible box
-    arrangement.
+    yet and that leaves a class set the later movements can fill
+    (``_ways``), so no row is built that cannot be completed. With sorted
+    ``permitted`` tuples the rows stay in lexicographic order. The result
+    may be empty, which signals an infeasible box arrangement.
     """
-    rows: list[tuple[int, ...]] = [()]
+    ways = _ways(table).tolist()
+    rows = [((), len(ways) - 1)]  # (row, the class set it leaves free)
     for k in range(1, table.num_classes + 1):
-        rows = [r + (c,) for r in rows for c in table.permitted[k] if c not in r]
-    return [Binding(num_classes=table.num_classes, secondary=r) for r in rows]
+        rows = [
+            (r + (c,), free - bit)
+            for r, free in rows
+            for c in table.permitted[k]
+            if free & (bit := 1 << (c - 1)) and ways[free - bit]
+        ]
+    return [Binding(num_classes=table.num_classes, secondary=r) for r, _ in rows]
 
 
 def count_feasible(table: ConstraintTable) -> int:
     """``len(enumerate_feasible(table))`` without the list: the permanent of the permitted
-    matrix. ``ways[s]`` counts the assignments of movements C+1..C+|s| to exactly the class
-    set s (bit c - 1 for class c), built one set size at a time. Every count is at most
+    matrix."""
+    return int(_ways(table)[-1])
+
+
+def _ways(table: ConstraintTable) -> np.ndarray:
+    """``ways[s]``: the assignments of the last |s| movements C+C-|s|+1..C+C to exactly the
+    class set s (bit c - 1 for class c), built one set size at a time. Every count is at most
     C! <= 20! < 2^63 for C <= MAX_CLASSES, which validation and the table reader enforce.
     """
     C = table.num_classes
@@ -317,13 +329,13 @@ def count_feasible(table: ConstraintTable) -> int:
         size[1 << c : 2 << c] = size[: 1 << c] + 1
     ways = np.zeros(1 << C, dtype=np.int64)
     ways[0] = 1
-    for k in range(1, C + 1):
-        level = sets[size == k - 1]
-        for c in table.permitted[k]:
+    for n in range(1, C + 1):  # movement C+C-n+1 takes one class beside the n-1 after it
+        level = sets[size == n - 1]
+        for c in table.permitted[C + 1 - n]:
             bit = 1 << (c - 1)
             free = level[level // bit % 2 == 0]  # the sets without class c
             ways[free + bit] += ways[free]
-    return int(ways[-1])
+    return ways
 
 
 def brute_force_feasible(s: ContextStructure) -> list[Binding]:

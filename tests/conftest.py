@@ -1,16 +1,17 @@
+from pathlib import Path
+
 import numpy as np
-import pytest
 
 from ctxclf import features
-from ctxclf.context import ContextStructure, structure_from_dict, validate_structure
-from ctxclf.errors import InfeasibleStructure
+from ctxclf.context import ContextStructure, load_structure, structure_from_dict, validate_structure
 from ctxclf.signals import SignalRecord, SignalSet
-from ctxclf.structures import (
-    eight_class_grips,
-    five_class_example,
-    flat_structure,
-    six_class_nested,
-)
+
+STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
+
+
+def structure_file(name: str) -> ContextStructure:
+    """A committed structure: five_class, six_class or eight_class_grips."""
+    return load_structure(STRUCTURES / f"{name}.json")
 
 
 def make_structure(num_classes: int, boxes: list[tuple]) -> ContextStructure:
@@ -30,6 +31,16 @@ def make_structure(num_classes: int, boxes: list[tuple]) -> ContextStructure:
             ],
         }
     )
+
+
+def flat_structure(num_classes: int) -> ContextStructure:
+    """Root-only structure over the primary movements.
+
+    Secondary movements each sit alone in a box opened by their primary
+    counterpart, which keeps M = 2C while leaving the root flat.
+    """
+    C = num_classes
+    return make_structure(C, [(0, None, None, [])] + [(c, 0, c, [C + c]) for c in range(1, C + 1)])
 
 
 def structure_to_dict(s: ContextStructure) -> dict:
@@ -151,17 +162,6 @@ def random_structure(rng: np.random.Generator, num_classes: int) -> ContextStruc
         if not validate_structure(s):
             return s
     raise RuntimeError("failed to generate a valid random structure")
-
-
-@pytest.fixture(scope="session")
-def canonical_structures():
-    return {
-        "five": five_class_example(),
-        "six": six_class_nested(),
-        "eight": eight_class_grips(),
-        "flat4": flat_structure(4),
-        "flat5": flat_structure(5),
-    }
 
 
 def toy_signalset(num_classes=3, records_per_class=6, channels=2, samples=64, seed=0):

@@ -33,20 +33,14 @@ from ctxclf.evaluation import (
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set, kendall_tau
 from ctxclf.runtime import initial_state, step
 from ctxclf.stats import holm, wilcoxon_signed_rank
-from ctxclf.structures import (
-    eight_class_grips,
-    five_class_example,
-    flat_structure,
-    six_class_nested,
-)
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import dwt_db6, idwt_db6_periodic
-from conftest import random_structure
+from conftest import flat_structure, random_structure, structure_file
 from test_runtime import obj, perfect_ensemble
 
 SMALL_STRUCTURES = {
-    "five_class_example": five_class_example(),
-    "six_class_nested": six_class_nested(),
+    "five_class.json": structure_file("five_class"),
+    "six_class.json": structure_file("six_class"),
     "flat_structure(4)": flat_structure(4),
     "flat_structure(5)": flat_structure(5),
 }
@@ -62,7 +56,7 @@ def report(capsys, number, name, ok, detail=""):
 
 def test_01_feasible_set_counts(capsys):
     t0 = time.perf_counter()
-    s = five_class_example()
+    s = structure_file("five_class")
     constrained = len(enumerate_feasible(derive_constraints(s)))
     table = ConstraintTable(num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)})
     unconstrained = len(enumerate_feasible(table))
@@ -158,7 +152,8 @@ def test_05_ea_attains_exhaustive_optimum(capsys):
 def test_06_fsm_round_trip(capsys):
     ok = True
     count = 0
-    structures = dict(SMALL_STRUCTURES, **{"eight_class_grips": eight_class_grips()})
+    structures = dict(SMALL_STRUCTURES)
+    structures["eight_class_grips.json"] = structure_file("eight_class_grips")
     for s in structures.values():
         ens = perfect_ensemble(s)  # injected oracle: feature value == class
         for seq in generate_movement_sequences(s):
@@ -210,7 +205,7 @@ def test_08_kendall_metric_axioms(capsys):
 @pytest.mark.slow
 def test_09_desk_scale_trend(capsys):
     t0 = time.perf_counter()
-    structure = six_class_nested()
+    structure = structure_file("six_class")
     sset = synth_signalset(6, records_per_class=100, num_channels=2, samples=512, seed=2026)
     config = RunConfig(
         signalset=sset,

@@ -1,11 +1,15 @@
 import json
 import math
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctxclf
 from ctxclf.context import (
     MAX_CLASSES,
     Binding,
@@ -22,24 +26,24 @@ from ctxclf.context import (
     validate_structure,
 )
 from ctxclf.errors import DuplicateClassInBox, InfeasibleStructure, StructureError
-from ctxclf.structures import (
-    eight_class_grips,
-    five_class_example,
+from conftest import (
     flat_structure,
-    six_class_nested,
+    make_structure,
+    random_structure,
+    structure_file,
+    structure_to_dict,
 )
-from conftest import make_structure, random_structure, structure_to_dict
 
 
 def test_five_class_feasible_count_is_12():
-    s = five_class_example()
+    s = structure_file("five_class")
     assert validate_structure(s) == []
     feas = enumerate_feasible(derive_constraints(s))
     assert len(feas) == 12
 
 
 def test_five_class_constraint_table():
-    table = derive_constraints(five_class_example())
+    table = derive_constraints(structure_file("five_class"))
     assert table.permitted == {
         1: (1, 2),
         2: (1, 2),
@@ -57,7 +61,7 @@ def test_unconstrained_table_gives_factorial():
 
 
 def test_enumeration_is_lexicographic_and_stable():
-    s = six_class_nested()
+    s = structure_file("six_class")
     feas = enumerate_feasible(derive_constraints(s))
     secs = [b.secondary for b in feas]
     assert secs == sorted(secs)
@@ -78,15 +82,12 @@ def test_oracle_equivalence_random_structures():
         assert {b.secondary for b in feas} == {b.secondary for b in brute}
 
 
-STRUCTURE_FILES = Path(__file__).resolve().parent.parent / "structures"
-
-
 @pytest.mark.parametrize("name", ["five_class", "six_class", "eight_class_grips", "flat2-9"])
 def test_count_equals_the_listed_feasible_set(name):
     if name == "flat2-9":
         tables = [derive_constraints(flat_structure(c)) for c in range(2, 10)]
     else:
-        tables = [derive_constraints(load_structure(STRUCTURE_FILES / f"{name}.json"))]
+        tables = [derive_constraints(structure_file(name))]
     for table in tables:
         assert count_feasible(table) == len(enumerate_feasible(table))
 
@@ -108,8 +109,29 @@ def test_count_of_random_and_of_large_tables():
     assert count_feasible(unconstrained) == math.factorial(MAX_CLASSES)  # the largest count: int64
 
 
+def test_listing_builds_no_row_it_cannot_complete():
+    """12 classes with the last 4 movements pinned to classes 1-4 have 8! = 40,320 bindings,
+    but about 20 million partial rows that cannot all be completed: a listing that built them
+    all would end in a MemoryError within a 1 GB address space."""
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from ctxclf.context import ConstraintTable, count_feasible, enumerate_feasible
+        permitted = {k: tuple(range(1, 13)) for k in range(1, 9)}
+        permitted.update({8 + c: (c,) for c in range(1, 5)})
+        table = ConstraintTable(12, permitted)
+        rows = [b.secondary for b in enumerate_feasible(table)]
+        assert len(rows) == count_feasible(table) == 40320 and rows == sorted(rows)
+    """)
+    src = str(Path(ctxclf.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_feasible_binding_passes_independent_walk():
-    s = five_class_example()
+    s = structure_file("five_class")
     for b in enumerate_feasible(derive_constraints(s)):
         assert binding_feasible(s, b)
 
@@ -126,7 +148,7 @@ def test_binding_validation_and_class_map():
 
 
 def test_local_classes_closer_first():
-    s = five_class_example()
+    s = structure_file("five_class")
     binding = enumerate_feasible(derive_constraints(s))[0]
     box1 = s.root.children[0]  # opened by movement 3
     classes = local_classes(binding, box1)
@@ -187,7 +209,7 @@ def test_infeasible_structure_reports_movement():
 
 
 def test_structure_round_trip_and_load(tmp_path):
-    s = five_class_example()
+    s = structure_file("five_class")
     doc = structure_to_dict(s)
     assert structure_from_dict(doc) == s
     p = tmp_path / "s.json"
@@ -246,7 +268,7 @@ MISSING = object()
 
 def six_class_doc_with(path, value):
     """The six-class structure document with the field at ``path`` set to value (or deleted)."""
-    doc = structure_to_dict(six_class_nested())
+    doc = structure_to_dict(structure_file("six_class"))
     keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
     node = doc
     for k in keys[:-1]:
@@ -294,24 +316,8 @@ def test_structure_from_dict_names_missing_fields(path):
     assert str(exc.value) == f"{path}: missing"
 
 
-STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
-
-
-@pytest.mark.parametrize(
-    "name, built_in",
-    [
-        ("five_class", five_class_example),
-        ("six_class", six_class_nested),
-        ("eight_class_grips", eight_class_grips),
-    ],
-)
-def test_structure_files_equal_the_built_ins(name, built_in):
-    """The benchmark reads the files; the tests and demos build the same structures in code."""
-    assert load_structure(STRUCTURES / f"{name}.json") == built_in()
-
-
 def test_box_accessors():
-    s = six_class_nested()
+    s = structure_file("six_class")
     assert s.num_boxes == 3
     boxes = list(s.root.walk())
     assert [b.index for b in boxes] == [0, 1, 2, 3]  # pre-order, root first

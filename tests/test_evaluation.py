@@ -18,8 +18,8 @@ from ctxclf.evaluation import (
     sqcov_metric,
     zo_metric,
 )
-from ctxclf.structures import five_class_example, six_class_nested
 from ctxclf.synth import synth_signalset
+from conftest import make_structure, structure_file
 from test_runtime import obj, perfect_ensemble
 
 
@@ -32,7 +32,7 @@ def test_outcome_properties():
 
 
 def test_sequence_generation_five_class():
-    s = five_class_example()
+    s = structure_file("five_class")
     seqs = generate_movement_sequences(s)
     assert len(seqs) == 2  # one per leaf box
     by_path = {seq.path: seq for seq in seqs}
@@ -42,7 +42,7 @@ def test_sequence_generation_five_class():
 
 
 def test_sequence_generation_nested_closers():
-    s = six_class_nested()
+    s = structure_file("six_class")
     seqs = generate_movement_sequences(s)
     assert len(seqs) == 2
     nested = [q for q in seqs if q.path == (0, 1, 2)][0]
@@ -54,8 +54,6 @@ def test_sequence_generation_nested_closers():
 
 
 def test_degenerate_structure_without_children():
-    from conftest import make_structure
-
     s = make_structure(2, [(0, None, None, [1, 2])])
     # movements 3 and 4 are unplaced, so the structure is invalid, but the
     # sequence generator still emits the root member run
@@ -65,7 +63,7 @@ def test_degenerate_structure_without_children():
 
 
 def test_sequence_to_classes():
-    s = five_class_example()
+    s = structure_file("five_class")
     ens = perfect_ensemble(s)
     seq = generate_movement_sequences(s)[0]
     classes = sequence_to_classes(seq, s, ens.binding)
@@ -84,7 +82,7 @@ def test_sample_object_sequences():
 
 
 def test_evaluate_sequence_with_perfect_ensemble():
-    s = five_class_example()
+    s = structure_file("five_class")
     ens = perfect_ensemble(s)
     for seq in generate_movement_sequences(s):
         classes = sequence_to_classes(seq, s, ens.binding)
@@ -135,7 +133,7 @@ def small_run():
     sset = synth_signalset(6, records_per_class=9, samples=128, seed=21)
     config = RunConfig(
         signalset=sset,
-        structure=six_class_nested(),
+        structure=structure_file("six_class"),
         classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
         cv_folds=3,
         inner_folds=2,
@@ -194,7 +192,7 @@ def test_run_config_rejects_unknown_method():
     with pytest.raises(ValueError, match=r"methods\[1\]"):
         RunConfig(
             signalset=sset,
-            structure=five_class_example(),
+            structure=structure_file("five_class"),
             classifier_specs=(ClassifierSpec(),),
             methods=("plain", "magic"),
         )
@@ -205,7 +203,7 @@ def test_run_config_rejects_a_repeated_method():
     with pytest.raises(ValueError, match=r"^methods\[1\]: duplicate method 'octx'$"):
         RunConfig(
             signalset=sset,
-            structure=five_class_example(),
+            structure=structure_file("five_class"),
             classifier_specs=(ClassifierSpec(),),
             methods=("octx", "octx"),
         )

@@ -79,18 +79,20 @@ from ctxclf.runtime import (
     walk_tables,
 )
 from ctxclf.signals import SignalRecord, SignalSet, load_signalset, save_signalset
-from ctxclf.structures import (
-    eight_class_grips,
-    five_class_example,
-    flat_structure,
-    six_class_nested,
-)
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import DB6_HIGHPASS, DB6_LOWPASS, TAPS, dwt_db6
-from conftest import ar_coefficients, chain_doc, slope_sign_changes, tree_arrays
+from conftest import (
+    STRUCTURES,
+    ar_coefficients,
+    chain_doc,
+    flat_structure,
+    slope_sign_changes,
+    structure_file,
+    structure_to_dict,
+    tree_arrays,
+)
 from test_runtime import obj, perfect_ensemble
 
-STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
 SIX_CLASS_JSON = STRUCTURES / "six_class.json"
 
 
@@ -604,7 +606,7 @@ def test_counted_repair_equals_loop_repair(problem):
 def test_counted_repair_on_grips_feasible_set(monkeypatch, chunk_rows):
     if chunk_rows:
         monkeypatch.setattr(optimize, "REPAIR_CHUNK_ROWS", chunk_rows)  # 8 chunks
-    feasible = feasible_set(eight_class_grips())
+    feasible = feasible_set(structure_file("eight_class_grips"))
     index = RepairIndex(feasible)
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -834,7 +836,7 @@ def test_plain_sequences_equal_per_object_predict(six_class_data, algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_table_walk_equals_step_by_step(six_class_data, algorithm):
     X, y = six_class_data
-    structure = six_class_nested()
+    structure = structure_file("six_class")
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
     train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
     pools = _class_pools(y, test_idx)
@@ -996,9 +998,30 @@ def in_order(tables):
     return [(box, list(row.items())) for box, row in tables.items()]
 
 
+def mirrored(name):
+    """A committed structure with its non-root box ids reversed (id k -> top + 1 - k).
+
+    Children are built in id order, so every box lists its children the other way
+    round: the same boxes and movements, walked in mirror order.
+    """
+    doc = structure_to_dict(structure_file(name))
+    top = max(b["id"] for b in doc["boxes"])
+    new_id = {b["id"]: b["id"] if b["id"] == ROOT else top + 1 - b["id"] for b in doc["boxes"]}
+    for b in doc["boxes"]:
+        b["id"] = new_id[b["id"]]
+        b["parent"] = None if b["parent"] is None else new_id[b["parent"]]
+    return structure_from_dict(doc)
+
+
+MIRRORED_CASES = [
+    ("five", mirrored("five_class")),
+    ("six", mirrored("six_class")),
+    ("grips", mirrored("eight_class_grips")),
+]
+
 TREE_CASES = (
     [(p.stem, load_structure(p)) for p in structure_files()]
-    + [("five", five_class_example()), ("six", six_class_nested()), ("grips", eight_class_grips())]
+    + MIRRORED_CASES
     + [(f"flat{c}", flat_structure(c)) for c in range(2, 9)]
     + [("chain100", structure_from_dict(chain_doc(100)))]
 )
@@ -1111,10 +1134,10 @@ def test_ordered_loop_equals_recursive_enumerator_on_any_table(problem):
 @pytest.mark.parametrize(
     "structure",
     [load_structure(p) for p in structure_files()]
-    + [five_class_example(), six_class_nested(), eight_class_grips()]
+    + [s for _, s in MIRRORED_CASES]
     + [flat_structure(c) for c in range(2, 9)],
     ids=[p.stem for p in structure_files()]
-    + ["five", "six", "grips"]
+    + [n for n, _ in MIRRORED_CASES]
     + [f"flat{c}" for c in range(2, 9)],
 )
 def test_ordered_loop_equals_recursive_enumerator_on_structures(structure):
@@ -1136,7 +1159,7 @@ def test_ordered_loop_equals_recursive_enumerator_on_the_table_file():
 
 
 @pytest.mark.parametrize(
-    "structure", [five_class_example(), six_class_nested()], ids=["five", "six"]
+    "structure", [structure_file("five_class"), structure_file("six_class")], ids=["five", "six"]
 )
 def test_step_equals_stack_walk(structure):
     """Random class streams through step and through the stack oracle, every feasible binding.
@@ -1159,7 +1182,7 @@ def test_step_equals_stack_walk(structure):
 
 
 def test_step_rejects_a_class_with_no_meaning():
-    structure = six_class_nested()
+    structure = structure_file("six_class")
     ensemble = perfect_ensemble(structure)
     box = min(structure.root.walk(), key=lambda b: len(b.slots()))  # box 2 holds three classes
     inside = local_classes(ensemble.binding, box)
@@ -1173,7 +1196,7 @@ def test_step_rejects_a_class_with_no_meaning():
 
 
 def test_table_walk_rejects_a_class_with_no_meaning():
-    structure = six_class_nested()
+    structure = structure_file("six_class")
     next_box, _ = ContextEnsemble(structure, feasible_set(structure)[0], {}, {}).transitions
     message = f"^box {ROOT}: predicted class 99 has no interpretation$"
     with pytest.raises(DuplicateClassInBox, match=message):
@@ -1184,7 +1207,7 @@ def test_table_walk_rejects_a_class_with_no_meaning():
 def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
     """One cache over every feasible binding, as one inner split or one outer fold shares it."""
     X, y = six_class_data
-    structure = six_class_nested()
+    structure = structure_file("six_class")
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
     train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
     pools = _class_pools(y, test_idx)
@@ -1306,7 +1329,7 @@ def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, m
 
     config = RunConfig(
         signalset=sset,
-        structure=six_class_nested(),
+        structure=structure_file("six_class"),
         classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
         methods=("plain", "octx"),
         cv_folds=cv_folds,
@@ -1510,7 +1533,7 @@ def test_run_experiment_golden_digest():
         signalset=synth_signalset(
             6, records_per_class=6, num_channels=1, samples=128, noise=2.0, seed=11
         ),
-        structure=six_class_nested(),
+        structure=structure_file("six_class"),
         classifier_specs=(
             ClassifierSpec(algorithm="NearestNeighbor"),
             ClassifierSpec(algorithm="GaussianNB"),
@@ -1541,7 +1564,7 @@ def test_run_experiment_ea_path_golden_digest():
         signalset=synth_signalset(
             6, records_per_class=8, num_channels=1, samples=128, noise=1.5, seed=13
         ),
-        structure=six_class_nested(),
+        structure=structure_file("six_class"),
         classifier_specs=(
             ClassifierSpec(algorithm="GaussianNB"),
             ClassifierSpec(algorithm="RandomForest", num_trees=3, seed=2),

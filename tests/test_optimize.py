@@ -23,7 +23,7 @@ from ctxclf.optimize import (
     _ox1,
     _ox2,
 )
-from ctxclf.structures import five_class_example, flat_structure, six_class_nested
+from conftest import flat_structure, structure_file
 
 
 def synthetic_fitness(binding: Binding) -> float:
@@ -101,7 +101,7 @@ def test_mutations_preserve_permutation(op):
 
 
 def test_repair_minimizes_kendall_distance():
-    s = five_class_example()
+    s = structure_file("five_class")
     feas = feasible_set(s)
     index = RepairIndex(feas)
     rng = np.random.default_rng(2)
@@ -122,7 +122,7 @@ def test_repair_minimizes_kendall_distance():
 
 
 def test_exhaustive_search_argmax_and_memoization():
-    feas = feasible_set(five_class_example())
+    feas = feasible_set(structure_file("five_class"))
     fit = Fitness(synthetic_fitness)
     best, value, table = exhaustive_search(feas, fit)
     assert len(table) == len(feas)
@@ -161,7 +161,7 @@ def test_ea_deterministic_and_monotone():
 
 @pytest.mark.parametrize("op", ("OX1", "OX2"))
 def test_ea_finds_exhaustive_optimum(op):
-    for structure in (five_class_example(), six_class_nested(), flat_structure(4)):
+    for structure in (structure_file("five_class"), structure_file("six_class"), flat_structure(4)):
         feas = feasible_set(structure)
         _, target, _ = exhaustive_search(feas, Fitness(synthetic_fitness))
         hits = 0

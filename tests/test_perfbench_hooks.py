@@ -14,8 +14,8 @@ from pathlib import Path
 
 from ctxclf import evaluation, optimize
 from ctxclf.classifiers import ClassifierSpec
-from ctxclf.structures import six_class_nested
 from ctxclf.synth import synth_signalset
+from conftest import structure_file
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -44,7 +44,7 @@ def test_a_run_calls_every_layer_through_its_span():
     spans = load_spans()
     config = evaluation.RunConfig(
         signalset=synth_signalset(6, records_per_class=4, samples=128, seed=3),
-        structure=six_class_nested(),
+        structure=structure_file("six_class"),
         classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
         cv_folds=2,
         inner_folds=2,

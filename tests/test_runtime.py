@@ -11,7 +11,7 @@ from ctxclf.runtime import (
     train_ensemble,
     train_plain,
 )
-from ctxclf.structures import five_class_example, six_class_nested
+from conftest import structure_file
 
 
 def scalar_training_data(num_classes, copies=2):
@@ -33,7 +33,7 @@ def obj(c):
 
 
 def test_step_pushes_and_pops():
-    s = five_class_example()
+    s = structure_file("five_class")
     ens = perfect_ensemble(s)
     binding = ens.binding
     state = initial_state(ens)
@@ -61,7 +61,7 @@ def test_step_pushes_and_pops():
 def test_generated_sequences_return_to_root():
     from ctxclf.evaluation import generate_movement_sequences, sequence_to_classes
 
-    for s in (five_class_example(), six_class_nested()):
+    for s in (structure_file("five_class"), structure_file("six_class")):
         ens = perfect_ensemble(s)
         for seq in generate_movement_sequences(s):
             state = initial_state(ens)
@@ -74,7 +74,7 @@ def test_generated_sequences_return_to_root():
 
 
 def test_reset():
-    s = five_class_example()
+    s = structure_file("five_class")
     ens = perfect_ensemble(s)
     state = initial_state(ens)
     step(ens, state, obj(3))
@@ -84,7 +84,7 @@ def test_reset():
 
 
 def test_train_ensemble_rejects_infeasible_binding():
-    s = five_class_example()
+    s = structure_file("five_class")
     X, y = scalar_training_data(5)
     # movement 6 would repeat the class of box 1's closer (movement 3)
     bad = Binding(num_classes=5, secondary=(3, 1, 2, 4, 5))
@@ -93,7 +93,7 @@ def test_train_ensemble_rejects_infeasible_binding():
 
 
 def test_train_ensemble_uncovered_class():
-    s = five_class_example()
+    s = structure_file("five_class")
     binding = enumerate_feasible(derive_constraints(s))[0]
     X, y = scalar_training_data(5)
     keep = (y != 4) & (y != 2)
@@ -102,7 +102,7 @@ def test_train_ensemble_uncovered_class():
 
 
 def test_one_model_per_box_with_local_classes():
-    s = six_class_nested()
+    s = structure_file("six_class")
     ens = perfect_ensemble(s)
     boxes = list(s.root.walk())
     assert set(ens.models) == {b.index for b in boxes}
@@ -114,7 +114,7 @@ def test_one_model_per_box_with_local_classes():
 
 
 def test_describe_lists_boxes_and_marks():
-    ens = perfect_ensemble(five_class_example())
+    ens = perfect_ensemble(structure_file("five_class"))
     text = ens.describe()
     assert "box 0 (initial)" in text
     assert "box 1" in text and "box 2" in text
@@ -153,12 +153,12 @@ box 0 (initial)
 
 
 def test_describe_six_class_text():
-    """The whole rendering of six_class_nested under its first feasible binding.
+    """The whole rendering of six_class.json under its first feasible binding.
 
     Recorded when describe() was still a recursive visitor: indents, box
     order, the (+)/(-) marks and the class column are all pinned.
     """
-    assert perfect_ensemble(six_class_nested()).describe() == SIX_CLASS_DESCRIBE
+    assert perfect_ensemble(structure_file("six_class")).describe() == SIX_CLASS_DESCRIBE
 
 
 def test_train_plain_covers_all_classes():
