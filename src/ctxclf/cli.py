@@ -39,7 +39,7 @@ from ctxclf.evaluation import (
 )
 from ctxclf.features import feature_matrix
 from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
-from ctxclf.optimize import EAParams, feasible_set, refuse_above_guard, trace_to_csv
+from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
 from ctxclf.signals import load_signalset
 
 EXIT_OK = 0
@@ -171,29 +171,32 @@ def _table_from_file(path) -> ConstraintTable:
 
 
 def cmd_enumerate(args) -> int:
+    """Print the count of the feasible set and list it with --out. A zero count exits 2
+    and writes nothing, with one `infeasible:` line for a structure."""
     if args.table:
-        table = _table_from_file(args.table)
+        table, why = _table_from_file(args.table), None
     else:
         structure = _valid_structure(args.structure)
         if structure is None:
             return EXIT_ERROR
         try:
-            table = derive_constraints(structure)
+            table, why = derive_constraints(structure), "feasible set is empty"
         except InfeasibleStructure as exc:
-            print(0)
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-    count = count_feasible(table)
+            table, why = None, exc
+    count = 0 if table is None else count_feasible(table)
     print(count)
+    if not count:
+        if why:
+            print(f"infeasible: {why}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     if args.out:  # only a listing is bounded by the guard
-        refuse_above_guard(count)
         payload = {
             "num_classes": table.num_classes,
             "count": count,
-            "bindings": [list(b.secondary) for b in enumerate_feasible(table)] if count else [],
+            "bindings": [list(b.secondary) for b in enumerate_feasible(table)],
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK if count else EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
@@ -386,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "enumerate" and not (args.structure or args.table):
-        print("ERROR: provide a structure file or --table", file=sys.stderr)
+    if args.command == "enumerate" and bool(args.structure) == bool(args.table):
+        print("ERROR: provide exactly one of a structure file and --table", file=sys.stderr)
         return EXIT_ERROR
     try:
         return args.fn(args)

@@ -13,7 +13,7 @@ the same class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ class Movement:
 ROOT = 0  # the root box's index; structure_from_dict requires it
 MAX_NESTING = 100  # boxes on a path below the root; structure_from_dict refuses a deeper box
 MAX_CLASSES = 20  # validate_structure refuses a larger C; the paper's largest case has C = 8
+FEASIBLE_SET_GUARD = 10**6  # enumerate_feasible refuses to list a larger set
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class ConstraintTable:
     """
 
     num_classes: int
-    permitted: dict[int, tuple[int, ...]] = field(compare=False)
+    permitted: dict[int, tuple[int, ...]]
 
 
 def load_structure(path) -> ContextStructure:
@@ -297,9 +298,16 @@ def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
     yet and that leaves a class set the later movements can fill
     (``_ways``), so no row is built that cannot be completed. With sorted
     ``permitted`` tuples the rows stay in lexicographic order. The result
-    may be empty, which signals an infeasible box arrangement.
+    may be empty, which signals an infeasible box arrangement; a set above
+    FEASIBLE_SET_GUARD is refused from its count before any row is built.
     """
-    ways = _ways(table).tolist()
+    ways = _ways(table)
+    count = int(ways[-1])
+    if count > FEASIBLE_SET_GUARD:
+        raise InfeasibleStructure(
+            f"feasible set of size {count} exceeds the {FEASIBLE_SET_GUARD} guard"
+        )
+    ways = ways.tolist()
     rows = [((), len(ways) - 1)]  # (row, the class set it leaves free)
     for k in range(1, table.num_classes + 1):
         rows = [

@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctxclf.context import (
-    Binding,
-    ContextStructure,
-    count_feasible,
-    derive_constraints,
-    enumerate_feasible,
-)
+from ctxclf.context import Binding, ContextStructure, derive_constraints, enumerate_feasible
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.rng import derive_rng
 
-FEASIBLE_SET_GUARD = 10**6
 REPAIR_CHUNK_ROWS = 1 << 16  # bound on the (rows, C(C-1)/2) pair table of one repair chunk
 
 
@@ -209,20 +202,11 @@ def repair(candidate, index: RepairIndex) -> Binding:
 
 def feasible_set(structure: ContextStructure) -> list[Binding]:
     """Every feasible binding in lexicographic order; an empty set or one above the guard
-    is refused from its count, before any binding is built."""
-    table = derive_constraints(structure)
-    count = count_feasible(table)
-    if not count:
+    is refused before any binding is built."""
+    feasible = enumerate_feasible(derive_constraints(structure))
+    if not feasible:
         raise InfeasibleStructure("feasible set is empty")
-    refuse_above_guard(count)
-    return enumerate_feasible(table)
-
-
-def refuse_above_guard(count: int) -> None:
-    if count > FEASIBLE_SET_GUARD:
-        raise InfeasibleStructure(
-            f"feasible set of size {count} exceeds the {FEASIBLE_SET_GUARD} guard"
-        )
+    return feasible
 
 
 def exhaustive_search(feasible: list[Binding], fitness) -> tuple[Binding, float, list[tuple[Binding, float]]]:

@@ -215,13 +215,36 @@ def write_infeasible_structure(path):
 
 
 def test_enumerate_infeasible(tmp_path, capsys):
-    p = write_infeasible_structure(tmp_path / "inf.json")
-    assert main(["enumerate", str(p)]) == 2
-    assert capsys.readouterr().out.strip() == "0"
+    """Every zero count prints 0, exits 2 and writes no --out file; a structure's also prints
+    one `infeasible:` line, a table's none."""
+    jointly = write_infeasible_structure(tmp_path / "inf.json")  # no permutation fits the sets
+    no_class = tmp_path / "no_class.json"  # movement 4 shares a box with classes 1, 2 and 3
+    boxes = [(0, None, None, []), (1, 0, 1, [2, 4]), (2, 0, 3, [4]), (3, 0, 2, [5, 6])]
+    no_class.write_text(json.dumps(structure_to_dict(make_structure(3, boxes))))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"num_classes": 2, "permitted": {"1": [1], "2": [1]}}))
+    out = tmp_path / "feasible.json"
+    for argv, err in (
+        ([str(jointly)], "infeasible: feasible set is empty\n"),
+        (
+            [str(no_class)],
+            "infeasible: movement 4 has no permitted class; the box arrangement is infeasible\n",
+        ),
+        (["--table", str(table)], ""),
+    ):
+        assert main(["enumerate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("0\n", err)
+        assert not out.exists()
 
 
 def test_enumerate_requires_input(capsys):
-    assert main(["enumerate"]) == 1
+    """Neither a structure nor --table, or both: the structure is never silently ignored."""
+    table = STRUCTURES / "unconstrained_c5_table.json"
+    for argv in ([], ["no_such.json", "--table", str(table)]):
+        assert main(["enumerate", *argv]) == 1
+        assert capsys.readouterr() == (
+            "", "ERROR: provide exactly one of a structure file and --table\n"
+        )
 
 
 def test_run_and_report(run_setup, capsys):

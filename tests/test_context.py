@@ -92,6 +92,11 @@ def test_count_equals_the_listed_feasible_set(name):
         assert count_feasible(table) == len(enumerate_feasible(table))
 
 
+def test_constraint_tables_differ_by_their_permitted_sets():
+    identity = ConstraintTable(3, {1: (1,), 2: (2,), 3: (3,)})
+    assert identity != ConstraintTable(3, {1: (2,), 2: (3,), 3: (1,)})
+
+
 def test_count_of_random_and_of_large_tables():
     rng = np.random.default_rng(11)
     for _ in range(30):  # random tables, empty sets included

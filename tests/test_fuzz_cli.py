@@ -7,6 +7,10 @@ a negative number, or replaces the whole file with bytes that are not text or
 with a JSON array nested too deeply to decode.
 A failing command prints at most one stderr line, an ``ERROR:`` or
 ``violation:`` line, and leaves no output behind.
+
+A second fuzz runs ``validate`` and ``enumerate`` on structures of every
+shape: nesting chains 50-3,000 boxes deep, flat structures with C = 2-12
+and 21, and random trees, valid or not.
 """
 
 import contextlib
@@ -14,18 +18,23 @@ import io
 import json
 import math
 import shutil
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxclf
 from ctxclf import cli
 from ctxclf.context import validate_structure
 from ctxclf.signals import save_signalset
 from ctxclf.synth import synth_signalset
-from conftest import make_structure, structure_to_dict
+from conftest import chain_doc, flat_structure, make_structure, random_structure, structure_to_dict
 
 MUTATIONS = (
     "drop", "null", "wrong type", "empty list", "nan", "inf", "huge", "negative", "bytes", "deep"
@@ -184,3 +193,85 @@ def test_one_mutation_ends_in_an_exit_code_and_one_line(base_dir, case):
             assert len(lines) <= 1, lines
             assert all(line.startswith(("ERROR:", "violation:")) for line in lines), lines
             assert sorted(work.rglob("*")) == before  # no output directory, no partial file
+
+
+SHAPE_RUNNER = textwrap.dedent("""
+    import contextlib, io, json, resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from ctxclf import cli
+    results = []
+    for argv in json.load(sys.stdin):
+        err, out = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+        except BaseException as exc:  # a traceback: the test names the case
+            code = repr(exc)
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+""")
+SHAPE_BUDGET_S = 120
+
+
+def random_tree_doc(rng, num_classes):
+    """Up to 2C boxes with random parents, openers and members: most break a structure rule."""
+    C = num_classes
+    boxes = [{"id": 0, "parent": None, "internal_movements": list(range(1, C + 1))}]
+    for b in range(1, int(rng.integers(1, 2 * C + 1))):
+        members = rng.choice(2 * C, size=int(rng.integers(1, C + 1)), replace=False) + 1
+        boxes.append(
+            {
+                "id": b,
+                "parent": int(rng.integers(0, b)),
+                "opens_with_movement": int(rng.integers(1, 2 * C + 1)),
+                "internal_movements": sorted(int(m) for m in members),
+            }
+        )
+    return {"num_classes": C, "movements": [{"id": m} for m in range(1, 2 * C + 1)], "boxes": boxes}
+
+
+def shapes(rng):
+    """(name, structure document, C) for each shape."""
+    for depth in (50, 100, 101, 1000, 3000, *rng.integers(50, 3001, size=3)):
+        yield f"chain{depth}", chain_doc(int(depth)), 2
+    for C in (*range(2, 13), 21):
+        yield f"flat{C}", structure_to_dict(flat_structure(C)), C
+    for i in range(12):
+        C = int(rng.integers(3, 9))
+        yield f"random{i}", structure_to_dict(random_structure(rng, C)), C
+    for i in range(24):
+        C = int(rng.integers(2, 9))
+        yield f"tree{i}", random_tree_doc(rng, C), C
+
+
+def test_every_structure_shape_ends_in_an_exit_code_and_one_line(tmp_path):
+    """All cases run in one child process under a 1 GB address space and a time budget; a
+    listing (--out) is asked only for C <= 8, where it stays small."""
+    cases = []
+    for name, doc, C in shapes(np.random.default_rng(7)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        cases += [["validate", str(path)], ["enumerate", str(path)]]
+        if C <= 8:
+            cases.append(["enumerate", str(path), "--out", str(tmp_path / f"{name}.out.json")])
+    src = str(Path(ctxclf.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", SHAPE_RUNNER],
+        input=json.dumps(cases),
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=SHAPE_BUDGET_S,
+    )
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    assert len(results) == len(cases)
+    for argv, (code, out, err) in zip(cases, results):
+        assert code in (0, 1, 2), (argv, code)
+        lines = err.splitlines()
+        assert all(line.startswith(("violation:", "ERROR:", "infeasible:")) for line in lines), (
+            argv, lines,
+        )
+        assert sum(line.startswith(("ERROR:", "infeasible:")) for line in lines) <= 1, (argv, lines)
+        if "--out" in argv:
+            assert Path(argv[-1]).exists() == (code == 0), (argv, code, err)

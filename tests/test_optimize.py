@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from ctxclf import optimize
+from ctxclf import context, optimize
 from ctxclf.context import Binding, ConstraintTable
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.optimize import (
@@ -173,14 +173,22 @@ def test_ea_finds_exhaustive_optimum(op):
 
 
 def test_feasible_set_is_refused_from_its_count(monkeypatch):
-    """An empty set or one above the guard is refused before enumerate_feasible runs."""
-    monkeypatch.setattr(optimize, "enumerate_feasible", lambda table: pytest.fail("listed"))
+    """An empty set or one above the guard is refused before any binding is built."""
+    monkeypatch.setattr(context, "Binding", lambda *a, **k: pytest.fail("a binding was built"))
     with pytest.raises(InfeasibleStructure, match="feasible set of size 1334961 exceeds"):
         feasible_set(flat_structure(10))
     empty = ConstraintTable(3, {1: (1, 2), 2: (1, 2), 3: (1, 2)})
     monkeypatch.setattr(optimize, "derive_constraints", lambda structure: empty)
     with pytest.raises(InfeasibleStructure, match="feasible set is empty"):
         feasible_set(flat_structure(3))
+
+
+def test_feasible_set_runs_the_subset_dp_once(monkeypatch):
+    """The count that bounds the listing is the one the listing prunes with."""
+    calls, ways = [], context._ways
+    monkeypatch.setattr(context, "_ways", lambda table: calls.append(table) or ways(table))
+    assert len(feasible_set(structure_file("six_class"))) == 8
+    assert len(calls) == 1
 
 
 def test_ea_singleton_feasible_set():
