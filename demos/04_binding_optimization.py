@@ -35,7 +35,7 @@ def main():
     large = feasible_set(load_structure(STRUCTURES / "eight_class_grips.json"))
     print(f"\neight_class_grips.json: |feasible set| = {len(large)}, running the EA")
     fit = Fitness(synthetic_fitness)
-    best, value, trace = ea_search(large, fit, EAParams(seed=3))
+    best, value, trace = ea_search(large, fit, EAParams(), 3)
     print(f"  EA best {best.secondary} with fitness {value:.4f}")
     print(f"  {fit.evaluations} distinct bindings evaluated over {len(trace) - 1} generations")
     for t in trace[:: max(1, len(trace) // 6)]:

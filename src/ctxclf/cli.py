@@ -51,6 +51,13 @@ class ConfigError(CtxclfError):
     """Config schema violation; message carries the offending field path."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, so it ends as any bad input does (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _nonempty_list(d: dict, key: str) -> list:
     items = read_field(d, key, list, "", ConfigError)
     if not items:
@@ -107,12 +114,15 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
             expect(entry, dict, at, ConfigError)
             specs.append(_from_fields(ClassifierSpec, entry, f"{at}.", required=("algorithm",)))
         given["classifier_specs"] = tuple(specs)
-    if "ea" in raw:  # the EA seed is derived from the master seed, never read
+    if "ea" in raw:
         ea = read_field(raw, "ea", dict, "", ConfigError)
-        given["ea_params"] = _from_fields(EAParams, ea, "ea.", seed=EAParams.seed)
+        given["ea_params"] = _from_fields(EAParams, ea, "ea.")
     keys = ("signalset", "structure", "classifiers", "methods", "ea", "output_dir")
     config = _from_fields(RunConfig, raw, "", keys, **given)
     out_dir = Path(read_field(raw, "output_dir", str, "", ConfigError, "out"))
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():  # refused now, not once the run is over and its files are written
+        raise ConfigError(f"output_dir: {existing} is not a directory")
     return config, raw, out_dir
 
 
@@ -355,7 +365,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctxclf",
         description="Context-dependent classification of multichannel biosignal records.",
     )
@@ -388,11 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "enumerate" and bool(args.structure) == bool(args.table):
-        print("ERROR: provide exactly one of a structure file and --table", file=sys.stderr)
-        return EXIT_ERROR
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "enumerate" and bool(args.structure) == bool(args.table):
+            raise ConfigError("provide exactly one of a structure file and --table")
         return args.fn(args)
     except InfeasibleStructure as exc:
         print(f"ERROR: {exc}", file=sys.stderr)

@@ -153,6 +153,8 @@ def structure_from_dict(doc: dict) -> ContextStructure:
         path = f"boxes[{i}]"
         expect(b, dict, path, StructureError)
         bid = read_field(b, "id", int, f"{path}.", StructureError)
+        if bid in box_docs:
+            raise StructureError(f"{path}.id: box {bid} listed twice")
         box_docs[bid], box_paths[bid] = b, path
     if ROOT not in box_docs:
         raise StructureError(f"structure must contain the root box with id {ROOT}")
@@ -175,8 +177,6 @@ def structure_from_dict(doc: dict) -> ContextStructure:
     def build(bid: int, depth: int) -> BoxNode:
         if depth > MAX_NESTING:  # before the recursion can reach Python's limit
             raise StructureError(f"box {bid}: nested more than {MAX_NESTING} boxes below the root")
-        if bid in seen:
-            raise StructureError(f"box {bid} appears twice in the tree")
         seen.add(bid)
         b, path = box_docs[bid], box_paths[bid]
         opener, closer = (

@@ -12,7 +12,7 @@ error.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -293,10 +293,8 @@ def search_binding(
     if len(feasible) <= config.exhaustive_limit:
         best, value, _ = exhaustive_search(feasible, fitness)
     else:
-        params = replace(
-            config.ea_params, seed=derive_seed(config.master_seed, "ea", fold, spec.algorithm)
-        )
-        best, value, trace = ea_search(feasible, fitness, params)
+        seed = derive_seed(config.master_seed, "ea", fold, spec.algorithm)
+        best, value, trace = ea_search(feasible, fitness, config.ea_params, seed)
     return best, value, fitness.evaluations, trace
 
 

@@ -45,7 +45,6 @@ class EAParams:
     mutation_prob: float = 0.2
     stagnation_horizon: int = 10
     max_generations: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         for name, lo, hi in (
@@ -149,24 +148,22 @@ MUTATION_OPS = ("Swap", "Insert", "Scramble", "Inversion")
 class RepairIndex:
     """One feasible list and the arrays `repair` reads from it, built once per search.
 
-    ``feasible`` is the list itself, ``first`` maps each secondary to its
-    first listed binding, ``positions`` is the (|F|, C) table of where each
-    class sits in each binding, and ``upper``/``lower`` are the C(C-1)/2
-    position pairs.
+    ``feasible`` is the list as `feasible_set` makes it: distinct bindings in
+    lexicographic order. ``first`` maps each secondary to its binding,
+    ``positions`` is the (|F|, C) table of where each class sits in each
+    binding, and ``upper``/``lower`` are the C(C-1)/2 position pairs.
     """
 
     def __init__(self, feasible: list[Binding]):
         if not feasible:
             raise InfeasibleStructure("feasible set is empty")
         self.feasible = feasible
-        self.first: dict[tuple, Binding] = {}
-        for b in feasible:
-            self.first.setdefault(b.secondary, b)
-        self.secondaries = np.array([b.secondary for b in feasible], dtype=np.int64)
-        C = self.secondaries.shape[1]
-        self.positions = np.empty(self.secondaries.shape, dtype=np.int16)  # [r, v - 1]: where v sits
+        self.first = {b.secondary: b for b in feasible}
+        secondaries = np.array([b.secondary for b in feasible], dtype=np.int64)
+        C = secondaries.shape[1]
+        self.positions = np.empty(secondaries.shape, dtype=np.int16)  # [r, v - 1]: where v sits
         np.put_along_axis(
-            self.positions, self.secondaries - 1, np.arange(C, dtype=np.int16)[None, :], axis=1
+            self.positions, secondaries - 1, np.arange(C, dtype=np.int16)[None, :], axis=1
         )
         self.upper, self.lower = np.triu_indices(C, 1)
 
@@ -176,8 +173,8 @@ def repair(candidate, index: RepairIndex) -> Binding:
 
     A candidate already in the list is looked up. Otherwise the distances
     to all of it are counted at once, over the C(C-1)/2 position pairs,
-    ``REPAIR_CHUNK_ROWS`` bindings at a time. The binding returned is the
-    object from the list; among equal secondaries the first listed.
+    ``REPAIR_CHUNK_ROWS`` bindings at a time. The list is in lexicographic
+    order, so its first nearest binding is the one returned.
     """
     cand = tuple(int(v) for v in candidate)
     C = len(cand)
@@ -185,19 +182,15 @@ def repair(candidate, index: RepairIndex) -> Binding:
         raise ValueError("inputs must be permutations of 1..C of equal length")
     if cand in index.first:
         return index.first[cand]
-    feasible = index.feasible
     columns = np.array(cand) - 1
-    distance = np.empty(len(feasible), dtype=np.int64)
-    for start in range(0, len(feasible), REPAIR_CHUNK_ROWS):
+    distance = np.empty(len(index.feasible), dtype=np.int64)
+    for start in range(0, len(distance), REPAIR_CHUNK_ROWS):
         # where each candidate position's class sits in each binding
         ranks = index.positions[start : start + REPAIR_CHUNK_ROWS, columns]
         distance[start : start + len(ranks)] = np.count_nonzero(
             ranks[:, index.upper] > ranks[:, index.lower], axis=1
         )
-    nearest = np.flatnonzero(distance == distance.min())
-    # lexsort is stable, so equal secondaries keep their listed order
-    first = nearest[np.lexsort(index.secondaries[nearest].T[::-1])[0]]
-    return feasible[int(first)]
+    return index.feasible[int(distance.argmin())]
 
 
 def feasible_set(structure: ContextStructure) -> list[Binding]:
@@ -227,11 +220,11 @@ class GenerationStats:
 
 
 def ea_search(
-    feasible: list[Binding], fit: Fitness, params: EAParams
+    feasible: list[Binding], fit: Fitness, params: EAParams, seed: int
 ) -> tuple[Binding, float, list[GenerationStats]]:
     """Evolutionary search over the feasible permutations, listed in lexicographic order."""
     index = RepairIndex(feasible)  # refuses an empty list
-    rng = derive_rng(params.seed, "ea_search")
+    rng = derive_rng(seed, "ea_search")
 
     def random_individual() -> Binding:
         return feasible[int(rng.integers(0, len(feasible)))]

@@ -27,7 +27,6 @@ class ContextEnsemble:
     binding: Binding
     masks: dict[int, FeatureMask] = field(compare=False)  # box index -> mask
     models: dict[int, TrainedModel] = field(compare=False)
-    spec: ClassifierSpec = ClassifierSpec()
 
     @cached_property
     def transitions(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
@@ -136,7 +135,7 @@ def train_ensemble(
         masks[box.index], models[box.index] = _fit_box(
             X, y, classes, spec, feature_fraction, memo
         )
-    return ContextEnsemble(structure=structure, binding=binding, masks=masks, models=models, spec=spec)
+    return ContextEnsemble(structure=structure, binding=binding, masks=masks, models=models)
 
 
 def train_plain(

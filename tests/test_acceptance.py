@@ -139,7 +139,7 @@ def test_05_ea_attains_exhaustive_optimum(capsys):
         _, target, _ = exhaustive_search(feas, Fitness(synthetic))
         hits = 0
         for seed in range(20):
-            _, value, _ = ea_search(feas, Fitness(synthetic), EAParams(seed=seed))
+            _, value, _ = ea_search(feas, Fitness(synthetic), EAParams(), seed)
             hits += value == target
         details.append(f"{name}:{hits}/20")
         ok = ok and hits >= 19

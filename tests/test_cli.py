@@ -6,14 +6,17 @@ import shutil
 import subprocess
 import sys
 import time
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from ctxclf.classifiers import ClassifierSpec
 from ctxclf.cli import ConfigError, load_run_config, main
 from ctxclf.context import MAX_CLASSES, MAX_NESTING, load_structure, validate_structure
 from ctxclf.evaluation import RunConfig
+from ctxclf.optimize import EAParams
 from ctxclf.signals import save_signalset
 from ctxclf.synth import synth_signalset
 from conftest import STRUCTURES, chain_doc, flat_structure, make_structure, structure_to_dict
@@ -247,6 +250,42 @@ def test_enumerate_requires_input(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run"], "ctxclf run: the following arguments are required: --config"),
+        (["bogus"], "ctxclf: argument command: invalid choice: 'bogus'"),
+        ([], "ctxclf: the following arguments are required: command"),
+        (
+            ["report", "--metrics", "x", "--alpha", "abc"],
+            "ctxclf report: argument --alpha: invalid float value: 'abc'",
+        ),
+    ],
+    ids=["no-config", "unknown-command", "no-command", "alpha-not-a-number"],
+)
+def test_usage_error_is_one_error_line_and_exit_1(capsys, argv, prefix):
+    """Exit 2 means no feasible binding, so a usage error ends as any bad input does."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"ERROR: {prefix}") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ctxclf run")
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+def test_a_box_id_listed_twice_is_refused(five_path, capsys, command):
+    doc = json.loads(Path(five_path).read_text())
+    doc["boxes"].append(doc["boxes"][-1])
+    Path(five_path).write_text(json.dumps(doc))
+    assert main([command, str(five_path)]) == 1
+    assert capsys.readouterr() == ("", "ERROR: boxes[3].id: box 2 listed twice\n")
+
+
 def test_run_and_report(run_setup, capsys):
     tmp_path, cfg_path, config = run_setup
     assert main(["run", "--config", str(cfg_path)]) == 0
@@ -350,12 +389,12 @@ def _with_field(config, path, value):
     return dict(config, **{key: value})
 
 
-def _rejected_before_run(tmp_path, capsys, config, prefix):
+def _rejected_before_run(tmp_path, capsys, config, prefix, command="run"):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(config))
     with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
         load_run_config(p)
-    assert main(["run", "--config", str(p)]) == 1
+    assert main([command, "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR: {prefix}") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()  # rejected before the run starts
@@ -417,6 +456,53 @@ def test_run_rejects_structure_class_count(run_setup, five_path, capsys):
     tmp_path, _, config = run_setup
     bad = dict(config, structure=str(five_path))  # five classes, six in the signalset
     _rejected_before_run(tmp_path, capsys, bad, "structure: 5 classes, but the signalset has 6")
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+@pytest.mark.parametrize("where", ["file", "under-a-file", "dangling-link"])
+def test_output_dir_that_is_not_a_directory_is_refused(run_setup, capsys, command, where):
+    """Refused before the run, creating nothing, not after it when the files are written."""
+    tmp_path, _, config = run_setup
+    blocker = tmp_path / "taken"
+    if where == "dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("x")
+    out_dir = blocker / "out" if where == "under-a-file" else blocker
+    bad = dict(config, output_dir=str(out_dir))
+    _rejected_before_run(tmp_path, capsys, bad, f"output_dir: {blocker} is not a directory", command)
+    assert not (tmp_path / "nowhere").exists()
+    assert where == "dangling-link" or blocker.read_text() == "x"
+
+
+def test_every_scalar_field_loads_intact(run_setup):
+    """Each int/float/str field of the three config dataclasses, off its default, loads as given."""
+    tmp_path, _, config = run_setup
+    given = {
+        RunConfig: {
+            "cv_folds": 4, "inner_folds": 5, "repetitions": 6, "inner_repetitions": 7,
+            "feature_fraction": 0.25, "exhaustive_limit": 9, "master_seed": 2**63 - 1,
+        },
+        EAParams: {
+            "population_size": 12, "tournament_size": 4, "crossover_op": "OX2",
+            "crossover_prob": 0.75, "mutation_prob": 0.5, "stagnation_horizon": 3,
+            "max_generations": 8,
+        },
+        ClassifierSpec: {"algorithm": "RandomForest", "num_trees": 7, "seed": 5},
+    }
+    for cls, values in given.items():
+        hints = typing.get_type_hints(cls)
+        defaults = {f.name: f.default for f in fields(cls) if hints[f.name] in (int, float, str)}
+        assert set(values) == set(defaults), cls.__name__
+        assert all(values[name] != default for name, default in defaults.items()), cls.__name__
+    p = tmp_path / "full.json"
+    full = dict(config, ea=given[EAParams], classifiers=[given[ClassifierSpec]])
+    p.write_text(json.dumps(dict(full, **given[RunConfig])))
+    loaded, _, _ = load_run_config(p)
+    assert loaded.ea_params == EAParams(**given[EAParams])
+    assert loaded.classifier_specs == (ClassifierSpec(**given[ClassifierSpec]),)
+    for name, value in given[RunConfig].items():
+        assert getattr(loaded, name) == value, name
 
 
 def test_minimal_config_loads_dataclass_defaults(run_setup):

@@ -582,15 +582,13 @@ def loop_repair(candidate, feasible):
 
 @st.composite
 def repair_problems(draw):
-    """A candidate and a shuffled subset of permutations, sometimes with a duplicate."""
+    """A candidate and a subset of permutations, distinct and in lexicographic order,
+    as `feasible_set` lists them."""
     C = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     perms = list(itertools.permutations(range(1, C + 1)))
     picks = rng.choice(len(perms), size=draw(st.integers(1, min(len(perms), 60))), replace=False)
-    feasible = [Binding(num_classes=C, secondary=perms[i]) for i in picks]
-    if draw(st.booleans()):
-        feasible.append(Binding(num_classes=C, secondary=feasible[0].secondary))
-        rng.shuffle(feasible)
+    feasible = [Binding(num_classes=C, secondary=perms[i]) for i in np.sort(picks)]
     return tuple(int(v) for v in rng.permutation(C) + 1), feasible
 
 

@@ -147,9 +147,9 @@ def test_ea_params_validation():
 
 def test_ea_deterministic_and_monotone():
     feas = feasible_set(flat_structure(5))  # 44 feasible bindings
-    params = EAParams(seed=11, max_generations=30)
-    best1, v1, trace1 = ea_search(feas, Fitness(synthetic_fitness), params)
-    best2, v2, trace2 = ea_search(feas, Fitness(synthetic_fitness), params)
+    params = EAParams(max_generations=30)
+    best1, v1, trace1 = ea_search(feas, Fitness(synthetic_fitness), params, 11)
+    best2, v2, trace2 = ea_search(feas, Fitness(synthetic_fitness), params, 11)
     assert best1.secondary == best2.secondary and v1 == v2
     assert trace1 == trace2
     values = [t.best_fitness for t in trace1]
@@ -166,8 +166,8 @@ def test_ea_finds_exhaustive_optimum(op):
         _, target, _ = exhaustive_search(feas, Fitness(synthetic_fitness))
         hits = 0
         for seed in range(10):
-            params = EAParams(seed=seed, crossover_op=op)
-            _, value, _ = ea_search(feas, Fitness(synthetic_fitness), params)
+            params = EAParams(crossover_op=op)
+            _, value, _ = ea_search(feas, Fitness(synthetic_fitness), params, seed)
             hits += value == target
         assert hits >= 9
 
@@ -193,8 +193,8 @@ def test_feasible_set_runs_the_subset_dp_once(monkeypatch):
 
 def test_ea_singleton_feasible_set():
     b = Binding(num_classes=3, secondary=(2, 3, 1))
-    best, value, trace = ea_search([b], Fitness(synthetic_fitness), EAParams(seed=0))
+    best, value, trace = ea_search([b], Fitness(synthetic_fitness), EAParams(), 0)
     assert best is b
     assert len(trace) == 1
     with pytest.raises(InfeasibleStructure):
-        ea_search([], Fitness(synthetic_fitness), EAParams(seed=0))
+        ea_search([], Fitness(synthetic_fitness), EAParams(), 0)

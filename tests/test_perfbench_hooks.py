@@ -5,10 +5,15 @@ so renaming or deleting one of those names breaks every benchmark run with a
 ``KeyError``. These tests install the wrappers and put the originals back.
 A caller that reaches a wrapped function through a local alias instead of the
 module attribute would bypass its span and zero a per-layer metric, so a
-tiny run must record calls of each wrapped layer it exercises.
+tiny run must record calls of each wrapped layer it exercises. The
+benchmark's own smoke run, on a copy of the tree, checks every other name and
+option its workloads use.
 """
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +22,8 @@ from ctxclf.classifiers import ClassifierSpec
 from ctxclf.synth import synth_signalset
 from conftest import structure_file
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -74,3 +80,17 @@ def test_a_run_calls_every_layer_through_its_span():
         "evaluation.sample_object_sequences",
     ):
         assert calls[name] > 0, name
+
+
+def test_benchmark_smoke_run_passes(tmp_path):
+    """Every workload at its smoke size, traced and untraced, with the harness checks."""
+    skip = shutil.ignore_patterns("_work", "_out", "__pycache__")
+    for name in ("src", "perfbench", "structures"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "SMOKE PASS"
