@@ -2,7 +2,7 @@
 
 Subcommands: validate, enumerate, optimize, run, report. Runs are driven
 by a JSON config file; every run writes a manifest (config hash, master
-seed, package version) so it can be replayed exactly.
+seed, package version, output digests) so it can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -19,24 +19,15 @@ from pathlib import Path
 import ctxclf
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import (
-    MAX_CLASSES,
-    ConstraintTable,
     count_feasible,
     derive_constraints,
     enumerate_feasible,
     load_structure,
+    load_table,
     validate_structure,
 )
 from ctxclf.errors import CtxclfError, InfeasibleStructure
-from ctxclf.evaluation import (
-    METHODS,
-    METRICS_CSV_HEADER,
-    MetricsRow,
-    MetricsTable,
-    RunConfig,
-    run_experiment,
-    search_binding,
-)
+from ctxclf.evaluation import MetricsTable, RunConfig, run_experiment, search_binding
 from ctxclf.features import feature_matrix
 from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
 from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
@@ -126,19 +117,46 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
     return config, raw, out_dir
 
 
-def _config_hash(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -> None:
+    """Write a command's `{name: text}` files in order, then `manifest.json`, which lists each
+    with its sha256. First remove the files the previous manifest lists and this command does
+    not write, so the directory holds one command's files: bare names of regular files only.
+    A manifest whose `outputs` is missing or not an object removes nothing."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    try:
+        previous = json.loads(manifest_path.read_text())["outputs"]
+    except (OSError, ValueError, RecursionError, TypeError, KeyError):  # no readable `outputs`
+        previous = None
+    for name in previous if isinstance(previous, dict) else ():
+        stale = out_dir / name  # `.` and `..` are no regular file
+        if name not in files and Path(name).name == name and stale.is_file():
+            if not stale.is_symlink():
+                stale.unlink()
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
 
-def _write_manifest(out_dir: Path, raw: dict, seed: int) -> None:
     manifest = {
-        "config_hash": _config_hash(raw),
+        "config_hash": sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))),
         "master_seed": seed,
         "version": ctxclf.__version__,
         "config": raw,
+        "outputs": {name: sha256(text) for name, text in files.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _out_file(out: str | None) -> Path | None:
+    """The `--out` path, refused before any work when no file can be written there."""
+    path = Path(out) if out else None  # an empty --out writes nothing, as it always has
+    if path and path.is_dir():
+        raise ConfigError(f"--out: {path} is a directory")
+    if path and not path.parent.is_dir():
+        raise ConfigError(f"--out: {path.parent} is not a directory")
+    return path
 
 
 def _valid_structure(path):
@@ -159,32 +177,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _table_from_file(path) -> ConstraintTable:
-    raw = expect(read_json(path, ConfigError), dict, "table root", ConfigError)
-    num_classes = read_field(raw, "num_classes", int, "", ConfigError)
-    if not 0 <= num_classes <= MAX_CLASSES:  # count_feasible holds 2^C counts
-        raise ConfigError(f"num_classes: expected 0..{MAX_CLASSES}, got {num_classes}")
-    permitted_raw = read_field(raw, "permitted", dict, "", ConfigError)
-    # the key count first, so the id set is never larger than the file
-    if len(permitted_raw) != max(num_classes, 0) or set(permitted_raw) != {
-        str(k) for k in range(1, num_classes + 1)
-    }:
-        raise ConfigError(f"permitted: expected movement ids 1..{num_classes}")
-    permitted = {}
-    for key, classes in permitted_raw.items():
-        at = f"permitted.{key}"
-        for i, c in enumerate(expect(classes, list, at, ConfigError)):
-            if not 1 <= expect(c, int, f"{at}[{i}]", ConfigError) <= num_classes:
-                raise ConfigError(f"{at}: classes must be a list of integers in 1..{num_classes}")
-        permitted[int(key)] = tuple(sorted(set(classes)))
-    return ConstraintTable(num_classes=num_classes, permitted=permitted)
-
-
 def cmd_enumerate(args) -> int:
     """Print the count of the feasible set and list it with --out. A zero count exits 2
     and writes nothing, with one `infeasible:` line for a structure."""
+    out = _out_file(args.out)
     if args.table:
-        table, why = _table_from_file(args.table), None
+        table, why = load_table(args.table), None
     else:
         structure = _valid_structure(args.structure)
         if structure is None:
@@ -199,13 +197,13 @@ def cmd_enumerate(args) -> int:
         if why:
             print(f"infeasible: {why}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if args.out:  # only a listing is bounded by the guard
+    if out:  # only a listing is bounded by the guard
         payload = {
             "num_classes": table.num_classes,
             "count": count,
             "bindings": [list(b.secondary) for b in enumerate_feasible(table)],
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        out.write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -215,26 +213,24 @@ def cmd_optimize(args) -> int:
     _check_fold_counts(config, outer=False)
     feasible = feasible_set(config.structure)
     X, y = feature_matrix(config.signalset)
-    results, traces = {}, {}
+    results, files, lines = {}, {}, []
     for spec in config.classifier_specs:
         best, value, evaluations, trace = search_binding(
             config, spec, X, y, range(len(y)), 0, feasible
         )
-        mode = "exhaustive" if trace is None else "ea"
+        mode, binding = "exhaustive" if trace is None else "ea", list(best.secondary)
         if trace is not None:
-            traces[spec.algorithm] = trace
+            files[f"trace_{spec.algorithm}.csv"] = trace_to_csv(trace)
         results[spec.algorithm] = {
-            "binding": list(best.secondary),
+            "binding": binding,
             "fitness": value,
             "mode": mode,
             "evaluations": evaluations,
         }
-        print(f"{spec.algorithm}: binding={list(best.secondary)} fitness={value:.4f} ({mode})")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for alg, trace in traces.items():
-        (out_dir / f"trace_{alg}.csv").write_text(trace_to_csv(trace))
-    (out_dir / "bindings.json").write_text(json.dumps(results, indent=2) + "\n")
-    _write_manifest(out_dir, raw, config.master_seed)
+        lines.append(f"{spec.algorithm}: binding={binding} fitness={value:.4f} ({mode})")
+    files["bindings.json"] = json.dumps(results, indent=2) + "\n"
+    _write_outputs(out_dir, raw, config.master_seed, files)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -266,54 +262,13 @@ def cmd_run(args) -> int:
     config, raw, out_dir = load_run_config(args.config)
     _check_fold_counts(config, outer=True)
     table = run_experiment(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(table.to_csv())
-    (out_dir / "summary.json").write_text(json.dumps(table.summary(), indent=2) + "\n")
+    summary = json.dumps(table.summary(), indent=2) + "\n"
+    files = {"metrics.csv": table.to_csv(), "summary.json": summary}
     for (alg, fold), trace in table.optimizer_traces.items():
-        (out_dir / f"trace_{alg}_fold{fold}.csv").write_text(trace_to_csv(trace))
-    _write_manifest(out_dir, raw, config.master_seed)
+        files[f"trace_{alg}_fold{fold}.csv"] = trace_to_csv(trace)
+    _write_outputs(out_dir, raw, config.master_seed, files)
     print(f"wrote {out_dir / 'metrics.csv'} ({len(table.rows)} rows)")
     return EXIT_OK
-
-
-def _read_metrics_csv(path) -> MetricsTable:
-    """The rows of a metrics file; every method of a classifier must cover the same folds."""
-    rows = []
-    folds: dict[tuple[str, str], set[int]] = {}  # (classifier, method) -> folds
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != METRICS_CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                method, clf, fold, zo, sqcov = line.strip().split(",")
-                row = MetricsRow(
-                    method=method, classifier=clf, fold=int(fold),
-                    zo=float(zo), sqcov=float(sqcov),
-                )
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: expected {header}, got {line.strip()!r}")
-            where = f"{path}: line {lineno}"
-            if method not in METHODS:
-                raise ConfigError(f"{where}: unknown method {method!r}")
-            if row.fold < 0:
-                raise ConfigError(f"{where}: fold must be >= 0, got {row.fold}")
-            for name, text in (("zo", zo), ("sqcov", sqcov)):
-                if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
-                    raise ConfigError(f"{where}: {name} must be a number in [0, 1], got {text!r}")
-            seen = folds.setdefault((clf, method), set())
-            if row.fold in seen:
-                raise ConfigError(f"{where}: repeated row {method},{clf},{row.fold}")
-            seen.add(row.fold)
-            rows.append(row)
-    if not rows:
-        raise ConfigError(f"{path}: no metric rows")
-    methods = sorted({r.method for r in rows})
-    for clf in sorted({r.classifier for r in rows}):
-        per_method = {m: sorted(folds.get((clf, m), ())) for m in methods}
-        if len({tuple(f) for f in per_method.values()}) > 1:  # paired fold by fold
-            raise ConfigError(f"{path}: {clf}: unequal folds per method {per_method}")
-    return MetricsTable(rows=tuple(rows), sequences_per_fold=0)
 
 
 def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
@@ -340,10 +295,10 @@ def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
 def cmd_report(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # nan fails the comparison too
         raise ConfigError(f"--alpha: must be in (0, 1), got {args.alpha}")
-    table = _read_metrics_csv(args.metrics)
-    report = report_from_table(table, alpha=args.alpha)
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    out = _out_file(args.out)
+    report = report_from_table(MetricsTable.from_csv(args.metrics), alpha=args.alpha)
+    if out:
+        out.write_text(json.dumps(report, indent=2) + "\n")
     for clf, crits in sorted(report["summary"].items()):
         for method, metrics in sorted(crits.items()):
             zo, sq = metrics["zo"], metrics["sqcov"]

@@ -138,6 +138,25 @@ def load_structure(path) -> ContextStructure:
     return structure_from_dict(read_json(path, StructureError))
 
 
+def load_table(path) -> ConstraintTable:
+    """Read a permitted-class table JSON file; each class list is a set, kept sorted."""
+    raw = expect(read_json(path, StructureError), dict, "table root", StructureError)
+    num_classes = read_field(raw, "num_classes", int, "", StructureError)
+    if not 0 <= num_classes <= MAX_CLASSES:  # count_feasible holds 2^C counts
+        raise StructureError(f"num_classes: expected 0..{MAX_CLASSES}, got {num_classes}")
+    permitted_raw = read_field(raw, "permitted", dict, "", StructureError)
+    if set(permitted_raw) != {str(k) for k in range(1, num_classes + 1)}:
+        raise StructureError(f"permitted: expected movement ids 1..{num_classes}")
+    permitted = {}
+    for key, classes in permitted_raw.items():
+        at = f"permitted.{key}"
+        for i, c in enumerate(expect(classes, list, at, StructureError)):
+            if not 1 <= expect(c, int, f"{at}[{i}]", StructureError) <= num_classes:
+                raise StructureError(f"{at}: classes must be a list of integers in 1..{num_classes}")
+        permitted[int(key)] = tuple(sorted(set(classes)))
+    return ConstraintTable(num_classes=num_classes, permitted=permitted)
+
+
 def structure_from_dict(doc: dict) -> ContextStructure:
     expect(doc, dict, "structure", StructureError)
     num_classes = read_field(doc, "num_classes", int, "", StructureError)

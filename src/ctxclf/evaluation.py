@@ -197,6 +197,48 @@ class MetricsTable:
             lines.append(f"{r.method},{r.classifier},{r.fold},{r.zo!r},{r.sqcov!r}")
         return "\n".join(lines) + "\n"
 
+    @classmethod
+    def from_csv(cls, path) -> MetricsTable:
+        """The rows of a metrics file; every method of a classifier must cover the same folds."""
+        rows = []
+        folds: dict[tuple[str, str], set[int]] = {}  # (classifier, method) -> folds
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != METRICS_CSV_HEADER:
+                raise CtxclfError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                where = f"{path}: line {lineno}"
+                try:
+                    method, clf, fold, zo, sqcov = line.strip().split(",")
+                    row = MetricsRow(
+                        method=method, classifier=clf, fold=int(fold),
+                        zo=float(zo), sqcov=float(sqcov),
+                    )
+                except ValueError:
+                    raise CtxclfError(f"{where}: expected {header}, got {line.strip()!r}")
+                if method not in METHODS:
+                    raise CtxclfError(f"{where}: unknown method {method!r}")
+                if row.fold < 0:
+                    raise CtxclfError(f"{where}: fold must be >= 0, got {row.fold}")
+                for name, text in (("zo", zo), ("sqcov", sqcov)):
+                    if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
+                        raise CtxclfError(
+                            f"{where}: {name} must be a number in [0, 1], got {text!r}"
+                        )
+                seen = folds.setdefault((clf, method), set())
+                if row.fold in seen:
+                    raise CtxclfError(f"{where}: repeated row {method},{clf},{row.fold}")
+                seen.add(row.fold)
+                rows.append(row)
+        if not rows:
+            raise CtxclfError(f"{path}: no metric rows")
+        methods = sorted({r.method for r in rows})
+        for clf in sorted({r.classifier for r in rows}):
+            per_method = {m: sorted(folds.get((clf, m), ())) for m in methods}
+            if len({tuple(f) for f in per_method.values()}) > 1:  # paired fold by fold
+                raise CtxclfError(f"{path}: {clf}: unequal folds per method {per_method}")
+        return cls(rows=tuple(rows), sequences_per_fold=0)
+
     def values(self, method: str, classifier: str, criterion: str) -> list[float]:
         """One (method, classifier) cell's values in fold order, whatever the row order."""
         rows = [r for r in self.rows if r.method == method and r.classifier == classifier]

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ctxclf.classifiers import ClassifierSpec
-from ctxclf.cli import ConfigError, load_run_config, main
+from ctxclf.cli import ConfigError, _write_outputs, load_run_config, main
 from ctxclf.context import MAX_CLASSES, MAX_NESTING, load_structure, validate_structure
 from ctxclf.evaluation import RunConfig
 from ctxclf.optimize import EAParams
@@ -336,6 +337,153 @@ def test_run_ea_path_writes_traces(run_setup, capsys):
     assert len(traces) == 3  # one per outer fold
     header = traces[0].read_text().splitlines()[0]
     assert header == "generation,best_fitness,mean_fitness,evaluations"
+
+
+def _listed_outputs(out_dir):
+    """The files in out_dir; each but the manifest is listed in it with its text's sha256."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
+    return sorted(p.name for p in out_dir.iterdir()), sorted(manifest["outputs"])
+
+
+def test_output_dir_holds_the_last_commands_files(run_setup, capsys):
+    """optimize and run on a grips EA config, then run on a six-class config, into one
+    directory: the files the previous manifest lists are replaced, an unlisted file stays."""
+    tmp_path, cfg_path, config = run_setup
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    sset = synth_signalset(8, records_per_class=4, samples=128, seed=7)
+    save_signalset(sset, tmp_path / "grips_sset")
+    grips = dict(
+        config,
+        signalset=str(tmp_path / "grips_sset"),
+        structure=str(STRUCTURES / "eight_class_grips.json"),
+        cv_folds=2,
+        repetitions=2,
+        inner_repetitions=1,
+        ea={"population_size": 2, "max_generations": 1},
+    )
+    grips_path = tmp_path / "grips.json"
+    grips_path.write_text(json.dumps(grips))
+    folds = ["trace_GaussianNB_fold0.csv", "trace_GaussianNB_fold1.csv"]
+    assert main(["optimize", "--config", str(grips_path)]) == 0
+    written = ["bindings.json", "trace_GaussianNB.csv"]
+    assert _listed_outputs(out) == (sorted([*written, "manifest.json", "notes.txt"]), written)
+    assert main(["run", "--config", str(grips_path)]) == 0
+    written = sorted(["metrics.csv", "summary.json", *folds])
+    assert _listed_outputs(out) == (sorted([*written, "manifest.json", "notes.txt"]), written)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    written = ["metrics.csv", "summary.json"]
+    assert _listed_outputs(out) == (sorted([*written, "manifest.json", "notes.txt"]), written)
+    assert (out / "notes.txt").read_text() == "mine"
+
+
+def test_a_stale_output_is_removed_only_as_a_plain_file_in_the_directory(tmp_path):
+    """A hand-edited manifest can name a path outside the directory, a subdirectory, a path
+    below one or a link: only the listed plain files go. A JSON object's names are strings."""
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    for path in (tmp_path / "x", out / "sub" / "inner.csv", out / "old.csv", out / "keep.csv"):
+        path.write_text("x")
+    (out / "link.csv").symlink_to(tmp_path / "x")
+    names = ["../x", "sub", "sub/inner.csv", ".", "..", "", "link.csv", "old.csv", "summary.json"]
+    outputs = {n: "0" * 64 for n in names}
+    (out / "manifest.json").write_text(json.dumps({"outputs": dict(outputs, **{"old.csv": 7})}))
+    _write_outputs(out, {}, 0, {"summary.json": "{}\n"})
+    assert sorted(p.name for p in out.iterdir()) == [
+        "keep.csv", "link.csv", "manifest.json", "sub", "summary.json"
+    ]
+    assert (tmp_path / "x").read_text() == (out / "sub" / "inner.csv").read_text() == "x"
+
+
+@pytest.mark.parametrize(
+    "previous",
+    [
+        "", "{not json", '["old.csv"]', '"old.csv"', '{"config": {}}', '{"outputs": "old.csv"}',
+        '{"outputs": ["old.csv", 7, null]}', "[" * 100_000,
+    ],
+    ids=[
+        "empty", "not-json", "list", "string", "no-outputs", "outputs-a-string",
+        "outputs-a-list", "nested-too-deeply",
+    ],
+)
+def test_a_manifest_without_an_outputs_object_removes_nothing(tmp_path, previous):
+    """Every manifest written before `outputs` existed is one, and so is one that cannot be
+    read or whose `outputs` is not an object, such as a hand-made list with a non-string."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old.csv").write_text("x")
+    (out / "manifest.json").write_text(previous)
+    _write_outputs(out, {}, 0, {"summary.json": "{}\n"})
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "old.csv", "summary.json"]
+
+
+def test_the_manifest_lists_each_output_in_write_order(tmp_path):
+    out = tmp_path / "out"  # no manifest yet
+    _write_outputs(out, {"seed": 1}, 1, {"a.csv": "1\n", "b.csv": "2\n"})
+    assert (out / "a.csv").read_text() == "1\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["config_hash", "master_seed", "version", "config", "outputs"]
+    assert list(manifest["outputs"]) == ["a.csv", "b.csv"]
+
+
+def test_two_runs_with_one_seed_write_the_same_manifest(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    manifests = []
+    for _ in range(2):
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifests.append((tmp_path / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+def test_optimize_prints_its_bindings_only_once_they_are_written(run_setup, capsys):
+    tmp_path, cfg_path, _ = run_setup
+    (tmp_path / "out" / "bindings.json").mkdir(parents=True)
+    assert main(["optimize", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: [Errno 21]") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    shutil.rmtree(tmp_path / "out")
+    assert main(["optimize", "--config", str(cfg_path)]) == 0
+    line = r"GaussianNB: binding=\[[\d, ]+\] fitness=\d\.\d{4} \(exhaustive\)\n"
+    assert re.fullmatch(line, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "report"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_an_out_no_file_can_be_written_to_is_refused_first(five_path, tmp_path, capsys, command,
+                                                          where):
+    """Before any work: the structure is not counted, the metrics file (missing here) not read."""
+    blocker = tmp_path / "taken"
+    if where == "directory":
+        blocker.mkdir()
+        out, message = blocker, f"--out: {blocker} is a directory"
+    else:
+        blocker.write_text("x")
+        out, message = blocker / "x.json", f"--out: {blocker} is not a directory"
+    if command == "enumerate":
+        argv = ["enumerate", str(five_path)]
+    else:
+        argv = ["report", "--metrics", str(tmp_path / "missing.csv")]
+        assert main([*argv, "--alpha", "2", "--out", str(out)]) == 1  # --alpha is checked first
+        _one_line_error(capsys, "--alpha: must be in (0, 1), got 2.0")
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"ERROR: {message}\n")
+
+
+def test_the_package_version_has_one_source():
+    """pyproject.toml reads the version the manifest records from ctxclf.__version__."""
+    import ctxclf
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "ctxclf.__version__"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+", ctxclf.__version__)
 
 
 def test_config_field_path_errors(run_setup):

@@ -20,6 +20,7 @@ from ctxclf.context import (
     derive_constraints,
     enumerate_feasible,
     load_structure,
+    load_table,
     local_classes,
     binding_feasible,
     structure_from_dict,
@@ -58,6 +59,17 @@ def test_unconstrained_table_gives_factorial():
         num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     )
     assert len(enumerate_feasible(table)) == math.factorial(5)
+
+
+def test_load_table_holds_each_class_list_as_a_sorted_set(tmp_path):
+    """The form enumerate_feasible lists in lexicographic order from, whatever the file's order."""
+    p = tmp_path / "table.json"
+    permitted = {"2": [3, 1, 3], "1": [2], "3": [1, 3]}
+    p.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
+    assert load_table(p) == ConstraintTable(3, {2: (1, 3), 1: (2,), 3: (1, 3)})
+    p.write_text(json.dumps({"num_classes": 2, "permitted": {"1": [1, 2]}}))
+    with pytest.raises(StructureError, match=r"^permitted: expected movement ids 1\.\.2$"):
+        load_table(p)
 
 
 def test_enumeration_is_lexicographic_and_stable():

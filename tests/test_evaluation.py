@@ -187,6 +187,19 @@ def test_metrics_table_csv_and_summary(small_run):
     assert cell["std"] == pytest.approx(np.std(vals, ddof=1))
 
 
+def test_metrics_table_reads_back_what_it_writes(small_run, tmp_path):
+    """from_csv is to_csv's reader: the same rows, float bits included; K is not in the file."""
+    _, table = small_run
+    path = tmp_path / "metrics.csv"
+    path.write_text(table.to_csv())
+    again = MetricsTable.from_csv(path)
+    assert again.rows == table.rows
+    assert again.to_csv() == table.to_csv()
+    path.write_text("method,classifier,fold,zo\n")
+    with pytest.raises(CtxclfError, match="unexpected header 'method,classifier,fold,zo'"):
+        MetricsTable.from_csv(path)
+
+
 def test_run_config_rejects_unknown_method():
     sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
     with pytest.raises(ValueError, match=r"methods\[1\]"):
