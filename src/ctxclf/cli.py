@@ -7,7 +7,6 @@ seed, package version, output digests) so it can be replayed exactly.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -40,13 +39,6 @@ EXIT_INFEASIBLE = 2
 
 class ConfigError(CtxclfError):
     """Config schema violation; message carries the offending field path."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """A usage error is a ConfigError, so it ends as any bad input does (exit 1)."""
-
-    def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _nonempty_list(d: dict, key: str) -> list:
@@ -149,6 +141,14 @@ def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _refuse_directories(out_dir: Path, names: list[str]) -> None:
+    """Refuse, before the run, an output name in out_dir that is a directory: `names` are
+    the files the command may write, and `manifest.json` is always written."""
+    for name in [*names, "manifest.json"]:
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"output_dir: {out_dir / name} is a directory")
+
+
 def _out_file(out: str | None) -> Path | None:
     """The `--out` path, refused before any work when no file can be written there."""
     path = Path(out) if out else None  # an empty --out writes nothing, as it always has
@@ -211,6 +211,8 @@ def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
     config, raw, out_dir = load_run_config(args.config)
     _check_fold_counts(config, outer=False)
+    algorithms = [spec.algorithm for spec in config.classifier_specs]
+    _refuse_directories(out_dir, ["bindings.json", *(f"trace_{alg}.csv" for alg in algorithms)])
     feasible = feasible_set(config.structure)
     X, y = feature_matrix(config.signalset)
     results, files, lines = {}, {}, []
@@ -261,6 +263,12 @@ def _check_fold_counts(config: RunConfig, outer: bool) -> None:
 def cmd_run(args) -> int:
     config, raw, out_dir = load_run_config(args.config)
     _check_fold_counts(config, outer=True)
+    traces = [
+        f"trace_{spec.algorithm}_fold{fold}.csv"
+        for spec in config.classifier_specs
+        for fold in range(config.cv_folds if "octx" in config.methods else 0)
+    ]
+    _refuse_directories(out_dir, ["metrics.csv", "summary.json", *traces])
     table = run_experiment(config)
     summary = json.dumps(table.summary(), indent=2) + "\n"
     files = {"metrics.csv": table.to_csv(), "summary.json": summary}
@@ -319,7 +327,15 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # here, not at the top: a library caller of load_run_config needs no parser
+
+    class _Parser(argparse.ArgumentParser):
+        """A usage error is a ConfigError, so it ends as any bad input does (exit 1)."""
+
+        def error(self, message):
+            raise ConfigError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="ctxclf",
         description="Context-dependent classification of multichannel biosignal records.",

@@ -162,6 +162,10 @@ class RunConfig:
                 raise ValueError(f"methods[{i}]: unknown method {m!r}")
             if m in self.methods[:i]:
                 raise ValueError(f"methods[{i}]: duplicate method {m!r}")
+        algorithms = [spec.algorithm for spec in self.classifier_specs]
+        for i, alg in enumerate(algorithms):  # every output and RNG stream is keyed by it
+            if alg in algorithms[:i]:
+                raise ValueError(f"classifiers[{i}].algorithm: {alg} given twice")
         # range checks up front, so a bad value fails before the run, not inside the inner CV
         for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
             if getattr(self, name) < 2:

@@ -24,7 +24,7 @@ SUBBAND_NAMES = ("A3", "D3", "D2", "D1")
 FEATURE_NAMES = ("MAV", "SSC", "AR1", "AR2", "AR3")
 FEATURES_PER_SUBBAND = len(FEATURE_NAMES)
 AR_ORDER = 3
-FEATURE_BLOCK_ROWS = 16  # channel rows extracted together by feature_matrix
+FEATURE_BLOCK_ROWS = 8  # channel rows per feature_matrix block; 16 is no faster and peaks higher
 MI_BINS = 10  # equal-frequency bins per column of the MI scores
 
 

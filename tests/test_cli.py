@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import itertools
 import json
@@ -92,11 +93,15 @@ def test_too_many_classes_is_one_violation(tmp_path, capsys, num_classes):
 
 def test_cli_import_leaves_out_the_built_in_structures_and_synth():
     """The CLI imports exactly the submodules a command needs at set-up: not `synth`, and not
-    `stats`, which only `report` imports. A new import on the set-up path must be added here."""
+    `stats`, which only `report` imports. A new import on the set-up path must be added here.
+    Nor `argparse`: `load_run_config` is a library entry point, and only `main` parses."""
     import ctxclf
 
     src = str(Path(ctxclf.__file__).resolve().parent.parent)
-    code = "import sys, ctxclf.cli; print(sorted(m for m in sys.modules if m.startswith('ctxclf')))"
+    code = (
+        "import sys, ctxclf.cli; print(sorted(m for m in sys.modules if m.startswith('ctxclf')"
+        " or m in ('argparse', 'gettext')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
@@ -438,18 +443,79 @@ def test_two_runs_with_one_seed_write_the_same_manifest(run_setup, capsys):
     assert manifests[0] == manifests[1]
 
 
-def test_optimize_prints_its_bindings_only_once_they_are_written(run_setup, capsys):
+def test_optimize_prints_its_bindings_only_once_they_are_written(run_setup, capsys, monkeypatch):
+    """A write that fails after the search (a full disk here) prints no binding line."""
     tmp_path, cfg_path, _ = run_setup
-    (tmp_path / "out" / "bindings.json").mkdir(parents=True)
+    write_text = Path.write_text
+
+    def disk_full(path, text):
+        if path.name == "bindings.json":
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, text)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
     assert main(["optimize", "--config", str(cfg_path)]) == 1
+    monkeypatch.undo()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("ERROR: [Errno 21]") and captured.err.count("\n") == 1
+    assert captured.err.startswith("ERROR: [Errno 28]") and captured.err.count("\n") == 1
     assert not (tmp_path / "out" / "manifest.json").exists()
     shutil.rmtree(tmp_path / "out")
     assert main(["optimize", "--config", str(cfg_path)]) == 0
     line = r"GaussianNB: binding=\[[\d, ]+\] fitness=\d\.\d{4} \(exhaustive\)\n"
     assert re.fullmatch(line, capsys.readouterr().out)
+
+
+def test_an_output_name_taken_by_a_directory_is_refused_before_the_run(run_setup, capsys):
+    """optimize, then a directory named summary.json, then run: refused before the run, so
+    the directory keeps optimize's files and manifest. Once it is gone, run replaces them."""
+    tmp_path, cfg_path, _ = run_setup
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg_path)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "summary.json").mkdir()
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR: output_dir: {out / 'summary.json'} is a directory\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    (out / "summary.json").rmdir()
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    written = ["metrics.csv", "summary.json"]
+    assert _listed_outputs(out) == (sorted([*written, "manifest.json"]), written)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("run", "metrics.csv"),
+        ("run", "manifest.json"),
+        ("run", "trace_GaussianNB_fold2.csv"),
+        ("optimize", "bindings.json"),
+        ("optimize", "manifest.json"),
+        ("optimize", "trace_GaussianNB.csv"),
+    ],
+)
+def test_each_output_name_is_checked_before_the_run(run_setup, capsys, command, name):
+    """Every name the command may write: a trace only on the EA path, but that is known only
+    once the feasible set is listed, so a trace name is refused whatever the search."""
+    tmp_path, cfg_path, _ = run_setup
+    taken = tmp_path / "out" / name
+    taken.mkdir(parents=True)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"ERROR: output_dir: {taken} is a directory\n"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+def test_two_specs_of_one_algorithm_are_refused(run_setup, capsys, command):
+    """Every output and RNG stream keys a classifier by its algorithm."""
+    tmp_path, _, config = run_setup
+    specs = [{"algorithm": "GaussianNB", "seed": 0}, {"algorithm": "GaussianNB", "seed": 1}]
+    bad = dict(config, classifiers=specs)
+    prefix = "classifiers[1].algorithm: GaussianNB given twice"
+    _rejected_before_run(tmp_path, capsys, bad, prefix, command)
 
 
 @pytest.mark.parametrize("command", ["enumerate", "report"])

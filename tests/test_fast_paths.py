@@ -9,7 +9,8 @@ under the transition tables, ``describe`` and the movement sequences), the
 list-based forest walk (vectors and
 blocks), the ordered feasible-set loop, the one-pass
 MAV/SSC, the prebuilt mask columns, the ``np.loadtxt`` record reader and
-the one-join record writer must leave every result as it was;
+the one-join record writer, and the one matrix product per DWT level over
+the kept windows must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers, evaluation, features, optimize, signals
+from ctxclf import classifiers, evaluation, features, optimize, signals, wavelet
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
 from ctxclf.context import (
     ROOT,
@@ -614,7 +615,8 @@ def test_counted_repair_on_grips_feasible_set(monkeypatch, chunk_rows):
 
 
 def loop_analysis_symmetric(x, filt):
-    """One filter of one level on one vector: the per-channel code block extraction replaced."""
+    """One filter of one level on one vector by correlation over the whole extension: the
+    per-channel code that block extraction and the gathered-window product replaced."""
     ext = np.pad(x, TAPS - 1, mode="symmetric")
     return np.correlate(ext, filt, mode="valid")[::2]
 
@@ -752,6 +754,43 @@ def test_block_dwt_rows_equal_vector_dwt(rows, n, levels, data):
         for i in range(rows):
             for sb_block, sb_row in zip(periodic, dwt_db6(block[i], levels=levels, mode="periodic")):
                 assert sb_block[i].tobytes() == sb_row.tobytes()
+
+
+def assert_dwt_equals_correlation(block, levels=3):
+    """Each row's subbands hold the correlation's bits, as stride-2 views (the AR bits rest
+    on that stride)."""
+    got = dwt_db6(block, levels=levels)
+    for sb in got:
+        assert sb.strides[-1] == 2 * sb.itemsize
+    for i, row in enumerate(block):
+        for sb_block, sb_loop in zip(got, loop_dwt_db6(row, levels=levels)):
+            assert sb_block[i].tobytes() == sb_loop.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 16), st.integers(8, 700), st.sampled_from([1, 40 * TAPS, wavelet.GATHER_VALUES]),
+    st.data(),
+)
+def test_gathered_dwt_equals_correlation_across_gather_chunks(rows, n, gather_values, data):
+    """A block that spans several gather chunks, down to one row per chunk."""
+    block = data.draw(channel_rows(rows, n))
+    with mock.patch.object(wavelet, "GATHER_VALUES", gather_values):
+        assert_dwt_equals_correlation(block, levels=data.draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("n", [31, 32, 257, 512])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+def test_gathered_dwt_keeps_signed_zeros_and_extreme_scales(n, scale):
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((4, n)) * scale
+    block[0, rng.random(n) < 0.3] = 0.0
+    block[1, rng.random(n) < 0.3] = -0.0
+    block[2] = -0.0
+    block[3, : n // 2] = -0.0
+    assert_dwt_equals_correlation(block)
+    for sb, sb_loop in zip(dwt_db6(block[1]), loop_dwt_db6(block[1])):  # the vector path
+        assert sb.strides == (2 * sb.itemsize,) and sb.tobytes() == sb_loop.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
