@@ -49,7 +49,7 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
         raise ValueError("X must be 2-D with one row per label")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite training rows")
-    classes = tuple(int(c) for c in np.unique(y))
+    classes = tuple(sorted(set(y.tolist())))
     if len(classes) < 2:
         raise DegenerateTraining("training labels contain a single class")
 

@@ -110,23 +110,18 @@ def load_run_config(path) -> tuple[RunConfig, dict, Path]:
 
 
 def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -> None:
-    """Write a command's `{name: text}` files in order, then `manifest.json`, which lists each
-    with its sha256. First remove the files the previous manifest lists and this command does
-    not write, so the directory holds one command's files: bare names of regular files only.
-    A manifest whose `outputs` is missing or not an object removes nothing."""
+    """Leave out_dir holding one command's `{name: text}` files. A provisional manifest.json
+    lists the previous manifest's names and this command's with null digests; then the previous
+    names this command does not write are removed (bare names of regular files only: a manifest
+    whose `outputs` is missing or not an object removes nothing), the files are written in order
+    and the final manifest lists each with its sha256. A failed file write leaves none unlisted."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     try:
         previous = json.loads(manifest_path.read_text())["outputs"]
     except (OSError, ValueError, RecursionError, TypeError, KeyError):  # no readable `outputs`
         previous = None
-    for name in previous if isinstance(previous, dict) else ():
-        stale = out_dir / name  # `.` and `..` are no regular file
-        if name not in files and Path(name).name == name and stale.is_file():
-            if not stale.is_symlink():
-                stale.unlink()
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
+    previous = list(previous) if isinstance(previous, dict) else []
 
     def sha256(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
@@ -136,8 +131,17 @@ def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -
         "master_seed": seed,
         "version": ctxclf.__version__,
         "config": raw,
-        "outputs": {name: sha256(text) for name, text in files.items()},
+        "outputs": dict.fromkeys([*previous, *files]),  # provisional: null digests
     }
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    for name in previous:
+        stale = out_dir / name  # `.` and `..` are no regular file
+        if name not in files and Path(name).name == name and stale.is_file():
+            if not stale.is_symlink():
+                stale.unlink()
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    manifest["outputs"] = {name: sha256(text) for name, text in files.items()}
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 

@@ -170,6 +170,8 @@ class RunConfig:
         for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
             if getattr(self, name) < 2:
                 raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
+        if self.exhaustive_limit < 0:  # -1 reads as "no limit", yet it would always run the EA
+            raise ValueError(f"exhaustive_limit: must be >= 0, got {self.exhaustive_limit}")
         for name in ("repetitions", "inner_repetitions"):
             if not 1 <= getattr(self, name) <= 10_000:
                 raise ValueError(f"{name}: must be in [1, 10000], got {getattr(self, name)}")

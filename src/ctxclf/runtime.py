@@ -33,29 +33,22 @@ class ContextEnsemble:
         """({box: {class: box after it}}, {box: {class: movement it means}}).
 
         Pushes and pops always follow the root-to-box path, so the machine's
-        state is the current box alone. In a box the closer's class means
-        the opener and pops to the parent; any other class means the first
-        member movement bound to it, which pushes the box that movement
-        opens or stays. Built on first use and held in the instance dict
-        only: fields, equality and the box-fit memo never see it.
+        state is the current box alone. A box's slots (closer first, then
+        members) take their classes from local_classes: the closer's pops
+        to the parent, a child's opener pushes that child and any other
+        member stays. A box with a repeated class raises DuplicateClassInBox.
+        Built on first use and held in the instance dict only: fields,
+        equality and the box-fit memo never see it.
         """
-        class_of = self.binding.class_of_movement
         next_box: dict[int, dict[int, int]] = {}
         meaning: dict[int, dict[int, int]] = {}
         for path in self.structure.root.paths():
             box = path[-1]
-            nxt, means = {}, {}
-            next_box[box.index], meaning[box.index] = nxt, means
-            if len(path) > 1:
-                j = class_of(box.opener)
-                nxt[j], means[j] = path[-2].index, box.opener
-            opened: dict[int, int] = {}
-            for child in box.children:
-                opened.setdefault(child.opener, child.index)
-            for m in box.member_movements():
-                j = class_of(m)
-                if j not in nxt:
-                    nxt[j], means[j] = opened.get(m, box.index), m
+            classes = local_classes(self.binding, box)
+            after = [p.index for p in path[-2:-1]] + [box.index] * len(box.internal_movements)
+            after += [c.index for c in box.children]  # the box each slot leads to, slot for slot
+            next_box[box.index] = dict(zip(classes, after))
+            meaning[box.index] = dict(zip(classes, box.slots()))
         return next_box, meaning
 
     def describe(self) -> str:
@@ -125,7 +118,7 @@ def train_ensemble(
         boxes = [(box, local_classes(binding, box)) for box in structure.root.walk()]
     except DuplicateClassInBox:
         raise DuplicateClassInBox("binding is infeasible for this structure") from None
-    present = set(np.unique(y).tolist())
+    present = set(y.tolist())
     masks: dict[int, FeatureMask] = {}
     models: dict[int, TrainedModel] = {}
     for box, classes in boxes:
@@ -146,7 +139,7 @@ def train_plain(
     The binding is the identity, so each class means its own primary
     movement; the root's box problem (and memo key, see _fit_box) is all of y.
     """
-    classes = tuple(int(c) for c in np.unique(y))
+    classes = tuple(sorted(set(np.asarray(y, dtype=np.int64).tolist())))
     C = max(classes)
     structure = ContextStructure(num_classes=C, movements=(), root=BoxNode(ROOT, None, classes))
     identity = Binding(num_classes=C, secondary=tuple(range(1, C + 1)))

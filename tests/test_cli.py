@@ -459,11 +459,42 @@ def test_optimize_prints_its_bindings_only_once_they_are_written(run_setup, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ERROR: [Errno 28]") and captured.err.count("\n") == 1
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == {"bindings.json": None}  # the provisional manifest
     shutil.rmtree(tmp_path / "out")
     assert main(["optimize", "--config", str(cfg_path)]) == 0
     line = r"GaussianNB: binding=\[[\d, ]+\] fitness=\d\.\d{4} \(exhaustive\)\n"
     assert re.fullmatch(line, capsys.readouterr().out)
+
+
+def test_a_failed_write_leaves_no_unlisted_file(run_setup, capsys, monkeypatch):
+    """optimize, then a run whose second file cannot be written: optimize's file is gone and
+    run's first is written, and the provisional manifest lists both. A later run that succeeds
+    removes every listed file it does not write."""
+    tmp_path, cfg_path, _ = run_setup
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    write_text = Path.write_text
+
+    def disk_full(path, text):
+        if path.name == "summary.json":
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, text)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR: [Errno 28]") and captured.err.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = ["bindings.json", "metrics.csv", "summary.json"]
+    assert manifest["outputs"] == dict.fromkeys(listed)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.csv"]
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    written = ["metrics.csv", "summary.json"]
+    assert _listed_outputs(out) == (sorted([*written, "manifest.json"]), written)
 
 
 def test_an_output_name_taken_by_a_directory_is_refused_before_the_run(run_setup, capsys):
@@ -651,6 +682,14 @@ def test_run_rejects_a_run_parameter_out_of_its_bounds(run_setup, capsys, field,
     tmp_path, _, config = run_setup
     bad = _with_field(config, field, value)
     _rejected_before_run(tmp_path, capsys, bad, f"{field}: must be in {bounds}, got {value}")
+
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+def test_a_negative_exhaustive_limit_is_refused_before_the_run(run_setup, capsys, command):
+    """-1 reads as "no limit", but every feasible set is above it: the EA would always run."""
+    tmp_path, _, config = run_setup
+    bad = dict(config, exhaustive_limit=-1)
+    _rejected_before_run(tmp_path, capsys, bad, "exhaustive_limit: must be >= 0, got -1", command)
 
 
 @pytest.mark.parametrize("field", ["cv_fold", "classifiers[0].num_tree", "ea.populaton_size"])

@@ -1,9 +1,13 @@
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxclf.classifiers import ClassifierSpec
+import ctxclf
+from ctxclf.classifiers import ALGORITHMS, ClassifierSpec
 from ctxclf.errors import CtxclfError
 from ctxclf.evaluation import (
     MetricsTable,
@@ -19,7 +23,7 @@ from ctxclf.evaluation import (
     zo_metric,
 )
 from ctxclf.synth import synth_signalset
-from conftest import make_structure, structure_file
+from conftest import STRUCTURES, make_structure, structure_file
 from test_runtime import obj, perfect_ensemble
 
 
@@ -220,3 +224,41 @@ def test_run_config_rejects_a_repeated_method():
             classifier_specs=(ClassifierSpec(),),
             methods=("octx", "octx"),
         )
+
+
+def test_run_config_rejects_a_negative_exhaustive_limit():
+    """0 is a limit (the EA always runs); -1 is not "no limit"."""
+    sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
+    structure = structure_file("five_class")
+    assert RunConfig(signalset=sset, structure=structure, exhaustive_limit=0).exhaustive_limit == 0
+    with pytest.raises(ValueError, match=r"^exhaustive_limit: must be >= 0, got -1$"):
+        RunConfig(signalset=sset, structure=structure, exhaustive_limit=-1)
+
+
+def test_a_run_leaves_numpy_ma_unimported():
+    """The fit path takes a label set from a Python set: a plain np.unique(y) imports numpy.ma
+    (about 0.5 MB) to ask whether y is masked."""
+    src = str(Path(ctxclf.__file__).resolve().parent.parent)
+    code = f"""
+import sys
+from ctxclf.classifiers import ClassifierSpec
+from ctxclf.context import load_structure
+from ctxclf.evaluation import RunConfig, run_experiment
+from ctxclf.synth import synth_signalset
+specs = tuple(ClassifierSpec(algorithm=a, num_trees=3) for a in {ALGORITHMS!r})
+config = RunConfig(
+    signalset=synth_signalset(6, records_per_class=4, samples=128, seed=21),
+    structure=load_structure({str(STRUCTURES / "six_class.json")!r}),
+    classifier_specs=specs, cv_folds=2, inner_folds=2, repetitions=2, inner_repetitions=1,
+)
+assert len(run_experiment(config).rows) == 3 * 3 * 2
+print("numpy.ma" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

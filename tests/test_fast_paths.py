@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -37,11 +38,13 @@ from ctxclf.context import (
     BoxNode,
     ConstraintTable,
     ContextStructure,
+    Movement,
     derive_constraints,
     enumerate_feasible,
     load_structure,
     local_classes,
     structure_from_dict,
+    validate_structure,
 )
 from ctxclf.evaluation import (
     RunConfig,
@@ -1082,17 +1085,37 @@ def test_box_paths_equal_the_recursive_visitors(structure):
         assert ensemble.describe() == recursive_describe(structure, binding)
 
 
-def test_box_paths_keep_the_first_wins_rules():
-    """A tree no structure file may hold: two children opened by one movement, and a
-    member bound to its box's closer class. The first child and the closer win, as in
-    the recursive visitors."""
-    children = (BoxNode(1, 3, (4,)), BoxNode(2, 3, (5, 6)))  # 6 is bound to class 3, box 2's closer
-    structure = ContextStructure(3, (), BoxNode(ROOT, None, (1, 2), children))
+@pytest.mark.parametrize(
+    "root, refusal",
+    [
+        (
+            BoxNode(ROOT, None, (1, 2), (BoxNode(1, 3, (4,)), BoxNode(2, 3, (5,)))),
+            "box 0: duplicate classes [1, 2, 3, 3]",
+        ),
+        (
+            BoxNode(ROOT, None, (1,), (BoxNode(1, 2, (4,)), BoxNode(2, 3, (5, 6)))),
+            "box 2: duplicate classes [3, 2, 3]",
+        ),
+    ],
+    ids=["two-children-one-opener", "member-on-the-closer-class"],
+)
+def test_box_paths_refuse_a_repeated_class_in_a_box(root, refusal):
+    """A box whose slots repeat a class under the binding has no machine: .transitions raises
+    from local_classes, where the recursive visitor let the first child or the closer win.
+    Movement 3 opens two children of the root, which validate_structure refuses; or movement
+    6 is bound to class 3, box 2's closer, which train_ensemble refuses. describe() and the
+    movement sequences do not read classes per slot, and still equal their recursive oracles."""
+    structure = ContextStructure(3, tuple(Movement(m) for m in range(1, 7)), root)
     binding = Binding(num_classes=3, secondary=(1, 2, 3))
     ensemble = ContextEnsemble(structure, binding, {}, {})
-    expected = recursive_transitions(structure, binding)
-    assert [in_order(t) for t in ensemble.transitions] == [in_order(t) for t in expected]
-    assert ensemble.transitions[0][ROOT][3] == 1 and ensemble.transitions[1][2][3] == 3
+    with pytest.raises(DuplicateClassInBox, match=f"^{re.escape(refusal)}$"):
+        ensemble.transitions
+    if refusal.startswith("box 0"):
+        assert "box 0 lists a movement twice" in validate_structure(structure)
+    else:
+        assert validate_structure(structure) == []
+        with pytest.raises(DuplicateClassInBox, match="^binding is infeasible for this structure$"):
+            train_ensemble(structure, binding, np.zeros((3, 1)), [1, 2, 3], ClassifierSpec())
     assert ensemble.describe() == recursive_describe(structure, binding)
     assert generate_movement_sequences(structure) == recursive_movement_sequences(structure)
 
