@@ -9,14 +9,13 @@ by mutual information with the label and the top fraction is retained.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ctxclf.errors import SignalsetError, SubbandTooShort
+from ctxclf.errors import DimensionMismatch, SignalsetError, SubbandTooShort
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.wavelet import dwt_db6
 
@@ -65,29 +64,37 @@ class FeatureMask:
         object.__setattr__(self, "_columns", columns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)[..., self._columns]
+        """The selected columns of a vector or of each row of a block of ``source_dim`` columns."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != (self.source_dim,):
+            raise DimensionMismatch(f"expected {self.source_dim} features, got {x.shape}")
+        return x[..., self._columns]
 
 
-def _autocorrelation(block: np.ndarray, order: int) -> np.ndarray:
-    """Biased autocorrelation lags 0..order of each row: (rows, order + 1).
+def _autocorrelation(subbands, order: int, lengths: np.ndarray) -> np.ndarray:
+    """Biased autocorrelation lags 0..order of each row of each subband: (rows, subbands,
+    order + 1). ``subbands`` is a sequence of (rows, n) blocks and ``lengths`` their n as floats.
 
-    Each lag is a batched dot product over the rows as given; a strided
-    subband keeps the stride np.dot would see, and so its bits. Like np.dot,
-    rows with a negative or zero stride are copied to contiguous first, and
-    a lag over one sample pair is a plain product (which keeps a -0.0).
+    Each lag is a batched dot product over the rows as given, written in place; a strided
+    subband keeps the stride np.dot would see, and so its bits. Like np.dot, rows with a
+    negative or zero stride are copied to contiguous first, and a lag over one sample pair
+    is a plain product (which keeps a -0.0). All lags are divided once, by ``lengths``.
     """
-    n = block.shape[1]
-    if n < order + 1:
-        raise SubbandTooShort(f"need >= {order + 1} samples for AR({order}), got {n}")
-    if block.strides[1] <= 0:
-        block = np.ascontiguousarray(block)
-    lags = np.empty((len(block), order + 1))
-    for k in range(order + 1):
-        if k < n - 1:
-            lags[:, k] = (block[:, None, : n - k] @ block[:, k:, None])[:, 0, 0]
-        else:
-            lags[:, k] = block[:, 0] * block[:, k]
-    return lags / n
+    lags = np.empty((len(subbands[0]), len(subbands), order + 1, 1, 1))  # (1, 1): matmul's out
+    for s, block in enumerate(subbands):
+        n = block.shape[1]
+        if n < order + 1:
+            raise SubbandTooShort(f"need >= {order + 1} samples for AR({order}), got {n}")
+        if block.strides[1] <= 0:
+            block = np.ascontiguousarray(block)
+        left, right = block[:, None], block[:, :, None]
+        for k in range(min(order + 1, n - 1)):
+            np.matmul(left[..., : n - k], right[:, k:], out=lags[:, s, k])
+        if n - 1 <= order:
+            np.multiply(block[:, 0], block[:, order], out=lags[:, s, order, 0, 0])
+    lags = lags.reshape(len(lags), len(subbands), order + 1)
+    lags /= lengths[:, None]
+    return lags
 
 
 def _levinson(r: np.ndarray) -> np.ndarray:
@@ -97,6 +104,8 @@ def _levinson(r: np.ndarray) -> np.ndarray:
     <= 0 keeps the coefficients of that step and leaves the recursion. The
     inner products run on a contiguous reversed copy of r, the operands
     np.dot hands to BLAS, so each row gets the bits of the one-row recursion.
+    The first step has no inner product (an empty dot is +0.0, and r1 - 0.0
+    is r1, -0.0 included), and the last step's error is never read.
     """
     rows, order = r.shape[0], r.shape[1] - 1
     out = np.zeros((rows, order))
@@ -105,18 +114,19 @@ def _levinson(r: np.ndarray) -> np.ndarray:
     reversed_r = np.ascontiguousarray(r[:, :0:-1])  # r_order, ..., r_1
     a = np.zeros((len(live), order))
     err = r[:, 0]
-    for m in range(order):
-        dot = (a[:, None, :m] @ reversed_r[:, order - m :, None])[:, 0, 0]
-        k = (r[:, m + 1] - dot) / err
-        if m:
-            a[:, :m] = a[:, :m] - k[:, None] * a[:, m - 1 :: -1]
-        a[:, m] = k
+    k = r[:, 1] / err
+    a[:, 0] = k
+    for m in range(1, order):
         err = err * (1.0 - k * k)
         stop = err <= 0.0
         if stop.any():
             out[live[stop]] = a[stop]
             keep = ~stop
             live, r, reversed_r, a, err = live[keep], r[keep], reversed_r[keep], a[keep], err[keep]
+        dot = (a[:, None, :m] @ reversed_r[:, order - m :, None])[:, 0, 0]
+        k = (r[:, m + 1] - dot) / err
+        a[:, :m] = a[:, :m] - k[:, None] * a[:, m - 1 :: -1]
+        a[:, m] = k
     out[live] = a
     return out
 
@@ -127,30 +137,47 @@ def _slope_sign_flags(block: np.ndarray) -> np.ndarray:
     return d[:, :-1] * d[:, 1:] < 0
 
 
+@lru_cache(maxsize=256)
+def _block_plan(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, junction flags, lengths as floats) of subbands of these lengths laid end
+    to end, read-only: each subband's first column, the two slope-sign flags that span
+    each junction, and the divisor of each subband's sums."""
+    bounds = np.cumsum((0, *lengths))
+    junctions = np.concatenate([(b - 2, b - 1) for b in bounds[1:-1]])
+    plan = (bounds[:-1], junctions, np.array(lengths, dtype=np.float64))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _block_features(block: np.ndarray) -> np.ndarray:
     """(rows, subbands, features) of a block of equal-length channel rows.
 
     MAV and SSC take one pass over the subbands laid end to end. Each MAV
     sums its own slice of one ``np.abs``, the same pairwise sum as over the
-    subband alone. The slope-sign flags are computed once; the two flags
-    that span each junction are cleared, so each subband's count is one
-    segment of a single ``np.add.reduceat``.
+    subband alone; A3 and D3 have one length and sit side by side, so one
+    ``(rows, 2, L)`` sum takes both. The slope-sign flags are computed once;
+    the two flags that span each junction are cleared, so each subband's
+    count is one segment of a single ``np.add.reduceat``.
     """
     subbands = dwt_db6(block, levels=3)
-    lengths = [sb.shape[1] for sb in subbands]
-    bounds = [0, *itertools.accumulate(lengths)]
+    lengths = tuple(sb.shape[1] for sb in subbands)
+    starts, junctions, divisors = _block_plan(lengths)
     joined = np.concatenate(subbands, axis=1)
     magnitude = np.abs(joined)
     flags = _slope_sign_flags(joined)
-    flags[:, [i for b in bounds[1:-1] for i in (b - 2, b - 1)]] = False
-    out = np.empty((len(block), len(subbands), FEATURES_PER_SUBBAND))
-    out[:, :, 1] = np.add.reduceat(flags, bounds[:-1], axis=1, dtype=np.int64)
-    lags = np.empty((len(block), len(subbands), AR_ORDER + 1))
-    for s, sb in enumerate(subbands):
-        out[:, s, 0] = magnitude[:, bounds[s] : bounds[s + 1]].sum(axis=1) / lengths[s]  # as np.mean
-        lags[:, s] = _autocorrelation(sb, AR_ORDER)
+    flags[:, junctions] = False
+    rows, d2, d1 = len(block), 2 * lengths[0], 2 * lengths[0] + lengths[2]
+    out = np.empty((rows, len(subbands), FEATURES_PER_SUBBAND))
+    out[:, :, 1] = np.add.reduceat(flags, starts, axis=1, dtype=np.int64)
+    mav = out[:, :, 0]
+    mav[:, :2] = magnitude[:, :d2].reshape(rows, 2, lengths[0]).sum(axis=2)  # A3, D3
+    mav[:, 2] = magnitude[:, d2:d1].sum(axis=1)
+    mav[:, 3] = magnitude[:, d1:].sum(axis=1)
+    mav /= divisors  # as np.mean
+    lags = _autocorrelation(subbands, AR_ORDER, divisors)
     ar = _levinson(lags.reshape(-1, AR_ORDER + 1))
-    out[:, :, 2:] = ar.reshape(len(block), len(subbands), AR_ORDER)
+    out[:, :, 2:] = ar.reshape(rows, len(subbands), AR_ORDER)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec, TrainedModel, predict, train
 from ctxclf.context import ROOT, Binding, BoxNode, ContextStructure, local_classes
-from ctxclf.errors import DuplicateClassInBox, UncoveredClass
+from ctxclf.errors import DimensionMismatch, DuplicateClassInBox, UncoveredClass
 from ctxclf.features import FeatureMask, select_features
 
 
@@ -160,10 +160,15 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     """Classify one feature vector in the current box and transition.
 
     Returns (predicted class, interpreted movement id, state). The state is
-    mutated in place and also returned.
+    mutated in place and also returned. Anything but one vector of the
+    mask's width, a block included, raises DimensionMismatch.
     """
     box = state.box
-    j = predict(ensemble.models[box], ensemble.masks[box].apply(x))
+    mask = ensemble.masks[box]
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (mask.source_dim,):
+        raise DimensionMismatch(f"expected {mask.source_dim} features, got {x.shape}")
+    j = predict(ensemble.models[box], mask.apply(x))
     next_box, meaning = ensemble.transitions
     try:
         movement = meaning[box][j]

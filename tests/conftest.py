@@ -85,7 +85,8 @@ def chain_doc(depth):
 def ar_coefficients(subband, order: int = features.AR_ORDER) -> np.ndarray:
     """One subband's AR coefficients through the block path's autocorrelation and Levinson."""
     x = np.asarray(subband, dtype=np.float64)
-    return features._levinson(features._autocorrelation(x[None, :], order))[0]
+    lags = features._autocorrelation([x[None, :]], order, np.array([len(x)], dtype=np.float64))
+    return features._levinson(lags[0])[0]
 
 
 def slope_sign_changes(subband) -> int:

@@ -8,9 +8,12 @@ machine's only definition), the one walk of the box tree (``BoxNode.paths``
 under the transition tables, ``describe`` and the movement sequences), the
 list-based forest walk (vectors and
 blocks), the ordered feasible-set loop, the one-pass
-MAV/SSC, the prebuilt mask columns, the ``np.loadtxt`` record reader and
-the one-join record writer, and the one matrix product per DWT level over
-the kept windows must leave every result as it was;
+MAV/SSC (A3 and D3 summed as one reshape), the lags written in place and
+divided once, the Levinson recursion that starts at k = r1 / r0 and skips
+the last step's error update (hand-made rows stop at each step), the
+prebuilt mask columns, the ``np.loadtxt`` record reader and the one-join
+record writer, and the one matrix product per DWT level over the kept
+windows must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -636,7 +639,12 @@ def loop_dwt_db6(x, levels=3):
 def loop_ar_coefficients(x, order=3):
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    r = np.array([np.dot(x[: n - k], x[k:]) / n for k in range(order + 1)])
+    return loop_levinson(np.array([np.dot(x[: n - k], x[k:]) / n for k in range(order + 1)]))
+
+
+def loop_levinson(r):
+    """One row of lags r_0..r_order to its AR coefficients, step by step."""
+    order = len(r) - 1
     if r[0] <= 0.0:
         return np.zeros(order)
     a = np.zeros(order)
@@ -652,6 +660,44 @@ def loop_ar_coefficients(x, order=3):
         if err <= 0.0:
             break
     return a
+
+
+# Hand-made lag rows r_0..r_3, one per way the recursion ends, interleaved so that rows
+# leave the block at different steps.
+LEVINSON_ROWS = [
+    (1.0, 0.5, 0.2, 0.1),  # never stops
+    (1.0, 1.0, 0.5, 0.2),  # stops at m = 0: k = 1, the error is exactly 0
+    (0.0, 1.0, 2.0, 3.0),  # r0 <= 0: zeros
+    (1.0, 0.5, -1.0, 0.3),  # stops at m = 1: k = -5/3
+    (1.0, 0.0, 0.0, 1.0),  # stops at the last step: k = 1 there
+    (2.0, -3.0, 1.0, 0.5),  # stops at m = 0: the error goes negative
+    (-0.0, 1.0, 1.0, 1.0),  # r0 <= 0: a signed zero
+    (1.0, 0.5, 0.25, 5.0),  # stops at the last step: the error goes negative
+    (2.0, -0.0, -1.0, -0.0),  # never stops; AR1 is -0.0 only if r1 - 0.0 kept the sign at m = 0
+    (-1.0, 0.5, 0.2, 0.1),  # r0 < 0: zeros
+    (1.0, 0.6, 1.0, 0.2),  # stops at m = 1: k = 1 there, the error is exactly 0
+    (3.0, 1.0, -1.0, 0.5),  # never stops
+]
+
+
+def test_levinson_stops_at_each_step_as_the_one_row_recursion():
+    rows = np.array(LEVINSON_ROWS)
+    got = features._levinson(rows)
+    for r, coefficients in zip(rows, got):
+        assert coefficients.tobytes() == loop_levinson(r).tobytes(), r
+
+
+def test_side_by_side_subband_sums_equal_each_half_summed_alone():
+    """A3 and D3 summed as one (rows, 2, L) reshape of the end-to-end copy, across numpy's
+    pairwise-sum block edges."""
+    rng = np.random.default_rng(0)
+    for L in (*range(1, 10), *range(127, 131), *range(255, 301)):
+        scale = 10.0 ** rng.integers(-8, 9, (3, 1))
+        joined = np.abs(rng.standard_normal((3, 2 * L + 7)) * scale)  # 7 more: D2 and D1
+        pair = joined[:, : 2 * L].reshape(3, 2, L).sum(axis=2)
+        for i, half in itertools.product(range(3), range(2)):
+            alone = joined[i, half * L : (half + 1) * L].sum()
+            assert pair[i, half].tobytes() == alone.tobytes(), (L, i, half)
 
 
 def loop_slope_sign_changes(x):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf.errors import SubbandTooShort
+from ctxclf.errors import DimensionMismatch, SubbandTooShort
 from ctxclf.features import (
     FEATURE_NAMES,
     SUBBAND_NAMES,
@@ -134,6 +134,9 @@ def test_mask_apply_and_validation():
     assert np.array_equal(mask.apply(x), [0.0, 2.0])
     X = np.arange(8.0).reshape(2, 4)
     assert mask.apply(X).shape == (2, 2)
+    for wrong in (np.arange(8.0), np.arange(2.0), np.arange(6.0).reshape(2, 3), np.float64(1.0)):
+        with pytest.raises(DimensionMismatch, match=r"expected 4 features, got \("):
+            mask.apply(wrong)
     with pytest.raises(ValueError):
         FeatureMask(selected=(2, 0), source_dim=4, scores=())
     with pytest.raises(ValueError):

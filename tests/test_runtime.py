@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import ROOT, Binding, derive_constraints, enumerate_feasible
-from ctxclf.errors import DuplicateClassInBox, UncoveredClass
+from ctxclf.errors import DimensionMismatch, DuplicateClassInBox, UncoveredClass
 from ctxclf.runtime import (
     initial_state,
     reset,
@@ -71,6 +73,36 @@ def test_generated_sequences_return_to_root():
                 assert j == cls
                 assert interpreted == movement
             assert state.box == s.root.index
+
+
+@pytest.fixture(scope="module")
+def gnb_on_twenty_features():
+    """A six_class GaussianNB ensemble on 20 features, one channel's feature vector."""
+    s = structure_file("six_class")
+    rng = np.random.default_rng(0)
+    y = np.repeat(np.arange(1, s.num_classes + 1), 6)
+    X = rng.standard_normal((len(y), 20)) + y[:, None]
+    binding = enumerate_feasible(derive_constraints(s))[0]
+    return train_ensemble(s, binding, X, y, ClassifierSpec(algorithm="GaussianNB"), 0.5), X
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda X: np.concatenate([X[0], X[1]]),  # two vectors end to end: once read as one
+        lambda X: X[0, :10],  # half a vector: once an IndexError
+        lambda X: X[:2],  # a block: once an unhashable class array
+    ],
+    ids=["40-values", "10-values", "2x20-block"],
+)
+def test_step_refuses_anything_but_one_vector_of_the_mask_width(gnb_on_twenty_features, probe):
+    ens, X = gnb_on_twenty_features
+    x = probe(X)
+    state = initial_state(ens)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"expected 20 features, got {x.shape}")):
+        step(ens, state, x)
+    assert state.box == ROOT
+    assert step(ens, state, X[0])[2] is state  # one vector of the width still steps
 
 
 def test_reset():
