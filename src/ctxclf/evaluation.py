@@ -11,24 +11,23 @@ error.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec
-from ctxclf.context import ROOT, Binding, ContextStructure
+from ctxclf.context import Binding, ContextStructure
 from ctxclf.errors import CtxclfError
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set
 from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import (
     ContextEnsemble,
+    first_miss,
     initial_state,
     predict_tables,
     step,
     train_ensemble,
     train_plain,
-    walk_tables,
 )
 from ctxclf.signals import SignalSet, stratified_folds
 from ctxclf.features import feature_matrix
@@ -121,24 +120,29 @@ def evaluate_sequence(system, objects, true_classes) -> SequenceOutcome:
 
 def zo_metric(outcomes) -> float:
     """Fraction of sequences with no classification error."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("no outcomes")
-    return sum(1.0 for o in outcomes if o.error_free) / len(outcomes)
+    return _zo([(o.first_error or 0, o.length) for o in outcomes])
 
 
 def sqcov_metric(outcomes) -> float:
     """Mean correctly classified prefix fraction before the first error."""
-    outcomes = list(outcomes)
-    if not outcomes:
+    return _sqcov([(o.first_error or 0, o.length) for o in outcomes])
+
+
+def _zo(scored: list[tuple[int, int]]) -> float:
+    """ZO of (first miss, length) pairs, a first miss of 0 meaning none (see first_miss)."""
+    if not scored:
+        raise ValueError("no outcomes")
+    return sum(1.0 for miss, _ in scored if not miss) / len(scored)
+
+
+def _sqcov(scored: list[tuple[int, int]]) -> float:
+    """SqCov of (first miss, length) pairs: each credits its prefix before the first miss."""
+    if not scored:
         raise ValueError("no outcomes")
     total = 0.0
-    for o in outcomes:
-        if o.error_free:
-            total += 1.0
-        else:
-            total += (o.first_error - 1) / o.length
-    return total / len(outcomes)
+    for miss, length in scored:
+        total += (miss - 1) / length if miss else 1.0
+    return total / len(scored)
 
 
 @dataclass(frozen=True)
@@ -272,24 +276,24 @@ def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]
 
 def _evaluate_system(
     system, binding, structure, sequences, X, pools, R, rng, cache=None
-) -> list[SequenceOutcome]:
-    """Outcomes of R object sequences per movement sequence, drawn from the pools.
+) -> list[tuple[int, int]]:
+    """(first miss, length) of R object sequences per movement sequence, drawn from the pools.
 
     ``sequences`` is ``generate_movement_sequences(structure)``, made once by
     the caller. Each box model predicts the whole test pool once (or reads
-    its table from ``cache``, see predict_tables); the sequences are then
-    walked over those prediction tables, as evaluate_sequence would feed them.
+    its table from ``cache``, see predict_tables); each sequence is then
+    walked over those tables up to its first miss (see first_miss), all
+    that ZO and SqCov read of it.
     """
     rows = [i for objects in pools.values() for i in objects]
     tables = predict_tables(system, X, rows, cache)
     transitions, _ = system.transitions
-    outcomes = []
+    scored = []
     for seq in sequences:
         classes = sequence_to_classes(seq, structure, binding)
         for objects in sample_object_sequences(classes, pools, R, rng):
-            predicted = walk_tables(transitions, tables, objects, ROOT)
-            outcomes.append(SequenceOutcome(hits=tuple(map(operator.eq, predicted, classes))))
-    return outcomes
+            scored.append((first_miss(transitions, tables, objects, classes), len(classes)))
+    return scored
 
 
 def _splits(X, y, indices, k: int, rng: np.random.Generator):
@@ -329,11 +333,11 @@ def search_binding(
                 config.structure, binding, X_tr, y_tr, spec, config.feature_fraction, memo=memo
             )
             rng = derive_rng(inner_seed, "sample", inner, *binding.secondary)
-            outcomes = _evaluate_system(
+            scored = _evaluate_system(
                 ensemble, binding, config.structure, sequences, X, pools,
                 config.inner_repetitions, rng, cache,
             )
-            scores.append(sqcov_metric(outcomes))
+            scores.append(_sqcov(scored))
         return float(np.mean(scores))
 
     fitness = Fitness(objective)
@@ -383,7 +387,7 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                     config.master_seed, "sample", fold, spec.algorithm, sample_key,
                     *binding.secondary,
                 )
-                outcomes = _evaluate_system(
+                scored = _evaluate_system(
                     system, binding, config.structure, sequences, X, pools, config.repetitions,
                     rng, cache,
                 )
@@ -392,8 +396,8 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                         method=method,
                         classifier=spec.algorithm,
                         fold=fold,
-                        zo=zo_metric(outcomes),
-                        sqcov=sqcov_metric(outcomes),
+                        zo=_zo(scored),
+                        sqcov=_sqcov(scored),
                     )
                 )
     return MetricsTable(

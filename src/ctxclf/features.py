@@ -39,7 +39,7 @@ class FeatureVector:
         expected = self.num_channels * len(SUBBAND_NAMES) * FEATURES_PER_SUBBAND
         if v.shape != (expected,):
             raise ValueError(f"expected {expected} features, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("non-finite feature values")
         object.__setattr__(self, "values", v)
 
@@ -100,33 +100,38 @@ def _autocorrelation(subbands, order: int, lengths: np.ndarray) -> np.ndarray:
 def _levinson(r: np.ndarray) -> np.ndarray:
     """AR coefficients of each row of lags r (rows, order + 1), all rows in step.
 
-    A row with r0 <= 0 gets zeros; a row whose prediction error drops to
-    <= 0 keeps the coefficients of that step and leaves the recursion. The
-    inner products run on a contiguous reversed copy of r, the operands
-    np.dot hands to BLAS, so each row gets the bits of the one-row recursion.
-    The first step has no inner product (an empty dot is +0.0, and r1 - 0.0
-    is r1, -0.0 included), and the last step's error is never read.
+    A row with r0 <= 0 runs as the lags (1, 0, ..., 0), whose coefficients are +0.0; a
+    row whose prediction error drops to <= 0 keeps the coefficients of that step and
+    leaves the recursion. The inner products run on a contiguous reversed copy of r, the
+    operands np.dot hands to BLAS, so each row gets the bits of the one-row recursion.
+    The first step has no inner product (an empty dot is +0.0, and r1 - 0.0 is r1, -0.0
+    included), and the last step's error is never read.
     """
     rows, order = r.shape[0], r.shape[1] - 1
-    out = np.zeros((rows, order))
-    live = np.flatnonzero(~(r[:, 0] <= 0.0))
-    r = r[live]
+    dead = r[:, :1] <= 0.0
+    if dead.any():
+        r = np.where(dead, np.eye(1, order + 1), r)
     reversed_r = np.ascontiguousarray(r[:, :0:-1])  # r_order, ..., r_1
-    a = np.zeros((len(live), order))
+    a = np.zeros((rows, order))
     err = r[:, 0]
     k = r[:, 1] / err
     a[:, 0] = k
+    out = live = None  # made when a row first leaves the recursion early
     for m in range(1, order):
         err = err * (1.0 - k * k)
         stop = err <= 0.0
         if stop.any():
+            if out is None:
+                out, live = np.empty((rows, order)), np.arange(rows)
             out[live[stop]] = a[stop]
             keep = ~stop
             live, r, reversed_r, a, err = live[keep], r[keep], reversed_r[keep], a[keep], err[keep]
         dot = (a[:, None, :m] @ reversed_r[:, order - m :, None])[:, 0, 0]
         k = (r[:, m + 1] - dot) / err
-        a[:, :m] = a[:, :m] - k[:, None] * a[:, m - 1 :: -1]
+        a[:, :m] -= k[:, None] * a[:, m - 1 :: -1]
         a[:, m] = k
+    if out is None:
+        return a
     out[live] = a
     return out
 

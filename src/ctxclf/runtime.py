@@ -11,7 +11,7 @@ baseline is the same machine with one box that keeps every class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,26 +30,11 @@ class ContextEnsemble:
 
     @cached_property
     def transitions(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-        """({box: {class: box after it}}, {box: {class: movement it means}}).
-
-        Pushes and pops always follow the root-to-box path, so the machine's
-        state is the current box alone. A box's slots (closer first, then
-        members) take their classes from local_classes: the closer's pops
-        to the parent, a child's opener pushes that child and any other
-        member stays. A box with a repeated class raises DuplicateClassInBox.
-        Built on first use and held in the instance dict only: fields,
-        equality and the box-fit memo never see it.
-        """
-        next_box: dict[int, dict[int, int]] = {}
-        meaning: dict[int, dict[int, int]] = {}
-        for path in self.structure.root.paths():
-            box = path[-1]
-            classes = local_classes(self.binding, box)
-            after = [p.index for p in path[-2:-1]] + [box.index] * len(box.internal_movements)
-            after += [c.index for c in box.children]  # the box each slot leads to, slot for slot
-            next_box[box.index] = dict(zip(classes, after))
-            meaning[box.index] = dict(zip(classes, box.slots()))
-        return next_box, meaning
+        """({box: {class: box after it}}, {box: {class: movement it means}}): the tables of
+        machine(structure, binding), read on first use and then held in the instance dict,
+        so ``step`` pays no cache lookup per window; fields, equality and the box-fit memo
+        never see it. A box with a repeated class raises DuplicateClassInBox."""
+        return machine(self.structure, self.binding)[1:]
 
     def describe(self) -> str:
         """Render the box tree with per-box movement/class tables."""
@@ -74,6 +59,29 @@ class ContextEnsemble:
                     f"{indent}  {name:<12}  {self.binding.class_of_movement(box.opener)} (-)"
                 )
         return "\n".join(lines)
+
+
+@lru_cache(maxsize=256)
+def machine(structure: ContextStructure, binding: Binding) -> tuple:
+    """(((box, its classes), ...) in pre-order, {box: {class: box after it}}, {box: {class:
+    movement it means}}), built once per (structure, binding) and shared: never mutate it.
+
+    Pushes and pops always follow the root-to-box path, so the machine's state is the
+    current box alone. A box's slots (closer first, then members) take their classes from
+    local_classes: the closer's pops to the parent, a child's opener pushes that child and
+    any other member stays. A box with a repeated class raises DuplicateClassInBox on every
+    call, as the cache keeps no exception.
+    """
+    boxes, next_box, meaning = [], {}, {}
+    for path in structure.root.paths():
+        box = path[-1]
+        classes = local_classes(binding, box)
+        after = [p.index for p in path[-2:-1]] + [box.index] * len(box.internal_movements)
+        after += [c.index for c in box.children]  # the box each slot leads to, slot for slot
+        boxes.append((box, classes))
+        next_box[box.index] = dict(zip(classes, after))
+        meaning[box.index] = dict(zip(classes, box.slots()))
+    return tuple(boxes), next_box, meaning
 
 
 @dataclass
@@ -115,7 +123,7 @@ def train_ensemble(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     try:
-        boxes = [(box, local_classes(binding, box)) for box in structure.root.walk()]
+        boxes = machine(structure, binding)[0]
     except DuplicateClassInBox:
         raise DuplicateClassInBox("binding is infeasible for this structure") from None
     present = set(y.tolist())
@@ -168,18 +176,14 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (mask.source_dim,):
         raise DimensionMismatch(f"expected {mask.source_dim} features, got {x.shape}")
-    j = predict(ensemble.models[box], mask.apply(x))
+    j = predict(ensemble.models[box], x[mask._columns])  # the checks of mask.apply, made above
     next_box, meaning = ensemble.transitions
     try:
         movement = meaning[box][j]
-    except KeyError:
-        raise _no_meaning(box, j) from None  # unreachable when the model's classes are the box's
+    except KeyError:  # unreachable when the model's classes are the box's
+        raise DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation") from None
     state.box = next_box[box][j]
     return j, movement, state
-
-
-def _no_meaning(box: int, j: int) -> DuplicateClassInBox:
-    return DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation")
 
 
 def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list[int]]:
@@ -204,21 +208,22 @@ def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list
     return tables
 
 
-def walk_tables(
-    transitions: dict[int, dict[int, int]], tables: dict[int, list[int]], rows, box: int
-) -> list[int]:
-    """Predicted classes of a sequence of table rows, starting in box ``box``.
+def first_miss(
+    transitions: dict[int, dict[int, int]], tables: dict[int, list[int]], rows, classes
+) -> int:
+    """1-based position of the first of ``rows`` whose predicted class is not its class in
+    ``classes``, or 0 when there is none.
 
-    The same transitions as ``step``, with each box model's class read from
-    its table and the next box from ``transitions`` (the first table of
-    ContextEnsemble.transitions).
+    The walk starts at the root and makes the transitions of ``step``, with
+    each box model's class read from its table (see predict_tables) and the
+    next box from ``transitions`` (the first table of
+    ContextEnsemble.transitions). Up to the first miss every prediction is
+    the true class, which the box's model holds, so every transition exists.
     """
-    out = []
-    for r in rows:
+    box = ROOT
+    for position, (r, c) in enumerate(zip(rows, classes), 1):
         j = tables[box][r]
-        try:
-            box = transitions[box][j]
-        except KeyError:
-            raise _no_meaning(box, j) from None
-        out.append(j)
-    return out
+        if j != c:
+            return position
+        box = transitions[box][j]
+    return 0

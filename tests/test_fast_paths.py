@@ -12,8 +12,10 @@ MAV/SSC (A3 and D3 summed as one reshape), the lags written in place and
 divided once, the Levinson recursion that starts at k = r1 / r0 and skips
 the last step's error update (hand-made rows stop at each step), the
 prebuilt mask columns, the ``np.loadtxt`` record reader and the one-join
-record writer, and the one matrix product per DWT level over the kept
-windows must leave every result as it was;
+record writer, the one matrix product per DWT level over the kept
+windows, the walk that stops at a sequence's first miss (against the full
+table walk) with its (first miss, length) reductions, and one cached
+machine per (structure, binding) must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -54,11 +56,15 @@ from ctxclf.evaluation import (
     SequenceOutcome,
     _class_pools,
     _evaluate_system,
+    _sqcov,
+    _zo,
     evaluate_sequence,
     generate_movement_sequences,
     run_experiment,
     sample_object_sequences,
     sequence_to_classes,
+    sqcov_metric,
+    zo_metric,
 )
 from ctxclf.errors import (
     CtxclfError,
@@ -76,14 +82,16 @@ from ctxclf.features import (
 )
 from ctxclf.optimize import EAParams, RepairIndex, feasible_set, kendall_tau, repair, trace_to_csv
 from ctxclf.rng import derive_rng, derive_seed
+from ctxclf import runtime
 from ctxclf.runtime import (
     ContextEnsemble,
+    first_miss,
     initial_state,
+    machine,
     reset,
     step,
     train_ensemble,
     train_plain,
-    walk_tables,
 )
 from ctxclf.signals import SignalRecord, SignalSet, load_signalset, save_signalset
 from ctxclf.synth import synth_signalset
@@ -942,7 +950,7 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
                 classes = sequence_to_classes(seq, structure, binding)
                 for objects in loop_sample_object_sequences(classes, pools, 6, rng):
                     slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
-            assert fast == slow
+            assert fast == [(o.first_error or 0, o.length) for o in slow]
             assert not all(o.error_free for o in slow)  # misses, so wrong-box paths run
 
 
@@ -1301,6 +1309,145 @@ def test_step_rejects_a_class_with_no_meaning():
         step(ensemble, state, obj(outside))
 
 
+def walk_tables(transitions, tables, rows, box):
+    """Predicted classes of a whole sequence of table rows, starting in box ``box``: the
+    full walk that first_miss replaced, which goes on past the first miss (the oracle)."""
+    out = []
+    for r in rows:
+        j = tables[box][r]
+        try:
+            box = transitions[box][j]
+        except KeyError:
+            raise DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation")
+        out.append(j)
+    return out
+
+
+def loop_zo(outcomes):
+    """ZO over SequenceOutcomes as zo_metric computed it before the (first miss, length)
+    pairs (the oracle)."""
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    return sum(1.0 for o in outcomes if o.error_free) / len(outcomes)
+
+
+def loop_sqcov(outcomes):
+    """SqCov over SequenceOutcomes as sqcov_metric computed it before the pairs (the oracle)."""
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    total = 0.0
+    for o in outcomes:
+        if o.error_free:
+            total += 1.0
+        else:
+            total += (o.first_error - 1) / o.length
+    return total / len(outcomes)
+
+
+def missing_tables(structure, binding, classes, misses):
+    """Prediction tables over rows 0..len(classes)-1 that give each row its true class in
+    every box that holds it, unless the row is in ``misses``; every other prediction is
+    another class of the box, so a walk never leaves the machine."""
+    tables = {}
+    for box, local in machine(structure, binding)[0]:
+        tables[box.index] = [
+            c if c in local and i not in misses else next(k for k in local if k != c)
+            for i, c in enumerate(classes)
+        ]
+    return tables
+
+
+@pytest.mark.parametrize("path", structure_files(), ids=lambda p: p.stem)
+def test_first_miss_equals_the_first_mismatch_of_the_full_walk(path):
+    """Every committed structure, its first 20 feasible bindings, every movement sequence:
+    no miss, a miss at the first or the last position, and random misses."""
+    structure = load_structure(path)
+    rng = np.random.default_rng(7)
+    seen = set()
+    for binding in feasible_set(structure)[:20]:
+        transitions, _ = ContextEnsemble(structure, binding, {}, {}).transitions
+        for seq in generate_movement_sequences(structure):
+            classes = sequence_to_classes(seq, structure, binding)
+            n = len(classes)
+            cases = [set(), {0}, {n - 1}] + [
+                set(np.flatnonzero(rng.random(n) < 0.3).tolist()) for _ in range(5)
+            ]
+            for misses in cases:
+                tables = missing_tables(structure, binding, classes, misses)
+                rows = list(range(n))
+                walked = walk_tables(transitions, tables, rows, ROOT)
+                expected = next((i + 1 for i in range(n) if walked[i] != classes[i]), 0)
+                assert first_miss(transitions, tables, rows, classes) == expected
+                seen.add(expected if expected in (0, 1) else "last" if expected == n else "mid")
+    assert {0, 1, "last"} <= seen
+
+
+def test_scored_reductions_equal_the_outcome_metrics():
+    """ZO and SqCov of (first miss, length) pairs, and zo_metric and sqcov_metric through
+    them, against the loops over SequenceOutcomes they replaced, down to the last bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        outcomes = [
+            SequenceOutcome(hits=tuple(rng.random(int(rng.integers(0, 12))) < 0.8))
+            for _ in range(int(rng.integers(1, 40)))
+        ]
+        scored = [(o.first_error or 0, o.length) for o in outcomes]
+        zo, sqcov = loop_zo(outcomes).hex(), loop_sqcov(outcomes).hex()
+        assert _zo(scored).hex() == zo_metric(outcomes).hex() == zo
+        assert _sqcov(scored).hex() == sqcov_metric(outcomes).hex() == sqcov
+    empty = [SequenceOutcome(hits=())]
+    assert _zo([(0, 0)]) == _sqcov([(0, 0)]) == zo_metric(empty) == sqcov_metric(empty) == 1.0
+    for reduce in (_zo, _sqcov, zo_metric, sqcov_metric):
+        with pytest.raises(ValueError, match="^no outcomes$"):
+            reduce([])
+
+
+def test_one_machine_per_structure_and_binding():
+    """Two ensembles of one binding (and the plain root, from equal structures) share one
+    cache entry; a binding outside the feasible set is refused on every call."""
+    X, y = np.arange(24, dtype=np.float64)[:, None], np.tile(np.arange(1, 7), 4)
+    spec = ClassifierSpec(algorithm="GaussianNB")
+    structure, twin = load_structure(SIX_CLASS_JSON), load_structure(SIX_CLASS_JSON)
+    binding = feasible_set(structure)[3]
+    first = train_ensemble(structure, binding, X, y, spec, 1.0)
+    second = train_ensemble(twin, binding, X, y, spec, 1.0)
+    assert machine(structure, binding) is machine(twin, binding)
+    assert first.transitions[0] is second.transitions[0] is machine(structure, binding)[1]
+    assert train_plain(X, y, spec).transitions[1] is train_plain(X, y, spec).transitions[1]
+    assert [b for b, _ in machine(structure, binding)[0]] == list(structure.root.walk())
+
+    infeasible = Binding(num_classes=6, secondary=tuple(range(1, 7)))
+    assert infeasible not in feasible_set(structure)
+    before = machine.cache_info()
+    for _ in range(2):
+        with pytest.raises(DuplicateClassInBox, match="^box "):
+            machine(structure, infeasible)
+        with pytest.raises(DuplicateClassInBox, match="^binding is infeasible for this structure$"):
+            train_ensemble(structure, infeasible, X, y, spec, 1.0)
+    after = machine.cache_info()
+    assert (after.hits, after.misses - before.misses) == (before.hits, 4)
+
+
+def test_step_reads_the_machine_once_per_ensemble():
+    """transitions is held on the instance: 50 windows make one machine lookup, not 50."""
+    structure = structure_file("six_class")
+    ensemble = perfect_ensemble(structure)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return machine(*args)
+
+    state = initial_state(ensemble)
+    with mock.patch.object(runtime, "machine", spy):
+        for _ in range(50):
+            j = local_classes(ensemble.binding, structure.root)[-1]
+            step(ensemble, reset(state), obj(j))
+    assert calls == [(structure, ensemble.binding)]
+
+
 def test_table_walk_rejects_a_class_with_no_meaning():
     structure = structure_file("six_class")
     next_box, _ = ContextEnsemble(structure, feasible_set(structure)[0], {}, {}).transitions
@@ -1449,7 +1596,7 @@ def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, m
         )
         mp.setattr(evaluation, "train_plain", lambda *args, **kwargs: None)
         mp.setattr(evaluation, "train_ensemble", lambda *args, **kwargs: None)
-        mp.setattr(evaluation, "_evaluate_system", lambda *args: [SequenceOutcome(hits=(True,))])
+        mp.setattr(evaluation, "_evaluate_system", lambda *args: [(0, 1)])
         run_experiment(config)
 
     labels = sset.labels()
