@@ -52,10 +52,6 @@ class SequenceOutcome:
         return len(self.hits)
 
     @property
-    def error_free(self) -> bool:
-        return all(self.hits)
-
-    @property
     def first_error(self) -> int | None:
         """1-based position of the first miss, or None."""
         for i, h in enumerate(self.hits):
@@ -116,16 +112,6 @@ def evaluate_sequence(system, objects, true_classes) -> SequenceOutcome:
     return SequenceOutcome(
         hits=tuple(step(system, state, x)[0] == truth for x, truth in zip(objects, true_classes))
     )
-
-
-def zo_metric(outcomes) -> float:
-    """Fraction of sequences with no classification error."""
-    return _zo([(o.first_error or 0, o.length) for o in outcomes])
-
-
-def sqcov_metric(outcomes) -> float:
-    """Mean correctly classified prefix fraction before the first error."""
-    return _sqcov([(o.first_error or 0, o.length) for o in outcomes])
 
 
 def _zo(scored: list[tuple[int, int]]) -> float:

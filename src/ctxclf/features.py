@@ -269,10 +269,11 @@ def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     n, d = X.shape
     if n != len(y):
         raise ValueError("feature and labels must have equal length")
-    label_values, y_idx = np.unique(y, return_inverse=True)
+    label_values = sorted(set(y.tolist()))
     k = len(label_values)
     if k < 2:
         raise ValueError("need at least 2 distinct labels")
+    y_idx = np.searchsorted(label_values, y)
 
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature values")
@@ -288,8 +289,10 @@ def _mi_scores(X: np.ndarray, labels) -> np.ndarray:
     px = count.reshape(d * MI_BINS, k).sum(axis=1)
     py = np.bincount(y_idx, minlength=k)
 
-    cells, first = np.unique(cell, return_index=True)
-    cells = cells[np.argsort(first)]  # by column, then by first appearance
+    first = np.full(len(count), len(cell))
+    np.minimum.at(first, cell, np.arange(len(cell)))  # each cell's first row, column-major
+    cells = np.flatnonzero(count)
+    cells = cells[np.argsort(first[cells])]  # by column, then by first appearance
     c = count[cells]
     p = c / n
     ratio = p * n * n / (px[cells // k] * py[cells % k])
@@ -317,6 +320,7 @@ def select_features(matrix, labels, fraction: float = 0.5) -> FeatureMask:
     d = X.shape[1]
     scores = _mi_scores(X, labels) if d else np.zeros(0)
     keep = math.ceil(fraction * d)
-    order = sorted(range(d), key=lambda j: (-scores[j], j))
+    values = scores.tolist()
+    order = sorted(range(d), key=values.__getitem__, reverse=True)  # stable: ties to lower index
     selected = tuple(sorted(order[:keep]))
-    return FeatureMask(selected=selected, source_dim=d, scores=tuple(scores))
+    return FeatureMask(selected=selected, source_dim=d, scores=tuple(values))

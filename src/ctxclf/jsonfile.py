@@ -1,8 +1,8 @@
 """Reading the JSON input files: run config, structure, constraint table and meta.json.
 
-``read_json`` decodes a file; ``read_field`` and ``expect`` check the type of
-one value. Every fault is raised as the caller's error class, in one wording:
-``<path>: invalid JSON ...``, ``<field>: missing`` or
+``read_json`` decodes a UTF-8 file; ``read_field`` and ``expect`` check the type
+of one value. Every fault is raised as the caller's error class, in one wording:
+``<path>: not UTF-8 text``, ``<path>: invalid JSON ...``, ``<field>: missing`` or
 ``<field>: expected <kind>, got <value>``. Range checks stay with the callers.
 """
 
@@ -16,11 +16,12 @@ REQUIRED = object()  # the default of a field that must be present
 
 
 def read_json(path, error: type[Exception]):
-    """The document in the JSON file at ``path``."""
-    with open(path) as fh:
-        text = fh.read()
+    """The document in the UTF-8 JSON file at ``path``."""
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except RecursionError:  # the decoder recurses once per open bracket

@@ -20,13 +20,20 @@ def _key_to_int(key) -> int:
     raise TypeError(f"unsupported rng path key: {key!r}")
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    """SeedSequence of the seed and path keys as 64-bit ints, given as the uint32 words that
+    numpy splits a list of ints into (low word first, 0 as one word), which it takes as is."""
+    words = []
+    for v in [int(seed) & 0xFFFFFFFFFFFFFFFF, *map(_key_to_int, path)]:
+        words += (v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
 def derive_rng(seed: int, *path) -> np.random.Generator:
     """Generator for ``seed`` specialized by a path of ints/strings."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path) -> int:
     """A 64-bit child seed, usable as the master seed of a sub-computation."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in path])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])

@@ -91,23 +91,20 @@ class MachineState:
     box: int
 
 
-def _fit_box(X, y, classes, spec: ClassifierSpec, feature_fraction: float, memo=None):
+def _fit_box(X, y, classes, spec: ClassifierSpec, feature_fraction: float, memo: dict):
     """(mask, model) fitted on the rows of X whose label is in classes.
 
     The fit is a pure function of the training set, the class set and the
-    spec, so ``memo`` (a dict, keyed by the class set) may hold fits made
-    before on the same X, y, spec and feature_fraction; a memo must never be
-    shared between training sets.
+    spec, so ``memo`` (a dict, keyed by the class set) holds fits made before
+    on the same X, y, spec and feature_fraction; a memo must never be shared
+    between training sets.
     """
     key = tuple(sorted(int(c) for c in classes))
-    if memo is not None and key in memo:
-        return memo[key]
-    rows = np.isin(y, key)
-    mask = select_features(X[rows], y[rows], fraction=feature_fraction)
-    fit = (mask, train(spec, mask.apply(X[rows]), y[rows]))
-    if memo is not None:
-        memo[key] = fit
-    return fit
+    if key not in memo:
+        rows = (y[:, None] == np.array(key)).any(axis=1)  # np.isin(y, key), without its set-up
+        mask = select_features(X[rows], y[rows], fraction=feature_fraction)
+        memo[key] = (mask, train(spec, mask.apply(X[rows]), y[rows]))
+    return memo[key]
 
 
 def train_ensemble(
@@ -119,7 +116,11 @@ def train_ensemble(
     feature_fraction: float = 0.5,
     memo: dict | None = None,
 ) -> ContextEnsemble:
-    """Fit one (mask, model) pair per box on the box-restricted rows (see _fit_box for memo)."""
+    """Fit one (mask, model) pair per box on the box-restricted rows (see _fit_box for memo).
+
+    Without a memo the call keeps its own, so boxes of one class set share one fit.
+    """
+    memo = {} if memo is None else memo
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     try:

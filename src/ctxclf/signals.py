@@ -157,14 +157,14 @@ def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:
     A valid record is parsed by one ``np.loadtxt`` call. Its result is kept only
     when it has one row per data line (``loadtxt`` skips a blank line, which is a
     ragged row) and every value is finite; any other file goes through
-    ``_read_csv_loop``, which alone reports errors. A file with a blank line goes
-    there at once, as ``loadtxt`` warns when it skips every line.
+    ``_read_csv_loop``, which reports every other error. A file with a blank line
+    goes there at once, as ``loadtxt`` warns when it skips every line.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-    except UnicodeDecodeError:  # reported by the csv loop, where it finds it
-        lines = []
+    except UnicodeDecodeError:
+        raise SignalsetError(f"record {path.stem}: not UTF-8 text") from None
     if lines and lines[-1] == "":
         lines.pop()
     try:
@@ -184,7 +184,7 @@ def _read_csv_rows(path: Path, num_channels: int) -> np.ndarray:
 
 def _read_csv_loop(path: Path, num_channels: int) -> np.ndarray:
     """``_read_csv_rows`` by ``csv.reader`` and ``float()``; raises every loader error."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

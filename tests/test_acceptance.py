@@ -27,8 +27,8 @@ from ctxclf.evaluation import (
     generate_movement_sequences,
     run_experiment,
     sequence_to_classes,
-    sqcov_metric,
-    zo_metric,
+    _sqcov,
+    _zo,
 )
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set, kendall_tau
 from ctxclf.runtime import initial_state, step
@@ -101,8 +101,9 @@ def test_03_metric_oracles(capsys):
             SequenceOutcome(hits=tuple(rng.random(int(rng.integers(1, 15))) < 0.6))
             for _ in range(n)
         ]
-        zo = zo_metric(outcomes)
-        sq = sqcov_metric(outcomes)
+        scored = [(o.first_error or 0, o.length) for o in outcomes]
+        zo = _zo(scored)
+        sq = _sqcov(scored)
         zo_ref = sum(all(o.hits) for o in outcomes) / n
         sq_ref = 0.0
         for o in outcomes:
@@ -121,7 +122,8 @@ def test_03_metric_oracles(capsys):
 
 
 def test_04_sqcov_edge_value(capsys):
-    value = sqcov_metric([SequenceOutcome(hits=(True, True, False, True, True))])
+    o = SequenceOutcome(hits=(True, True, False, True, True))
+    value = _sqcov([(o.first_error or 0, o.length)])
     ok = value == 0.4
     report(capsys, 4, "first error at position 3 of 5 scores exactly 0.4", ok, f"{value!r}")
 

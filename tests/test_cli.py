@@ -825,6 +825,26 @@ def test_run_rejects_header_only_record(run_setup, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("target", ["record", "meta", "structure", "config"])
+def test_a_file_that_is_not_utf8_is_named(run_setup, capsys, target):
+    """An input file whose bytes do not decode as UTF-8 ends in one line naming it: the
+    record by its id, a JSON file by its path."""
+    tmp_path, cfg_path, _ = run_setup
+    record = sorted((tmp_path / "sset" / "records").glob("*.csv"))[0]
+    path = {
+        "record": record,
+        "meta": tmp_path / "sset" / "meta.json",
+        "structure": tmp_path / "six.json",
+        "config": cfg_path,
+    }[target]
+    text = path.read_bytes()
+    path.write_bytes(text[:20] + b"\xff" + text[20:])
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    name = f"record {record.stem}" if target == "record" else str(path)
+    _one_line_error(capsys, f"{name}: not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_a_field_above_the_csv_limit(run_setup, capsys):
     tmp_path, cfg_path, _ = run_setup
     record = sorted((tmp_path / "sset" / "records").glob("*.csv"))[0]

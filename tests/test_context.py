@@ -142,7 +142,10 @@ def test_listing_builds_no_row_it_cannot_complete():
     """)
     src = str(Path(ctxclf.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr
 

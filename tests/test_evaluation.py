@@ -19,8 +19,8 @@ from ctxclf.evaluation import (
     run_experiment,
     sample_object_sequences,
     sequence_to_classes,
-    sqcov_metric,
-    zo_metric,
+    _sqcov,
+    _zo,
 )
 from ctxclf.synth import synth_signalset
 from conftest import STRUCTURES, make_structure, structure_file
@@ -30,7 +30,7 @@ from test_runtime import obj, perfect_ensemble
 def test_outcome_properties():
     o = SequenceOutcome(hits=(True, True, False, True, False))
     assert o.length == 5
-    assert not o.error_free
+    assert not all(o.hits)
     assert o.first_error == 3
     assert SequenceOutcome(hits=(True,) * 3).first_error is None
 
@@ -91,7 +91,7 @@ def test_evaluate_sequence_with_perfect_ensemble():
     for seq in generate_movement_sequences(s):
         classes = sequence_to_classes(seq, s, ens.binding)
         out = evaluate_sequence(ens, [obj(c) for c in classes], classes)
-        assert out.error_free
+        assert all(out.hits)
     with pytest.raises(ValueError):
         evaluate_sequence(ens, [obj(1)], (1, 2))
     with pytest.raises(TypeError):
@@ -106,8 +106,9 @@ def test_metric_oracles_random_outcomes():
             SequenceOutcome(hits=tuple(rng.random(int(rng.integers(1, 12))) < 0.7))
             for _ in range(n)
         ]
-        zo = zo_metric(outcomes)
-        sq = sqcov_metric(outcomes)
+        scored = [(o.first_error or 0, o.length) for o in outcomes]
+        zo = _zo(scored)
+        sq = _sqcov(scored)
         # brute-force recomputation
         zo_ref = sum(all(o.hits) for o in outcomes) / n
         sq_ref = 0.0
@@ -123,13 +124,13 @@ def test_metric_oracles_random_outcomes():
         assert abs(sq - sq_ref) < 1e-12
         assert sq >= zo - 1e-12
     with pytest.raises(ValueError):
-        zo_metric([])
+        _zo([])
 
 
 def test_sqcov_edge_value():
     # error at position 3 of a length-5 sequence -> (3 - 1) / 5
     o = SequenceOutcome(hits=(True, True, False, True, True))
-    assert sqcov_metric([o]) == pytest.approx(0.4, abs=1e-15)
+    assert _sqcov([(o.first_error or 0, o.length)]) == pytest.approx(0.4, abs=1e-15)
 
 
 @pytest.fixture(scope="module")

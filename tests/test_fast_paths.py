@@ -14,8 +14,12 @@ the last step's error update (hand-made rows stop at each step), the
 prebuilt mask columns, the ``np.loadtxt`` record reader and the one-join
 record writer, the one matrix product per DWT level over the kept
 windows, the walk that stops at a sequence's first miss (against the full
-table walk) with its (first miss, length) reductions, and one cached
-machine per (structure, binding) must leave every result as it was;
+table walk) with its (first miss, length) reductions, one cached
+machine per (structure, binding), the class-sorted naive Bayes slices,
+the label comparison that picks a box's rows, one fit per class set in a
+memo-less call, the MI label codes and cell order without ``np.unique``,
+the stable reverse ranking of the scores and the uint32 seed words must
+leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -63,8 +67,6 @@ from ctxclf.evaluation import (
     run_experiment,
     sample_object_sequences,
     sequence_to_classes,
-    sqcov_metric,
-    zo_metric,
 )
 from ctxclf.errors import (
     CtxclfError,
@@ -82,6 +84,7 @@ from ctxclf.features import (
 )
 from ctxclf.optimize import EAParams, RepairIndex, feasible_set, kendall_tau, repair, trace_to_csv
 from ctxclf.rng import derive_rng, derive_seed
+from ctxclf import rng as rng_module
 from ctxclf import runtime
 from ctxclf.runtime import (
     ContextEnsemble,
@@ -951,7 +954,7 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
                 for objects in loop_sample_object_sequences(classes, pools, 6, rng):
                     slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
             assert fast == [(o.first_error or 0, o.length) for o in slow]
-            assert not all(o.error_free for o in slow)  # misses, so wrong-box paths run
+            assert not all(all(o.hits) for o in slow)  # misses, so wrong-box paths run
 
 
 def structure_files():
@@ -1324,22 +1327,22 @@ def walk_tables(transitions, tables, rows, box):
 
 
 def loop_zo(outcomes):
-    """ZO over SequenceOutcomes as zo_metric computed it before the (first miss, length)
-    pairs (the oracle)."""
+    """ZO over SequenceOutcomes as it was computed before the (first miss, length) pairs
+    (the oracle)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("no outcomes")
-    return sum(1.0 for o in outcomes if o.error_free) / len(outcomes)
+    return sum(1.0 for o in outcomes if all(o.hits)) / len(outcomes)
 
 
 def loop_sqcov(outcomes):
-    """SqCov over SequenceOutcomes as sqcov_metric computed it before the pairs (the oracle)."""
+    """SqCov over SequenceOutcomes as it was computed before the pairs (the oracle)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("no outcomes")
     total = 0.0
     for o in outcomes:
-        if o.error_free:
+        if all(o.hits):
             total += 1.0
         else:
             total += (o.first_error - 1) / o.length
@@ -1385,8 +1388,8 @@ def test_first_miss_equals_the_first_mismatch_of_the_full_walk(path):
 
 
 def test_scored_reductions_equal_the_outcome_metrics():
-    """ZO and SqCov of (first miss, length) pairs, and zo_metric and sqcov_metric through
-    them, against the loops over SequenceOutcomes they replaced, down to the last bit."""
+    """ZO and SqCov of (first miss, length) pairs against the loops over SequenceOutcomes
+    they replaced, down to the last bit."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         outcomes = [
@@ -1395,11 +1398,11 @@ def test_scored_reductions_equal_the_outcome_metrics():
         ]
         scored = [(o.first_error or 0, o.length) for o in outcomes]
         zo, sqcov = loop_zo(outcomes).hex(), loop_sqcov(outcomes).hex()
-        assert _zo(scored).hex() == zo_metric(outcomes).hex() == zo
-        assert _sqcov(scored).hex() == sqcov_metric(outcomes).hex() == sqcov
+        assert _zo(scored).hex() == zo
+        assert _sqcov(scored).hex() == sqcov
     empty = [SequenceOutcome(hits=())]
-    assert _zo([(0, 0)]) == _sqcov([(0, 0)]) == zo_metric(empty) == sqcov_metric(empty) == 1.0
-    for reduce in (_zo, _sqcov, zo_metric, sqcov_metric):
+    assert _zo([(0, 0)]) == _sqcov([(0, 0)]) == loop_zo(empty) == loop_sqcov(empty) == 1.0
+    for reduce in (_zo, _sqcov, loop_zo, loop_sqcov):
         with pytest.raises(ValueError, match="^no outcomes$"):
             reduce([])
 
@@ -1890,3 +1893,146 @@ def test_controller_path_golden_digest():
         feature_bytes.hexdigest()
         == "ec9bff6b324ab757b93277a6591cc8996986afdea931bb1953c6a5ebe0a646d0"
     )
+
+
+def loop_gaussian_nb(X, y):
+    """(means, variances, priors) of GaussianNB from one ``y == c`` gather per class and a
+    ``vstack``, as train made them before the class-sorted slices (the oracle)."""
+    means, variances, priors = [], [], []
+    for c in sorted(set(y.tolist())):
+        rows = X[y == c]
+        means.append(rows.mean(axis=0))
+        variances.append(np.maximum(rows.var(axis=0), classifiers.VARIANCE_FLOOR))
+        priors.append(len(rows) / len(y))
+    return np.vstack(means), np.vstack(variances), np.asarray(priors)
+
+
+def test_gaussian_nb_slices_equal_the_per_class_gather():
+    """2-200 rows, 1-40 columns, 2-8 classes of unsorted labels, constant columns and
+    signed zeros: every mean, variance and prior keeps its bits."""
+    rng = np.random.default_rng(26)
+    spec = ClassifierSpec(algorithm="GaussianNB")
+    for trial in range(400):
+        n = int(rng.integers(2, 201))
+        d = int(rng.integers(1, 41))
+        k = int(rng.integers(2, min(8, n) + 1))
+        labels = rng.choice(np.arange(-3, 40), k, replace=False)  # unsorted, one may be <= 0
+        y = labels[rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))]
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        if trial % 4 == 1:
+            X[:, :: int(rng.integers(1, 4))] = 2.5  # constant columns: variance on the floor
+        elif trial % 4 == 2:  # -0.0 and 0.0 in every column
+            X = rng.integers(-1, 2, (n, d)) * 1.0
+            X[X == 0] = rng.choice([-0.0, 0.0], int((X == 0).sum()))
+        model = train(spec, X, y)
+        for got, want in zip(
+            (model.params[k] for k in ("means", "variances", "priors")), loop_gaussian_nb(X, y)
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
+
+
+def test_box_rows_equal_np_isin():
+    """A box fit is select_features and train on the rows np.isin picks, for class sets in
+    any order, over labels that are not 1..C."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((60, 12))
+    y = rng.choice(np.array([3, 7, 11, 20, 41]), 60)
+    y[:5] = (3, 7, 11, 20, 41)
+    for algorithm in ALGORITHMS:
+        spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
+        for classes in ((3, 7), (41, 3), (20, 11, 7), (41, 20, 11, 7, 3), (11, 3, 41)):
+            mask, model = runtime._fit_box(X, y, classes, spec, 0.5, {})
+            rows = np.isin(y, classes)
+            want = select_features(X[rows], y[rows], fraction=0.5)
+            assert mask == want
+            assert np.array(mask.scores).tobytes() == np.array(want.scores).tobytes()
+            assert model_state(model) == model_state(train(spec, want.apply(X[rows]), y[rows]))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_memoless_call_fits_each_class_set_once(six_class_data, algorithm):
+    """Without a memo, train_ensemble makes one train per distinct box class set; boxes of
+    one class set share one fit, equal to the fit of a fresh memo per box."""
+    X, y = six_class_data
+    structure = load_structure(SIX_CLASS_JSON)
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=2)
+    binding = feasible_set(structure)[0]
+    boxes = machine(structure, binding)[0]
+    class_sets = {box.index: tuple(sorted(classes)) for box, classes in boxes}
+    with mock.patch.object(runtime, "train", wraps=runtime.train) as counted:
+        ensemble = train_ensemble(structure, binding, X, y, spec, 0.5)
+    assert counted.call_count == len(set(class_sets.values())) < len(class_sets)
+    for i, key in class_sets.items():
+        for j, other in class_sets.items():
+            assert (ensemble.models[i] is ensemble.models[j]) == (key == other)
+    for box, classes in boxes:
+        mask, model = runtime._fit_box(X, y, classes, spec, 0.5, {})
+        assert ensemble.masks[box.index] == mask
+        assert model_state(ensemble.models[box.index]) == model_state(model)
+
+
+def test_mi_scores_on_labels_that_are_not_1_to_k():
+    """The label codes from a sorted set and the cells ordered by their first row give the
+    dict loop's bits, for label sets such as {3, 7, 11} and labels first seen unsorted."""
+    rng = np.random.default_rng(14)
+    label_sets = ([3, 7, 11], [11, 3], [-5, 0, 2**40], [1, 2, 3, 4, 5, 6, 7, 8], [100, 99])
+    for trial in range(150):
+        labels = np.array(label_sets[trial % len(label_sets)])
+        n = int(rng.integers(len(labels), 120))
+        y = labels[rng.permutation(np.arange(n) % len(labels))]
+        X = rng.standard_normal((n, int(rng.integers(1, 20))))
+        if trial % 3 == 1:
+            X = rng.integers(0, 4, X.shape).astype(np.float64)  # repeated cells in every column
+        want = [dict_loop_mi(X[:, j], y) for j in range(X.shape[1])]
+        assert features._mi_scores(X, y).tobytes() == np.array(want).tobytes(), trial
+
+
+def test_ranking_equals_the_negated_key_sort():
+    """The stable reverse sort of the scores keeps the columns the (-score, index) sort
+    kept, at every mask size, on scores full of ties and signed zeros."""
+    rng = np.random.default_rng(5)
+    X, y = np.zeros((4, 1)), np.array([1, 2, 1, 2])
+    for _ in range(200):
+        d = int(rng.integers(1, 30))
+        scores = rng.choice([0.0, -0.0, 0.25, 0.5, 0.5 + 2**-53, 1e-300], d)
+        order = sorted(range(d), key=lambda j: (-scores[j], j))
+        for keep in range(1, d + 1):
+            fraction = keep / d
+            with mock.patch.object(features, "_mi_scores", return_value=scores.copy()):
+                mask = select_features(np.zeros((4, d)), y, fraction=fraction)
+            assert mask.selected == tuple(sorted(order[: math.ceil(fraction * d)]))
+            assert np.array(mask.scores).tobytes() == scores.tobytes()
+            assert all(type(s) is float for s in mask.scores)
+    assert select_features(X, y).scores == (0.0,)
+
+
+def list_rng(seed, *path):
+    """derive_rng as it was: SeedSequence of a list of 64-bit ints (the oracle)."""
+    ints = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [rng_module._key_to_int(k) for k in path]
+    return np.random.default_rng(np.random.SeedSequence(ints))
+
+
+def list_seed(seed, *path):
+    """derive_seed as it was (the oracle)."""
+    ints = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [rng_module._key_to_int(k) for k in path]
+    return int(np.random.SeedSequence(ints).generate_state(1, dtype=np.uint64)[0])
+
+
+def test_seed_words_equal_the_int_list():
+    """The uint32 words give the SeedSequence state numpy gives the int list: 0, 1, 2^32 - 1,
+    2^32, 2^63, 2^64 - 1, negative ints, numpy ints, crc32 keys and random paths."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, -1, -(2**32), -(2**63)]
+    keys = edges + [np.int64(-7), np.uint64(2**64 - 1), "inner", "stratified_assignments", ""]
+    rng = np.random.default_rng(3)
+    paths = [(k,) for k in keys] + [tuple(keys)]
+    for _ in range(500):
+        picks = rng.integers(0, len(keys), int(rng.integers(0, 7)))
+        ints = rng.integers(-(2**63), 2**63, 2).tolist()
+        paths.append(tuple(keys[i] for i in picks) + tuple(ints))
+    for i, path in enumerate(paths):
+        seed = edges[i % len(edges)] if i % 2 else int(rng.integers(0, 2**63))
+        state = derive_rng(seed, *path).bit_generator.state
+        assert state == list_rng(seed, *path).bit_generator.state
+        assert derive_seed(seed, *path) == list_seed(seed, *path)
+    with pytest.raises(TypeError):
+        derive_rng(0, 1.5)

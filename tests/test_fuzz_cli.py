@@ -258,7 +258,7 @@ def test_every_structure_shape_ends_in_an_exit_code_and_one_line(tmp_path):
     child = subprocess.run(
         [sys.executable, "-c", SHAPE_RUNNER],
         input=json.dumps(cases),
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=SHAPE_BUDGET_S,
