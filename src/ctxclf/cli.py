@@ -35,6 +35,7 @@ from ctxclf.signals import load_signalset
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+MANIFEST_TMP = "manifest.json.tmp"
 
 
 class ConfigError(CtxclfError):
@@ -114,7 +115,8 @@ def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -
     lists the previous manifest's names and this command's with null digests; then the previous
     names this command does not write are removed (bare names of regular files only: a manifest
     whose `outputs` is missing or not an object removes nothing), the files are written in order
-    and the final manifest lists each with its sha256. A failed file write leaves none unlisted."""
+    and the final manifest lists each with its sha256. A failed file write leaves none unlisted,
+    and a failed manifest write leaves the manifest before it whole."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     try:
@@ -133,7 +135,9 @@ def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -
         "config": raw,
         "outputs": dict.fromkeys([*previous, *files]),  # provisional: null digests
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    tmp = out_dir / MANIFEST_TMP  # written whole, then renamed (os.replace) onto manifest.json
+    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+    tmp.replace(manifest_path)
     for name in previous:
         stale = out_dir / name  # `.` and `..` are no regular file
         if name not in files and Path(name).name == name and stale.is_file():
@@ -142,13 +146,14 @@ def _write_outputs(out_dir: Path, raw: dict, seed: int, files: dict[str, str]) -
     for name, text in files.items():
         (out_dir / name).write_text(text)
     manifest["outputs"] = {name: sha256(text) for name, text in files.items()}
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+    tmp.replace(manifest_path)
 
 
 def _refuse_directories(out_dir: Path, names: list[str]) -> None:
     """Refuse, before the run, an output name in out_dir that is a directory: `names` are
-    the files the command may write, and `manifest.json` is always written."""
-    for name in [*names, "manifest.json"]:
+    the files the command may write, and `manifest.json` and MANIFEST_TMP are always written."""
+    for name in [*names, "manifest.json", MANIFEST_TMP]:
         if (out_dir / name).is_dir():
             raise ConfigError(f"output_dir: {out_dir / name} is a directory")
 

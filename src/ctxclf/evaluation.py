@@ -41,25 +41,6 @@ class MovementSequence:
     path: tuple[int, ...]  # box indices from root to leaf
 
 
-@dataclass(frozen=True)
-class SequenceOutcome:
-    """Per-position hit flags of one evaluated object sequence."""
-
-    hits: tuple[bool, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.hits)
-
-    @property
-    def first_error(self) -> int | None:
-        """1-based position of the first miss, or None."""
-        for i, h in enumerate(self.hits):
-            if not h:
-                return i + 1
-        return None
-
-
 def generate_movement_sequences(structure: ContextStructure) -> list[MovementSequence]:
     """One sequence per root-to-leaf path; every box appears on some path."""
     root = structure.root
@@ -102,16 +83,18 @@ def sample_object_sequences(
     return [[pool[next(picks)] for pool in pools] for _ in range(R)]
 
 
-def evaluate_sequence(system, objects, true_classes) -> SequenceOutcome:
-    """Feed objects in order through the machine, starting at the root."""
+def evaluate_sequence(system, objects, true_classes) -> tuple[int, int]:
+    """(first miss or 0, length) of objects fed in order through the machine from the root,
+    which stops at the first miss: the pair _evaluate_system reads from its tables."""
     if len(objects) != len(true_classes):
         raise ValueError("objects and true classes must have equal length")
     if not isinstance(system, ContextEnsemble):
         raise TypeError(f"cannot evaluate {type(system).__name__}")
     state = initial_state(system)
-    return SequenceOutcome(
-        hits=tuple(step(system, state, x)[0] == truth for x, truth in zip(objects, true_classes))
-    )
+    for position, (x, truth) in enumerate(zip(objects, true_classes), 1):
+        if step(system, state, x)[0] != truth:
+            return position, len(true_classes)
+    return 0, len(true_classes)
 
 
 def _zo(scored: list[tuple[int, int]]) -> float:
@@ -261,7 +244,7 @@ def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]
 
 
 def _evaluate_system(
-    system, binding, structure, sequences, X, pools, R, rng, cache=None
+    system, binding, structure, sequences, X, pools, R, rng, cache
 ) -> list[tuple[int, int]]:
     """(first miss, length) of R object sequences per movement sequence, drawn from the pools.
 

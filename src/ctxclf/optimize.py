@@ -25,14 +25,17 @@ class Fitness:
     """Memoizing wrapper around a Binding -> [0, 1] objective."""
 
     fn: object
-    evaluations: int = 0
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def evaluations(self) -> int:
+        """The number of distinct bindings scored so far."""
+        return len(self._cache)
 
     def __call__(self, binding: Binding) -> float:
         key = binding.secondary
         if key not in self._cache:
             self._cache[key] = float(self.fn(binding))
-            self.evaluations += 1
         return self._cache[key]
 
 

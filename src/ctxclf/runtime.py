@@ -187,7 +187,7 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     return j, movement, state
 
 
-def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list[int]]:
+def predict_tables(system, X, rows, cache: dict) -> dict[int, list[int]]:
     """Each box model's class for the listed rows of X, one block predict per box.
 
     A table is indexed by row of X (unlisted rows read 0). A box fit is a
@@ -196,8 +196,6 @@ def predict_tables(system, X, rows, cache: dict | None = None) -> dict[int, list
     before from fits on the same training set, for the same X and rows; a
     cache must never be shared between training sets or test pools.
     """
-    if cache is None:
-        cache = {}
     rows = np.asarray(rows, dtype=np.int64)
     tables = {}
     for i, model in system.models.items():

@@ -228,8 +228,20 @@ def _bad_value(path: Path, row: int, column: str, value) -> SignalsetError:
 
 
 def save_signalset(sset: SignalSet, path) -> None:
-    """Write a SignalSet back to the directory layout read by load_signalset."""
+    """Write a SignalSet to the directory layout read by load_signalset, every record or none:
+    a file name that is not a bare name, or repeats another record's, is refused first."""
     root = Path(path)
+    names: dict[str, SignalRecord] = {}
+    for r in sset.records:
+        name = f"{r.record_id}_{r.class_label}.csv"
+        if r.record_id.endswith(f"_{r.class_label}"):  # the label suffix of a loaded record
+            name = f"{r.record_id}.csv"
+        if Path(name).name != name:
+            raise SignalsetError(f"record {r.record_id}: file name {name!r} is not a bare name")
+        if name in names:
+            other = names[name].record_id
+            raise SignalsetError(f"record {r.record_id}: file name {name!r} is taken by record {other}")
+        names[name] = r
     (root / "records").mkdir(parents=True, exist_ok=True)
     meta = {
         "num_classes": sset.num_classes,
@@ -238,14 +250,10 @@ def save_signalset(sset: SignalSet, path) -> None:
     }
     (root / "meta.json").write_text(json.dumps(meta, indent=2))
     header = ",".join(f"c{i + 1}" for i in range(sset.num_channels))
-    for r in sset.records:
+    for name, r in names.items():
         lines = [header]
         lines.extend(",".join(map(repr, row)) for row in r.channels.T.tolist())
-        out = root / "records" / f"{r.record_id}_{r.class_label}.csv"
-        # record_id already carries the label suffix when round-tripping
-        if r.record_id.endswith(f"_{r.class_label}"):
-            out = root / "records" / f"{r.record_id}.csv"
-        out.write_text("\n".join(lines) + "\n")
+        (root / "records" / name).write_text("\n".join(lines) + "\n")
 
 
 def segment(sset: SignalSet, window_ms: int) -> SignalSet:

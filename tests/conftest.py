@@ -165,6 +165,12 @@ def random_structure(rng: np.random.Generator, num_classes: int) -> ContextStruc
     raise RuntimeError("failed to generate a valid random structure")
 
 
+def scored_pair(hits) -> tuple[int, int]:
+    """(1-based position of the first miss in per-position hit flags, or 0; length): the
+    pair evaluate_sequence returns and ZO and SqCov reduce."""
+    return next((i for i, hit in enumerate(hits, 1) if not hit), 0), len(hits)
+
+
 def toy_signalset(num_classes=3, records_per_class=6, channels=2, samples=64, seed=0):
     """Small deterministic set with class-dependent offsets."""
     rng = np.random.default_rng(seed)

@@ -23,7 +23,6 @@ from ctxclf.context import (
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.evaluation import (
     RunConfig,
-    SequenceOutcome,
     generate_movement_sequences,
     run_experiment,
     sequence_to_classes,
@@ -35,7 +34,7 @@ from ctxclf.runtime import initial_state, step
 from ctxclf.stats import holm, wilcoxon_signed_rank
 from ctxclf.synth import synth_signalset
 from ctxclf.wavelet import dwt_db6, idwt_db6_periodic
-from conftest import flat_structure, random_structure, structure_file
+from conftest import flat_structure, random_structure, scored_pair, structure_file
 from test_runtime import obj, perfect_ensemble
 
 SMALL_STRUCTURES = {
@@ -97,22 +96,19 @@ def test_03_metric_oracles(capsys):
     ordering_ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 25))
-        outcomes = [
-            SequenceOutcome(hits=tuple(rng.random(int(rng.integers(1, 15))) < 0.6))
-            for _ in range(n)
-        ]
-        scored = [(o.first_error or 0, o.length) for o in outcomes]
+        outcomes = [tuple(rng.random(int(rng.integers(1, 15))) < 0.6) for _ in range(n)]
+        scored = [scored_pair(hits) for hits in outcomes]
         zo = _zo(scored)
         sq = _sqcov(scored)
-        zo_ref = sum(all(o.hits) for o in outcomes) / n
+        zo_ref = sum(all(hits) for hits in outcomes) / n
         sq_ref = 0.0
-        for o in outcomes:
+        for hits in outcomes:
             prefix = 0
-            for h in o.hits:
+            for h in hits:
                 if not h:
                     break
                 prefix += 1
-            sq_ref += 1.0 if prefix == len(o.hits) else prefix / len(o.hits)
+            sq_ref += 1.0 if prefix == len(hits) else prefix / len(hits)
         sq_ref /= n
         worst = max(worst, abs(zo - zo_ref), abs(sq - sq_ref))
         ordering_ok = ordering_ok and sq >= zo
@@ -122,8 +118,7 @@ def test_03_metric_oracles(capsys):
 
 
 def test_04_sqcov_edge_value(capsys):
-    o = SequenceOutcome(hits=(True, True, False, True, True))
-    value = _sqcov([(o.first_error or 0, o.length)])
+    value = _sqcov([scored_pair((True, True, False, True, True))])
     ok = value == 0.4
     report(capsys, 4, "first error at position 3 of 5 scores exactly 0.4", ok, f"{value!r}")
 

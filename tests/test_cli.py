@@ -497,6 +497,43 @@ def test_a_failed_write_leaves_no_unlisted_file(run_setup, capsys, monkeypatch):
     assert _listed_outputs(out) == (sorted([*written, "manifest.json"]), written)
 
 
+@pytest.mark.parametrize("failing", [1, 2], ids=["provisional", "final"])
+def test_a_manifest_write_that_fails_part_way_leaves_the_one_before_whole(
+    run_setup, capsys, monkeypatch, failing
+):
+    """optimize, then a run whose provisional (or final) manifest write stops half-way: the
+    manifest on disk is still optimize's (or the run's provisional one), whole. The next run
+    writes over the half-written temporary file, and a directory in its place is refused."""
+    tmp_path, cfg_path, _ = run_setup
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg_path)]) == 0
+    manifests = [(out / "manifest.json").read_text()]
+    capsys.readouterr()
+    write_text = Path.write_text
+
+    def disk_full(path, text):
+        if path.name.startswith("manifest.json"):
+            manifests.append(text)
+            if len(manifests) - 1 == failing:
+                write_text(path, text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, text)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("ERROR: [Errno 28]")
+    assert (out / "manifest.json").read_text() == manifests[failing - 1]
+    assert json.loads(manifests[failing - 1])["outputs"]
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.csv", "summary.json"]
+    (out / "manifest.json.tmp").mkdir()
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR: output_dir: {out / 'manifest.json.tmp'} is a directory\n"
+
+
 def test_an_output_name_taken_by_a_directory_is_refused_before_the_run(run_setup, capsys):
     """optimize, then a directory named summary.json, then run: refused before the run, so
     the directory keeps optimize's files and manifest. Once it is gone, run replaces them."""

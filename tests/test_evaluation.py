@@ -7,32 +7,23 @@ import numpy as np
 import pytest
 
 import ctxclf
+from ctxclf import evaluation
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec
 from ctxclf.errors import CtxclfError
 from ctxclf.evaluation import (
     MetricsTable,
     MovementSequence,
     RunConfig,
-    SequenceOutcome,
     evaluate_sequence,
     generate_movement_sequences,
     run_experiment,
     sample_object_sequences,
     sequence_to_classes,
-    _sqcov,
-    _zo,
 )
+from ctxclf.runtime import step
 from ctxclf.synth import synth_signalset
 from conftest import STRUCTURES, make_structure, structure_file
 from test_runtime import obj, perfect_ensemble
-
-
-def test_outcome_properties():
-    o = SequenceOutcome(hits=(True, True, False, True, False))
-    assert o.length == 5
-    assert not all(o.hits)
-    assert o.first_error == 3
-    assert SequenceOutcome(hits=(True,) * 3).first_error is None
 
 
 def test_sequence_generation_five_class():
@@ -90,47 +81,36 @@ def test_evaluate_sequence_with_perfect_ensemble():
     ens = perfect_ensemble(s)
     for seq in generate_movement_sequences(s):
         classes = sequence_to_classes(seq, s, ens.binding)
-        out = evaluate_sequence(ens, [obj(c) for c in classes], classes)
-        assert all(out.hits)
+        assert evaluate_sequence(ens, [obj(c) for c in classes], classes) == (0, len(classes))
     with pytest.raises(ValueError):
         evaluate_sequence(ens, [obj(1)], (1, 2))
     with pytest.raises(TypeError):
         evaluate_sequence("not a system", [], ())
 
 
-def test_metric_oracles_random_outcomes():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        n = int(rng.integers(1, 30))
-        outcomes = [
-            SequenceOutcome(hits=tuple(rng.random(int(rng.integers(1, 12))) < 0.7))
-            for _ in range(n)
-        ]
-        scored = [(o.first_error or 0, o.length) for o in outcomes]
-        zo = _zo(scored)
-        sq = _sqcov(scored)
-        # brute-force recomputation
-        zo_ref = sum(all(o.hits) for o in outcomes) / n
-        sq_ref = 0.0
-        for o in outcomes:
-            prefix = 0
-            for h in o.hits:
-                if not h:
-                    break
-                prefix += 1
-            sq_ref += 1.0 if prefix == len(o.hits) else prefix / len(o.hits)
-        sq_ref /= n
-        assert abs(zo - zo_ref) < 1e-12
-        assert abs(sq - sq_ref) < 1e-12
-        assert sq >= zo - 1e-12
-    with pytest.raises(ValueError):
-        _zo([])
+def test_evaluate_sequence_steps_up_to_the_first_miss(monkeypatch):
+    """The machine steps (first miss) times when a position misses, length times when none
+    does. A true class of 0, which no box predicts, makes the miss."""
+    s = structure_file("five_class")
+    ens = perfect_ensemble(s)
+    calls = []
 
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
 
-def test_sqcov_edge_value():
-    # error at position 3 of a length-5 sequence -> (3 - 1) / 5
-    o = SequenceOutcome(hits=(True, True, False, True, True))
-    assert _sqcov([(o.first_error or 0, o.length)]) == pytest.approx(0.4, abs=1e-15)
+    monkeypatch.setattr(evaluation, "step", counted)
+    for seq in generate_movement_sequences(s):
+        classes = sequence_to_classes(seq, s, ens.binding)
+        objects, n = [obj(c) for c in classes], len(classes)
+        for miss in range(1, n + 1):
+            truth = classes[: miss - 1] + (0,) + classes[miss:]
+            calls.clear()
+            assert evaluate_sequence(ens, objects, truth) == (miss, n)
+            assert len(calls) == miss
+        calls.clear()
+        assert evaluate_sequence(ens, objects, classes) == (0, n)
+        assert len(calls) == n
 
 
 @pytest.fixture(scope="module")

@@ -57,7 +57,6 @@ from ctxclf.context import (
 )
 from ctxclf.evaluation import (
     RunConfig,
-    SequenceOutcome,
     _class_pools,
     _evaluate_system,
     _sqcov,
@@ -104,6 +103,7 @@ from conftest import (
     ar_coefficients,
     chain_doc,
     flat_structure,
+    scored_pair,
     slope_sign_changes,
     structure_file,
     structure_to_dict,
@@ -925,7 +925,7 @@ def test_plain_sequences_equal_per_object_predict(six_class_data, algorithm):
         loop = tuple(
             predict(model, np.asarray(x)[list(mask.selected)]) == t for x, t in zip(objects, truth)
         )
-        assert evaluate_sequence(plain, objects, truth) == SequenceOutcome(hits=loop)
+        assert evaluate_sequence(plain, objects, truth) == scored_pair(loop)
         misses += not all(loop)
     assert misses
 
@@ -945,7 +945,7 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
         )
         for system in systems:
             fast = _evaluate_system(
-                system, binding, structure, sequences, X, pools, 6, np.random.default_rng(4)
+                system, binding, structure, sequences, X, pools, 6, np.random.default_rng(4), {}
             )
             rng = np.random.default_rng(4)
             slow = []
@@ -953,8 +953,8 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
                 classes = sequence_to_classes(seq, structure, binding)
                 for objects in loop_sample_object_sequences(classes, pools, 6, rng):
                     slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
-            assert fast == [(o.first_error or 0, o.length) for o in slow]
-            assert not all(all(o.hits) for o in slow)  # misses, so wrong-box paths run
+            assert fast == slow
+            assert any(miss for miss, _ in slow)
 
 
 def structure_files():
@@ -1327,25 +1327,25 @@ def walk_tables(transitions, tables, rows, box):
 
 
 def loop_zo(outcomes):
-    """ZO over SequenceOutcomes as it was computed before the (first miss, length) pairs
-    (the oracle)."""
+    """ZO over per-position hit flags as it was computed before the (first miss, length)
+    pairs (the oracle)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("no outcomes")
-    return sum(1.0 for o in outcomes if all(o.hits)) / len(outcomes)
+    return sum(1.0 for hits in outcomes if all(hits)) / len(outcomes)
 
 
 def loop_sqcov(outcomes):
-    """SqCov over SequenceOutcomes as it was computed before the pairs (the oracle)."""
+    """SqCov over per-position hit flags as it was computed before the pairs (the oracle)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("no outcomes")
     total = 0.0
-    for o in outcomes:
-        if all(o.hits):
+    for hits in outcomes:
+        if all(hits):
             total += 1.0
         else:
-            total += (o.first_error - 1) / o.length
+            total += hits.index(False) / len(hits)
     return total / len(outcomes)
 
 
@@ -1388,19 +1388,19 @@ def test_first_miss_equals_the_first_mismatch_of_the_full_walk(path):
 
 
 def test_scored_reductions_equal_the_outcome_metrics():
-    """ZO and SqCov of (first miss, length) pairs against the loops over SequenceOutcomes
-    they replaced, down to the last bit."""
+    """ZO and SqCov of (first miss, length) pairs against the loops over hit flags they
+    replaced, down to the last bit."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         outcomes = [
-            SequenceOutcome(hits=tuple(rng.random(int(rng.integers(0, 12))) < 0.8))
+            tuple(rng.random(int(rng.integers(0, 12))) < 0.8)
             for _ in range(int(rng.integers(1, 40)))
         ]
-        scored = [(o.first_error or 0, o.length) for o in outcomes]
+        scored = [scored_pair(hits) for hits in outcomes]
         zo, sqcov = loop_zo(outcomes).hex(), loop_sqcov(outcomes).hex()
         assert _zo(scored).hex() == zo
         assert _sqcov(scored).hex() == sqcov
-    empty = [SequenceOutcome(hits=())]
+    empty = [()]
     assert _zo([(0, 0)]) == _sqcov([(0, 0)]) == loop_zo(empty) == loop_sqcov(empty) == 1.0
     for reduce in (_zo, _sqcov, loop_zo, loop_sqcov):
         with pytest.raises(ValueError, match="^no outcomes$"):
@@ -1461,7 +1461,8 @@ def test_table_walk_rejects_a_class_with_no_meaning():
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
-    """One cache over every feasible binding, as one inner split or one outer fold shares it."""
+    """One cache over every feasible binding, as one inner split or one outer fold shares it,
+    against a fresh cache per call."""
     X, y = six_class_data
     structure = structure_file("six_class")
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
@@ -1481,7 +1482,7 @@ def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
             system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9), cache
         )
         alone = _evaluate_system(
-            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9)
+            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9), {}
         )
         assert shared == alone
     assert len(cache) == len(memo) < len(bindings) * structure.num_boxes

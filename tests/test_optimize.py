@@ -134,6 +134,29 @@ def test_exhaustive_search_argmax_and_memoization():
     assert b2.secondary == min(b.secondary for b in feas)
 
 
+def test_fitness_counts_distinct_bindings():
+    """evaluations is the number of distinct bindings scored, and each is scored once."""
+    feas = feasible_set(structure_file("five_class"))
+    scored = []
+
+    def objective(binding):
+        scored.append(binding.secondary)
+        return synthetic_fitness(binding)
+
+    fit = Fitness(objective)
+    for i in np.random.default_rng(3).integers(0, len(feas), size=40):
+        assert fit(feas[i]) == synthetic_fitness(feas[i])
+        assert fit.evaluations == len(scored) == len(set(scored))
+    assert 1 < fit.evaluations < 40
+
+
+def test_fitness_takes_only_the_objective():
+    with pytest.raises(TypeError):
+        Fitness(synthetic_fitness, evaluations=3)
+    with pytest.raises(AttributeError):
+        Fitness(synthetic_fitness).evaluations = 3
+
+
 def test_ea_params_validation():
     with pytest.raises(ValueError):
         EAParams(population_size=1)

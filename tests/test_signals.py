@@ -53,6 +53,31 @@ def test_save_load_round_trip(tmp_path):
         assert r.class_label == orig[rid].class_label
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (
+            [("x", 1), ("x_1", 1), ("y", 2), ("y", 2)],
+            r"^record x_1: file name 'x_1\.csv' is taken by record x$",
+        ),
+        (
+            [("../escaped", 1), ("y", 2)],
+            r"^record \.\./escaped: file name '\.\./escaped_1\.csv' is not a bare name$",
+        ),
+    ],
+    ids=["repeated-name", "path-in-id"],
+)
+def test_save_refuses_a_record_it_cannot_write_under_its_own_name(tmp_path, ids, message):
+    """Each record gets its own file in records/ or nothing is written, the directory
+    included: before, the first case saved 4 records that loaded back as 2, and the second
+    wrote `escaped_1.csv` beside records/."""
+    records = tuple(SignalRecord(rid, np.zeros((1, 32)), 1000, label) for rid, label in ids)
+    sset = SignalSet(records=records, num_classes=2, num_channels=1, sample_rate_hz=1000)
+    with pytest.raises(SignalsetError, match=message):
+        save_signalset(sset, tmp_path / "s")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_missing_and_malformed(tmp_path):
     with pytest.raises(NoRecords):
         load_signalset(tmp_path / "nope")
