@@ -226,9 +226,7 @@ def cmd_optimize(args) -> int:
     X, y = feature_matrix(config.signalset)
     results, files, lines = {}, {}, []
     for spec in config.classifier_specs:
-        best, value, evaluations, trace = search_binding(
-            config, spec, X, y, range(len(y)), 0, feasible
-        )
+        best, value, evaluations, trace = search_binding(config, spec, X, y, 0, feasible)
         mode, binding = "exhaustive" if trace is None else "ea", list(best.secondary)
         if trace is not None:
             files[f"trace_{spec.algorithm}.csv"] = trace_to_csv(trace)

@@ -181,34 +181,37 @@ class MetricsTable:
         """The rows of a metrics file; every method of a classifier must cover the same folds."""
         rows = []
         folds: dict[tuple[str, str], set[int]] = {}  # (classifier, method) -> folds
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != METRICS_CSV_HEADER:
-                raise CtxclfError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                where = f"{path}: line {lineno}"
-                try:
-                    method, clf, fold, zo, sqcov = line.strip().split(",")
-                    row = MetricsRow(
-                        method=method, classifier=clf, fold=int(fold),
-                        zo=float(zo), sqcov=float(sqcov),
-                    )
-                except ValueError:
-                    raise CtxclfError(f"{where}: expected {header}, got {line.strip()!r}")
-                if method not in METHODS:
-                    raise CtxclfError(f"{where}: unknown method {method!r}")
-                if row.fold < 0:
-                    raise CtxclfError(f"{where}: fold must be >= 0, got {row.fold}")
-                for name, text in (("zo", zo), ("sqcov", sqcov)):
-                    if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
-                        raise CtxclfError(
-                            f"{where}: {name} must be a number in [0, 1], got {text!r}"
+        try:  # a decode error can come from any line the loop reads
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().strip()
+                if header != METRICS_CSV_HEADER:
+                    raise CtxclfError(f"{path}: unexpected header {header!r}")
+                for lineno, line in enumerate(fh, start=2):
+                    where = f"{path}: line {lineno}"
+                    try:
+                        method, clf, fold, zo, sqcov = line.strip().split(",")
+                        row = MetricsRow(
+                            method=method, classifier=clf, fold=int(fold),
+                            zo=float(zo), sqcov=float(sqcov),
                         )
-                seen = folds.setdefault((clf, method), set())
-                if row.fold in seen:
-                    raise CtxclfError(f"{where}: repeated row {method},{clf},{row.fold}")
-                seen.add(row.fold)
-                rows.append(row)
+                    except ValueError:
+                        raise CtxclfError(f"{where}: expected {header}, got {line.strip()!r}")
+                    if method not in METHODS:
+                        raise CtxclfError(f"{where}: unknown method {method!r}")
+                    if row.fold < 0:
+                        raise CtxclfError(f"{where}: fold must be >= 0, got {row.fold}")
+                    for name, text in (("zo", zo), ("sqcov", sqcov)):
+                        if not 0.0 <= getattr(row, name) <= 1.0:  # nan fails the comparison too
+                            raise CtxclfError(
+                                f"{where}: {name} must be a number in [0, 1], got {text!r}"
+                            )
+                    seen = folds.setdefault((clf, method), set())
+                    if row.fold in seen:
+                        raise CtxclfError(f"{where}: repeated row {method},{clf},{row.fold}")
+                    seen.add(row.fold)
+                    rows.append(row)
+        except UnicodeDecodeError:
+            raise CtxclfError(f"{path}: not UTF-8 text") from None
         if not rows:
             raise CtxclfError(f"{path}: no metric rows")
         methods = sorted({r.method for r in rows})
@@ -236,50 +239,45 @@ class MetricsTable:
         return out
 
 
-def _class_pools(labels: np.ndarray, indices: list[int]) -> dict[int, list[int]]:
+def _class_pools(labels: np.ndarray) -> dict[int, list[int]]:
+    """Each class's positions in ``labels``, in order."""
     pools: dict[int, list[int]] = {}
-    for i in indices:
-        pools.setdefault(int(labels[i]), []).append(int(i))
+    for i, c in enumerate(labels.tolist()):
+        pools.setdefault(c, []).append(i)
     return pools
 
 
-def _evaluate_system(
-    system, binding, structure, sequences, X, pools, R, rng, cache
-) -> list[tuple[int, int]]:
-    """(first miss, length) of R object sequences per movement sequence, drawn from the pools.
+def _evaluate_system(system, class_sequences, X, pools, R, rng, cache) -> list[tuple[int, int]]:
+    """(first miss, length) of R object sequences per class sequence, drawn from the pools
+    of positions in the held-out block X.
 
-    ``sequences`` is ``generate_movement_sequences(structure)``, made once by
-    the caller. Each box model predicts the whole test pool once (or reads
-    its table from ``cache``, see predict_tables); each sequence is then
-    walked over those tables up to its first miss (see first_miss), all
-    that ZO and SqCov read of it.
+    Each box model predicts X once (or reads its table from ``cache``, see
+    predict_tables); each sequence is then walked over those tables up to
+    its first miss (see first_miss), all that ZO and SqCov read of it.
     """
-    rows = [i for objects in pools.values() for i in objects]
-    tables = predict_tables(system, X, rows, cache)
+    tables = predict_tables(system, X, cache)
     transitions, _ = system.transitions
     scored = []
-    for seq in sequences:
-        classes = sequence_to_classes(seq, structure, binding)
+    for classes in class_sequences:
         for objects in sample_object_sequences(classes, pools, R, rng):
             scored.append((first_miss(transitions, tables, objects, classes), len(classes)))
     return scored
 
 
-def _splits(X, y, indices, k: int, rng: np.random.Generator):
-    """Per stratified fold of the rows ``indices`` (dealt in the order given): the sorted
-    training rows, their X and y, the held-out rows' class pools, and a fresh box-fit memo
-    and prediction cache (both keyed by class set, so never shared between fits)."""
-    indices = np.asarray(indices)
-    folds = stratified_folds(y[indices], k, rng)
+def _splits(X, y, order, k: int, rng: np.random.Generator):
+    """Per stratified fold of the rows dealt in ``order``: the training block X, y and the
+    held-out block X (rows sorted), each class's positions in the held-out block, and a fresh
+    box-fit memo and prediction cache (keyed by class set). No other code indexes X by row."""
+    folds = stratified_folds(y[order], k, rng)
     for fold in range(k):
-        train = np.sort(indices[folds != fold])
-        yield train, X[train], y[train], _class_pools(y, np.sort(indices[folds == fold])), {}, {}
+        train, test = np.sort(order[folds != fold]), np.sort(order[folds == fold])
+        yield X[train], y[train], X[test], _class_pools(y[test]), {}, {}
 
 
 def search_binding(
-    config: RunConfig, spec, X, y, train_indices, fold: int, feasible: list[Binding]
+    config: RunConfig, spec, X, y, fold: int, feasible: list[Binding]
 ) -> tuple[Binding, float, int, list | None]:
-    """The OCtx binding: the best mean SqCov under inner cross-validation.
+    """The OCtx binding of the records X, y: the best mean SqCov under inner cross-validation.
 
     Up to ``exhaustive_limit`` feasible bindings every one is evaluated;
     above it the EA searches, seeded from the master seed, fold and algorithm.
@@ -290,21 +288,20 @@ def search_binding(
     """
     inner_seed = derive_seed(config.master_seed, "inner", fold, spec.algorithm)
     k = config.inner_folds
-    splits = list(
-        _splits(X, y, train_indices, k, derive_rng(inner_seed, "stratified_assignments", k))
-    )
+    fold_rng = derive_rng(inner_seed, "stratified_assignments", k)
+    splits = list(_splits(X, y, np.arange(len(y)), k, fold_rng))
     sequences = generate_movement_sequences(config.structure)
 
     def objective(binding: Binding) -> float:
+        class_sequences = [sequence_to_classes(s, config.structure, binding) for s in sequences]
         scores = []
-        for inner, (_, X_tr, y_tr, pools, memo, cache) in enumerate(splits):
+        for inner, (X_tr, y_tr, X_te, pools, memo, cache) in enumerate(splits):
             ensemble = train_ensemble(
                 config.structure, binding, X_tr, y_tr, spec, config.feature_fraction, memo=memo
             )
             rng = derive_rng(inner_seed, "sample", inner, *binding.secondary)
             scored = _evaluate_system(
-                ensemble, binding, config.structure, sequences, X, pools,
-                config.inner_repetitions, rng, cache,
+                ensemble, class_sequences, X_te, pools, config.inner_repetitions, rng, cache
             )
             scores.append(_sqcov(scored))
         return float(np.mean(scores))
@@ -335,13 +332,13 @@ def run_experiment(config: RunConfig) -> MetricsTable:
             derive_seed(config.master_seed, "outer"), "stratified_folds", config.cv_folds
         )
         splits = _splits(X, y, by_id, config.cv_folds, outer_rng)  # memo and cache per (spec, fold)
-        for fold, (train_idx, X_tr, y_tr, pools, memo, cache) in enumerate(splits):
+        for fold, (X_tr, y_tr, X_te, pools, memo, cache) in enumerate(splits):
             rctx_rng = derive_rng(config.master_seed, "rctx", fold, spec.algorithm)
             rctx_binding = feas[int(rctx_rng.integers(0, len(feas)))]
             for method in config.methods:
                 binding = rctx_binding  # plain shares rctx's binding and object draws
                 if method == "octx":
-                    binding, _, _, trace = search_binding(config, spec, X, y, train_idx, fold, feas)
+                    binding, _, _, trace = search_binding(config, spec, X_tr, y_tr, fold, feas)
                     if trace is not None:
                         traces[(spec.algorithm, fold)] = trace
                 if method == "plain":
@@ -356,9 +353,9 @@ def run_experiment(config: RunConfig) -> MetricsTable:
                     config.master_seed, "sample", fold, spec.algorithm, sample_key,
                     *binding.secondary,
                 )
+                classes = [sequence_to_classes(s, config.structure, binding) for s in sequences]
                 scored = _evaluate_system(
-                    system, binding, config.structure, sequences, X, pools, config.repetitions,
-                    rng, cache,
+                    system, classes, X_te, pools, config.repetitions, rng, cache
                 )
                 rows.append(
                     MetricsRow(

@@ -11,7 +11,7 @@ baseline is the same machine with one box that keeps every class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,14 +27,9 @@ class ContextEnsemble:
     binding: Binding
     masks: dict[int, FeatureMask] = field(compare=False)  # box index -> mask
     models: dict[int, TrainedModel] = field(compare=False)
-
-    @cached_property
-    def transitions(self) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-        """({box: {class: box after it}}, {box: {class: movement it means}}): the tables of
-        machine(structure, binding), read on first use and then held in the instance dict,
-        so ``step`` pays no cache lookup per window; fields, equality and the box-fit memo
-        never see it. A box with a repeated class raises DuplicateClassInBox."""
-        return machine(self.structure, self.binding)[1:]
+    # ({box: {class: box after it}}, {box: {class: movement it means}}), the tables of
+    # machine(structure, binding): step reads them with no cache lookup per window
+    transitions: tuple = field(compare=False)
 
     def describe(self) -> str:
         """Render the box tree with per-box movement/class tables."""
@@ -124,7 +119,7 @@ def train_ensemble(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     try:
-        boxes = machine(structure, binding)[0]
+        boxes, next_box, meaning = machine(structure, binding)
     except DuplicateClassInBox:
         raise DuplicateClassInBox("binding is infeasible for this structure") from None
     present = set(y.tolist())
@@ -137,7 +132,7 @@ def train_ensemble(
         masks[box.index], models[box.index] = _fit_box(
             X, y, classes, spec, feature_fraction, memo
         )
-    return ContextEnsemble(structure=structure, binding=binding, masks=masks, models=models)
+    return ContextEnsemble(structure, binding, masks, models, (next_box, meaning))
 
 
 def train_plain(
@@ -187,22 +182,18 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     return j, movement, state
 
 
-def predict_tables(system, X, rows, cache: dict) -> dict[int, list[int]]:
-    """Each box model's class for the listed rows of X, one block predict per box.
+def predict_tables(system, X, cache: dict) -> dict[int, list[int]]:
+    """Each box model's class for each row of the block X, one block predict per box.
 
-    A table is indexed by row of X (unlisted rows read 0). A box fit is a
-    pure function of its class set for a given training set (see _fit_box),
-    so ``cache`` (a dict keyed by ``model.classes``) may hold tables made
-    before from fits on the same training set, for the same X and rows; a
-    cache must never be shared between training sets or test pools.
+    A box fit is a pure function of its class set for a given training set
+    (see _fit_box), so ``cache`` (a dict keyed by ``model.classes``) may hold
+    tables made before from fits on the same training set, for the same X; a
+    cache must never be shared between training sets or held-out blocks.
     """
-    rows = np.asarray(rows, dtype=np.int64)
     tables = {}
     for i, model in system.models.items():
         if model.classes not in cache:
-            table = np.zeros(len(X), dtype=np.int64)
-            table[rows] = predict(model, system.masks[i].apply(X[rows]))
-            cache[model.classes] = table.tolist()
+            cache[model.classes] = predict(model, system.masks[i].apply(X)).tolist()
         tables[i] = cache[model.classes]
     return tables
 

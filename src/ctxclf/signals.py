@@ -229,13 +229,16 @@ def _bad_value(path: Path, row: int, column: str, value) -> SignalsetError:
 
 def save_signalset(sset: SignalSet, path) -> None:
     """Write a SignalSet to the directory layout read by load_signalset, every record or none:
-    a file name that is not a bare name, or repeats another record's, is refused first."""
+    a file name that load_signalset or the OS cannot take, or a repeated one, is refused first."""
     root = Path(path)
     names: dict[str, SignalRecord] = {}
     for r in sset.records:
         name = f"{r.record_id}_{r.class_label}.csv"
         if r.record_id.endswith(f"_{r.class_label}"):  # the label suffix of a loaded record
             name = f"{r.record_id}.csv"
+        if "\0" in name or not name[:-4].rpartition("_")[0]:  # the OS or load_signalset refuse it
+            why = "holds a NUL byte" if "\0" in name else "has an empty id"
+            raise SignalsetError(f"record {r.record_id!r}: file name {name!r} {why}")
         if Path(name).name != name:
             raise SignalsetError(f"record {r.record_id}: file name {name!r} is not a bare name")
         if name in names:

@@ -1035,7 +1035,7 @@ def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
         ("plain,GaussianNB,0,0.5\n", ("metrics.csv", "line 2")),
         ("plain,GaussianNB,x,0.5,0.5\n", ("metrics.csv", "line 2")),
         ("plain,GaussianNB,0,0.5,0.5\nrctx,RandomForest,0,0.5,0.5\n", ("GaussianNB", "unequal")),
-        (b"\xff\xfe\x00", ("decode",)),
+        (b"\xff\xfe\x00", ("metrics.csv", "not UTF-8 text")),
         ("plain,GaussianNB,0,inf,0.5\n", ("metrics.csv", "line 2", "zo", "[0, 1]", "'inf'")),
         ("plain,GaussianNB,0,0.5,nan\n", ("metrics.csv", "line 2", "sqcov", "[0, 1]", "'nan'")),
         ("plain,GaussianNB,0,1.5,0.5\n", ("metrics.csv", "line 2", "zo", "[0, 1]", "'1.5'")),

@@ -18,8 +18,9 @@ table walk) with its (first miss, length) reductions, one cached
 machine per (structure, binding), the class-sorted naive Bayes slices,
 the label comparison that picks a box's rows, one fit per class set in a
 memo-less call, the MI label codes and cell order without ``np.unique``,
-the stable reverse ranking of the scores and the uint32 seed words must
-leave every result as it was;
+the stable reverse ranking of the scores, the uint32 seed words and the
+prediction tables of the held-out block (against the row-indexed tables)
+must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -935,24 +936,26 @@ def test_table_walk_equals_step_by_step(six_class_data, algorithm):
     X, y = six_class_data
     structure = structure_file("six_class")
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
-    train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
-    pools = _class_pools(y, test_idx)
+    train_idx, test_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    pools = _class_pools(y[test_idx])
     sequences = generate_movement_sequences(structure)
     for binding in feasible_set(structure)[:3]:
         systems = (
             train_ensemble(structure, binding, X[train_idx], y[train_idx], spec),
             train_plain(X[train_idx], y[train_idx], spec),
         )
+        class_sequences = [sequence_to_classes(seq, structure, binding) for seq in sequences]
         for system in systems:
             fast = _evaluate_system(
-                system, binding, structure, sequences, X, pools, 6, np.random.default_rng(4), {}
+                system, class_sequences, X[test_idx], pools, 6, np.random.default_rng(4), {}
             )
             rng = np.random.default_rng(4)
             slow = []
             for seq in generate_movement_sequences(structure):
                 classes = sequence_to_classes(seq, structure, binding)
                 for objects in loop_sample_object_sequences(classes, pools, 6, rng):
-                    slow.append(evaluate_sequence(system, [X[i] for i in objects], classes))
+                    vectors = [X[test_idx][p] for p in objects]
+                    slow.append(evaluate_sequence(system, vectors, classes))
             assert fast == slow
             assert any(miss for miss, _ in slow)
 
@@ -1001,7 +1004,7 @@ def test_transition_table_equals_transition(path):
     structure = load_structure(path)
     paths = root_to_box_paths(structure)
     for binding in feasible_set(structure):
-        next_box, meaning = ContextEnsemble(structure, binding, {}, {}).transitions
+        next_box, meaning = machine(structure, binding)[1:]
         assert structure.root.index == ROOT
         assert sorted(next_box) == sorted(meaning) == sorted(box.index for box, _ in paths)
         for box, stack in paths:
@@ -1136,7 +1139,7 @@ def test_box_paths_equal_the_recursive_visitors(structure):
     assert list(root.walk()) == [box for box, _ in root_to_box_paths(structure)]
     assert generate_movement_sequences(structure) == recursive_movement_sequences(structure)
     for binding in feasible_set(structure)[:50]:
-        ensemble = ContextEnsemble(structure, binding, {}, {})
+        ensemble = ContextEnsemble(structure, binding, {}, {}, machine(structure, binding)[1:])
         expected = recursive_transitions(structure, binding)
         assert [in_order(t) for t in ensemble.transitions] == [in_order(t) for t in expected]
         assert ensemble.describe() == recursive_describe(structure, binding)
@@ -1157,16 +1160,16 @@ def test_box_paths_equal_the_recursive_visitors(structure):
     ids=["two-children-one-opener", "member-on-the-closer-class"],
 )
 def test_box_paths_refuse_a_repeated_class_in_a_box(root, refusal):
-    """A box whose slots repeat a class under the binding has no machine: .transitions raises
+    """A box whose slots repeat a class under the binding has no machine: machine() raises
     from local_classes, where the recursive visitor let the first child or the closer win.
     Movement 3 opens two children of the root, which validate_structure refuses; or movement
     6 is bound to class 3, box 2's closer, which train_ensemble refuses. describe() and the
     movement sequences do not read classes per slot, and still equal their recursive oracles."""
     structure = ContextStructure(3, tuple(Movement(m) for m in range(1, 7)), root)
     binding = Binding(num_classes=3, secondary=(1, 2, 3))
-    ensemble = ContextEnsemble(structure, binding, {}, {})
+    ensemble = ContextEnsemble(structure, binding, {}, {}, ({}, {}))  # describe() reads no table
     with pytest.raises(DuplicateClassInBox, match=f"^{re.escape(refusal)}$"):
-        ensemble.transitions
+        machine(structure, binding)
     if refusal.startswith("box 0"):
         assert "box 0 lists a movement twice" in validate_structure(structure)
     else:
@@ -1370,7 +1373,7 @@ def test_first_miss_equals_the_first_mismatch_of_the_full_walk(path):
     rng = np.random.default_rng(7)
     seen = set()
     for binding in feasible_set(structure)[:20]:
-        transitions, _ = ContextEnsemble(structure, binding, {}, {}).transitions
+        transitions = machine(structure, binding)[1]
         for seq in generate_movement_sequences(structure):
             classes = sequence_to_classes(seq, structure, binding)
             n = len(classes)
@@ -1434,7 +1437,7 @@ def test_one_machine_per_structure_and_binding():
 
 
 def test_step_reads_the_machine_once_per_ensemble():
-    """transitions is held on the instance: 50 windows make one machine lookup, not 50."""
+    """The ensemble is built with its machine's tables: 50 windows make no machine lookup."""
     structure = structure_file("six_class")
     ensemble = perfect_ensemble(structure)
     calls = []
@@ -1448,12 +1451,12 @@ def test_step_reads_the_machine_once_per_ensemble():
         for _ in range(50):
             j = local_classes(ensemble.binding, structure.root)[-1]
             step(ensemble, reset(state), obj(j))
-    assert calls == [(structure, ensemble.binding)]
+    assert calls == []
 
 
 def test_table_walk_rejects_a_class_with_no_meaning():
     structure = structure_file("six_class")
-    next_box, _ = ContextEnsemble(structure, feasible_set(structure)[0], {}, {}).transitions
+    next_box = machine(structure, feasible_set(structure)[0])[1]
     message = f"^box {ROOT}: predicted class 99 has no interpretation$"
     with pytest.raises(DuplicateClassInBox, match=message):
         walk_tables(next_box, {ROOT: [99]}, [0], ROOT)
@@ -1466,8 +1469,8 @@ def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
     X, y = six_class_data
     structure = structure_file("six_class")
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
-    train_idx, test_idx = np.arange(0, len(y), 2), list(range(1, len(y), 2))
-    pools = _class_pools(y, test_idx)
+    train_idx, test_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    pools = _class_pools(y[test_idx])
     memo: dict = {}
     cache: dict = {}
     bindings = feasible_set(structure)
@@ -1478,14 +1481,55 @@ def test_shared_prediction_cache_equals_no_cache(six_class_data, algorithm):
         for b in bindings
     ]
     for system, binding in systems:
+        classes = [sequence_to_classes(seq, structure, binding) for seq in sequences]
         shared = _evaluate_system(
-            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9), cache
+            system, classes, X[test_idx], pools, 4, np.random.default_rng(9), cache
         )
         alone = _evaluate_system(
-            system, binding, structure, sequences, X, pools, 4, np.random.default_rng(9), {}
+            system, classes, X[test_idx], pools, 4, np.random.default_rng(9), {}
         )
         assert shared == alone
     assert len(cache) == len(memo) < len(bindings) * structure.num_boxes
+
+
+def row_indexed_tables(system, X, rows, cache):
+    """The prediction tables indexed by row of the whole X, 0 at unlisted rows, that the
+    held-out block's tables replaced (the oracle)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    tables = {}
+    for i, model in system.models.items():
+        if model.classes not in cache:
+            table = np.zeros(len(X), dtype=np.int64)
+            table[rows] = predict(model, system.masks[i].apply(X[rows]))
+            cache[model.classes] = table.tolist()
+        tables[i] = cache[model.classes]
+    return tables
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_held_out_tables_equal_the_row_indexed_tables(six_class_data, algorithm):
+    """Every feasible binding of six_class.json and the plain model, one cache per side as a
+    fold shares it: each box's table of the held-out block is the oracle's table at the
+    held-out rows, which it predicted in class-pool order."""
+    X, y = six_class_data
+    structure = load_structure(SIX_CLASS_JSON)
+    spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
+    train_idx, test_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
+    rows = [i for c in dict.fromkeys(y[test_idx].tolist()) for i in test_idx if y[i] == c]
+    memo: dict = {}
+    cache: dict = {}
+    oracle_cache: dict = {}
+    systems = [train_plain(X[train_idx], y[train_idx], spec, memo=memo)] + [
+        train_ensemble(structure, b, X[train_idx], y[train_idx], spec, memo=memo)
+        for b in feasible_set(structure)
+    ]
+    for system in systems:
+        tables = runtime.predict_tables(system, X[test_idx], cache)
+        oracle = row_indexed_tables(system, X, rows, oracle_cache)
+        assert tables.keys() == oracle.keys() == system.models.keys()
+        for box, table in tables.items():
+            assert table == [oracle[box][r] for r in test_idx]
+    assert len(cache) == len(oracle_cache) == len(memo)
 
 
 def loop_sample_object_sequences(class_seq, test_pool, R, rng):
@@ -1575,14 +1619,22 @@ def shuffled_signalsets(draw):
 def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, master_seed):
     """The outer and inner folds of run_experiment, as FoldPlan and the assignments made them.
 
-    Every fold's test rows are read where run_experiment and search_binding
-    pool them; models and outcomes are stubbed out, as they do not touch the folds.
+    Every fold's held-out rows are read from the pools _splits yields to
+    run_experiment and search_binding: the feature matrix is one column of row
+    numbers, so a position in an inner held-out block maps through the outer
+    training rows back to its record. Models and outcomes are stubbed out, as
+    they do not touch the folds.
     """
     pooled = []
+    splits = evaluation._splits
 
-    def spy_pools(labels, indices):
-        pooled.append([int(i) for i in indices])
-        return _class_pools(labels, indices)
+    def spy_splits(X, y, order, k, rng):
+        for split in splits(X, y, order, k, rng):
+            X_te, pools = split[2], split[3]
+            rows = {c: [int(X_te[p, 0]) for p in pool] for c, pool in pools.items()}
+            assert all(labels[r] == c for c, pool in rows.items() for r in pool)
+            pooled.append(sorted(r for pool in rows.values() for r in pool))
+            yield split
 
     config = RunConfig(
         signalset=sset,
@@ -1593,17 +1645,19 @@ def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, m
         inner_folds=inner_folds,
         master_seed=master_seed,
     )
+    labels = sset.labels()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_class_pools", spy_pools)
+        mp.setattr(evaluation, "_splits", spy_splits)
         mp.setattr(
-            evaluation, "feature_matrix", lambda s: (np.zeros((len(s.records), 1)), s.labels())
+            evaluation,
+            "feature_matrix",
+            lambda s: (np.arange(len(s.records), dtype=np.float64)[:, None], s.labels()),
         )
         mp.setattr(evaluation, "train_plain", lambda *args, **kwargs: None)
         mp.setattr(evaluation, "train_ensemble", lambda *args, **kwargs: None)
         mp.setattr(evaluation, "_evaluate_system", lambda *args: [(0, 1)])
         run_experiment(config)
 
-    labels = sset.labels()
     assignments = fold_plan_assignments(sset, cv_folds, derive_seed(master_seed, "outer"))
     expected = []
     for fold in range(cv_folds):

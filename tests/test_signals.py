@@ -64,13 +64,20 @@ def test_save_load_round_trip(tmp_path):
             [("../escaped", 1), ("y", 2)],
             r"^record \.\./escaped: file name '\.\./escaped_1\.csv' is not a bare name$",
         ),
+        ([("", 1), ("y", 2)], r"^record '': file name '_1\.csv' has an empty id$"),
+        ([("_1", 1), ("y", 2)], r"^record '_1': file name '_1\.csv' has an empty id$"),
+        (
+            [("a\0b", 1), ("y", 2)],
+            r"^record 'a\\x00b': file name 'a\\x00b_1\.csv' holds a NUL byte$",
+        ),
     ],
-    ids=["repeated-name", "path-in-id"],
+    ids=["repeated-name", "path-in-id", "empty-id", "label-only-id", "nul-in-id"],
 )
 def test_save_refuses_a_record_it_cannot_write_under_its_own_name(tmp_path, ids, message):
     """Each record gets its own file in records/ or nothing is written, the directory
-    included: before, the first case saved 4 records that loaded back as 2, and the second
-    wrote `escaped_1.csv` beside records/."""
+    included: before, the first case saved 4 records that loaded back as 2, the second
+    wrote `escaped_1.csv` beside records/, the next two wrote `_1.csv`, which load_signalset
+    refuses, and the last wrote meta.json and records/ before the OS refused the name."""
     records = tuple(SignalRecord(rid, np.zeros((1, 32)), 1000, label) for rid, label in ids)
     sset = SignalSet(records=records, num_classes=2, num_channels=1, sample_rate_hz=1000)
     with pytest.raises(SignalsetError, match=message):
