@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctxclf.errors import DegenerateTraining, DimensionMismatch
+from ctxclf.errors import CtxclfError, DimensionMismatch
 from ctxclf.rng import derive_rng
 
 ALGORITHMS = ("NearestNeighbor", "GaussianNB", "RandomForest")
@@ -51,7 +51,7 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
         raise ValueError("non-finite training rows")
     classes = tuple(sorted(set(y.tolist())))
     if len(classes) < 2:
-        raise DegenerateTraining("training labels contain a single class")
+        raise CtxclfError("training labels contain a single class")
 
     if spec.algorithm == "NearestNeighbor":
         params = {"X": X.copy(), "y": y.copy()}

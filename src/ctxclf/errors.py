@@ -1,40 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy: one class per kind of input, plus the classes caught by name."""
 
 
 class CtxclfError(Exception):
     """Base class for all library errors."""
 
 
-class NoRecords(CtxclfError):
-    pass
-
-
 class SignalsetError(CtxclfError):
-    """Malformed signalset directory; message names the file or record and the field."""
-
-
-class RaggedRecord(CtxclfError):
-    pass
-
-
-class WindowTooLong(CtxclfError):
-    pass
-
-
-class TooFewPerClass(CtxclfError):
-    pass
-
-
-class SignalTooShort(CtxclfError):
-    pass
-
-
-class SubbandTooShort(CtxclfError):
-    pass
-
-
-class DegenerateTraining(CtxclfError):
-    pass
+    """Malformed signal data: a signalset directory, a record or a set, or a set too small
+    for the windows or folds asked of it; the message names the file or record and the field."""
 
 
 class DimensionMismatch(CtxclfError):
@@ -46,10 +19,6 @@ class DuplicateClassInBox(CtxclfError):
 
 
 class InfeasibleStructure(CtxclfError):
-    pass
-
-
-class UncoveredClass(CtxclfError):
     pass
 
 

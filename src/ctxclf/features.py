@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctxclf.errors import DimensionMismatch, SignalsetError, SubbandTooShort
+from ctxclf.errors import CtxclfError, DimensionMismatch, SignalsetError
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.wavelet import dwt_db6
 
@@ -84,7 +84,7 @@ def _autocorrelation(subbands, order: int, lengths: np.ndarray) -> np.ndarray:
     for s, block in enumerate(subbands):
         n = block.shape[1]
         if n < order + 1:
-            raise SubbandTooShort(f"need >= {order + 1} samples for AR({order}), got {n}")
+            raise CtxclfError(f"need >= {order + 1} samples for AR({order}), got {n}")
         if block.strides[1] <= 0:
             block = np.ascontiguousarray(block)
         left, right = block[:, None], block[:, :, None]

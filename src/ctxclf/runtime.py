@@ -17,7 +17,7 @@ import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec, TrainedModel, predict, train
 from ctxclf.context import ROOT, Binding, BoxNode, ContextStructure, local_classes
-from ctxclf.errors import DimensionMismatch, DuplicateClassInBox, UncoveredClass
+from ctxclf.errors import CtxclfError, DimensionMismatch, DuplicateClassInBox
 from ctxclf.features import FeatureMask, select_features
 
 
@@ -128,7 +128,7 @@ def train_ensemble(
     for box, classes in boxes:
         for c in classes:
             if c not in present:
-                raise UncoveredClass(f"box {box.index}: class {c} absent from training data")
+                raise CtxclfError(f"box {box.index}: class {c} absent from training data")
         masks[box.index], models[box.index] = _fit_box(
             X, y, classes, spec, feature_fraction, memo
         )

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ctxclf.errors import (
-    NoRecords,
-    RaggedRecord,
-    SignalsetError,
-    TooFewPerClass,
-    WindowTooLong,
-)
+from ctxclf.errors import SignalsetError
 from ctxclf.jsonfile import expect, read_field, read_json
 
 MIN_SAMPLES = 16
@@ -41,9 +36,9 @@ class SignalRecord:
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=np.float64)
         if ch.ndim != 2:
-            raise RaggedRecord(f"record {self.record_id}: channels must be 2-D, got {ch.ndim}-D")
+            raise SignalsetError(f"record {self.record_id}: channels must be 2-D, got {ch.ndim}-D")
         if ch.shape[1] < MIN_SAMPLES:
-            raise RaggedRecord(
+            raise SignalsetError(
                 f"record {self.record_id}: {ch.shape[1]} samples, need >= {MIN_SAMPLES}"
             )
         if self.sample_rate_hz <= 0:
@@ -70,10 +65,10 @@ class SignalSet:
 
     def __post_init__(self):
         if not self.records:
-            raise NoRecords("signal set contains no records")
+            raise SignalsetError("signal set contains no records")
         for r in self.records:
             if r.num_channels != self.num_channels:
-                raise RaggedRecord(
+                raise SignalsetError(
                     f"record {r.record_id}: {r.num_channels} channels, expected {self.num_channels}"
                 )
             if r.sample_rate_hz != self.sample_rate_hz:
@@ -84,7 +79,7 @@ class SignalSet:
                 )
         missing = set(range(1, self.num_classes + 1)) - {r.class_label for r in self.records}
         if missing:
-            raise NoRecords(f"classes without records: {sorted(missing)}")
+            raise SignalsetError(f"classes without records: {sorted(missing)}")
 
     @property
     def class_counts(self) -> dict[int, int]:
@@ -102,7 +97,7 @@ def load_signalset(path) -> SignalSet:
     root = Path(path)
     meta_path = root / "meta.json"
     if not meta_path.is_file():
-        raise NoRecords(f"missing metadata file {meta_path}")
+        raise SignalsetError(f"missing metadata file {meta_path}")
     meta = expect(read_json(meta_path, SignalsetError), dict, str(meta_path), SignalsetError)
     num_classes = _meta_int(meta, "num_classes", meta_path, 2)
     num_channels = _meta_int(meta, "num_channels", meta_path, 1)
@@ -111,14 +106,14 @@ def load_signalset(path) -> SignalSet:
     rec_dir = root / "records"
     csv_paths = sorted(rec_dir.glob("*.csv")) if rec_dir.is_dir() else []
     if not csv_paths:
-        raise NoRecords(f"no record CSVs under {rec_dir}")
+        raise SignalsetError(f"no record CSVs under {rec_dir}")
 
     records = []
     for p in csv_paths:
         stem = p.stem
         rid, _, label_str = stem.rpartition("_")
         if not rid or not label_str.isdigit():
-            raise RaggedRecord(f"record file {p.name}: expected <id>_<label>.csv")
+            raise SignalsetError(f"record file {p.name}: expected <id>_<label>.csv")
         label = int(label_str)
         if not 1 <= label <= num_classes:
             raise SignalsetError(f"record {stem}: label {label} outside 1..{num_classes}")
@@ -189,14 +184,14 @@ def _read_csv_loop(path: Path, num_channels: int) -> np.ndarray:
         try:
             header = next(reader, None)
             if header is None or len(header) != num_channels:
-                raise RaggedRecord(
+                raise SignalsetError(
                     f"record {path.stem}: {0 if header is None else len(header)} columns, "
                     f"expected {num_channels}"
                 )
             data = []
             for row in reader:
                 if len(row) != num_channels:
-                    raise RaggedRecord(f"record {path.stem}: ragged row with {len(row)} columns")
+                    raise SignalsetError(f"record {path.stem}: ragged row with {len(row)} columns")
                 try:
                     data.append([float(v) for v in row])
                 except ValueError:
@@ -229,15 +224,20 @@ def _bad_value(path: Path, row: int, column: str, value) -> SignalsetError:
 
 def save_signalset(sset: SignalSet, path) -> None:
     """Write a SignalSet to the directory layout read by load_signalset, every record or none:
-    a file name that load_signalset or the OS cannot take, or a repeated one, is refused first."""
+    a file name that load_signalset or the OS cannot take, or a repeated one, is refused first,
+    and so is a target that exists and is not an empty directory (its old records would stay)."""
     root = Path(path)
+    if root.exists() and (not root.is_dir() or any(root.iterdir())):
+        raise SignalsetError(f"{root}: exists and is not an empty directory")
     names: dict[str, SignalRecord] = {}
     for r in sset.records:
         name = f"{r.record_id}_{r.class_label}.csv"
         if r.record_id.endswith(f"_{r.class_label}"):  # the label suffix of a loaded record
             name = f"{r.record_id}.csv"
-        if "\0" in name or not name[:-4].rpartition("_")[0]:  # the OS or load_signalset refuse it
-            why = "holds a NUL byte" if "\0" in name else "has an empty id"
+        size = len(os.fsencode(name))  # the OS takes no NUL byte and at most 255 bytes (NAME_MAX)
+        if "\0" in name or size > 255 or not name[:-4].rpartition("_")[0]:
+            why = "has an empty id" if size <= 255 else f"is {size} bytes, over 255"
+            why = "holds a NUL byte" if "\0" in name else why
             raise SignalsetError(f"record {r.record_id!r}: file name {name!r} {why}")
         if Path(name).name != name:
             raise SignalsetError(f"record {r.record_id}: file name {name!r} is not a bare name")
@@ -263,10 +263,10 @@ def segment(sset: SignalSet, window_ms: int) -> SignalSet:
     """Split every record into non-overlapping windows; remainder dropped."""
     window = (window_ms * sset.sample_rate_hz) // 1000
     if window < MIN_SAMPLES:
-        raise WindowTooLong(f"window of {window} samples is below the {MIN_SAMPLES}-sample minimum")
+        raise SignalsetError(f"window of {window} samples is below the {MIN_SAMPLES}-sample minimum")
     shortest = min(r.num_samples for r in sset.records)
     if window > shortest:
-        raise WindowTooLong(f"window of {window} samples exceeds shortest record ({shortest})")
+        raise SignalsetError(f"window of {window} samples exceeds shortest record ({shortest})")
     out = []
     for r in sset.records:
         n_windows = r.num_samples // window
@@ -298,7 +298,7 @@ def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> np
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < k:
-            raise TooFewPerClass(f"class {cls} has {count} records, needs >= {k}")
+            raise SignalsetError(f"class {cls} has {count} records, needs >= {k}")
     out = np.empty(len(labels), dtype=np.int64)
     for cls in classes:
         idx = np.flatnonzero(labels == cls)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctxclf.errors import SignalTooShort
+from ctxclf.errors import CtxclfError
 
 # Orthonormal Daubechies-6 scaling (low-pass) filter, 12 taps.
 # Satisfies sum(h) = sqrt(2), sum(h^2) = 1 and the even-shift
@@ -86,7 +86,7 @@ def _analysis_symmetric(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _analysis_periodic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[1]
     if n % 2:
-        raise SignalTooShort("periodic mode requires even length at every level")
+        raise CtxclfError("periodic mode requires even length at every level")
     k = np.arange(n // 2)
     windows = x.take((2 * k[:, None] + np.arange(TAPS)[None, :]) % n, axis=1)
     return windows @ DB6_HIGHPASS, windows @ DB6_LOWPASS
@@ -108,7 +108,7 @@ def dwt_db6(samples, levels: int = 3, mode: str = "symmetric") -> list[np.ndarra
         raise ValueError("levels must be >= 1")
     n = x.shape[-1]
     if n < 2**levels:
-        raise SignalTooShort(f"need >= {2 ** levels} samples for {levels} levels, got {n}")
+        raise CtxclfError(f"need >= {2 ** levels} samples for {levels} levels, got {n}")
     if mode not in ("symmetric", "periodic"):
         raise ValueError(f"unknown boundary mode {mode!r}")
     analyze = _analysis_symmetric if mode == "symmetric" else _analysis_periodic

@@ -3,7 +3,7 @@ import pytest
 
 from ctxclf import classifiers
 from ctxclf.classifiers import ClassifierSpec, predict, train
-from ctxclf.errors import DegenerateTraining, DimensionMismatch
+from ctxclf.errors import CtxclfError, DimensionMismatch
 from conftest import tree_arrays
 
 ALGS = ("NearestNeighbor", "GaussianNB", "RandomForest")
@@ -29,7 +29,7 @@ def test_spec_validation():
 
 def test_degenerate_and_shape_errors():
     X = np.zeros((4, 2))
-    with pytest.raises(DegenerateTraining):
+    with pytest.raises(CtxclfError, match=r"^training labels contain a single class$"):
         train(ClassifierSpec(), X, np.ones(4, dtype=int))
     with pytest.raises(ValueError):
         train(ClassifierSpec(), X, np.array([1, 2]))

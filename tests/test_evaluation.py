@@ -72,7 +72,7 @@ def test_sample_object_sequences():
     assert len(draws) == 7
     for seq in draws:
         assert seq[0] in (10, 11) and seq[1] == 20 and seq[2] in (10, 11)
-    with pytest.raises(CtxclfError):
+    with pytest.raises(CtxclfError, match=r"^test pool has no objects of class 3$"):
         sample_object_sequences((1, 3), pool, R=1, rng=rng)
 
 

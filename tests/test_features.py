@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf.errors import DimensionMismatch, SubbandTooShort
+from ctxclf.errors import CtxclfError, DimensionMismatch
 from ctxclf.features import (
     FEATURE_NAMES,
     SUBBAND_NAMES,
@@ -48,7 +48,7 @@ def test_ar_recovers_known_process():
 
 def test_ar_edge_cases():
     assert np.array_equal(ar_coefficients(np.zeros(16)), np.zeros(3))
-    with pytest.raises(SubbandTooShort):
+    with pytest.raises(CtxclfError, match=r"^need >= 4 samples for AR\(3\), got 3$"):
         ar_coefficients(np.ones(3), order=3)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import ROOT, Binding, derive_constraints, enumerate_feasible
-from ctxclf.errors import DimensionMismatch, DuplicateClassInBox, UncoveredClass
+from ctxclf.errors import CtxclfError, DimensionMismatch, DuplicateClassInBox
 from ctxclf.runtime import (
     initial_state,
     reset,
@@ -129,7 +129,8 @@ def test_train_ensemble_uncovered_class():
     binding = enumerate_feasible(derive_constraints(s))[0]
     X, y = scalar_training_data(5)
     keep = (y != 4) & (y != 2)
-    with pytest.raises(UncoveredClass, match="^box 0: class 2 absent"):  # the first one missing
+    # classes 2 and 4 are missing; the first one is named
+    with pytest.raises(CtxclfError, match=r"^box 0: class 2 absent from training data$"):
         train_ensemble(s, binding, X[keep], y[keep], ClassifierSpec(), 1.0)
 
 

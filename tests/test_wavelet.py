@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxclf.errors import SignalTooShort
+from ctxclf.errors import CtxclfError
 from ctxclf.wavelet import (
     DB6_HIGHPASS,
     DB6_LOWPASS,
@@ -86,9 +86,9 @@ def test_constant_annihilation_and_dc_gain():
 
 
 def test_input_validation():
-    with pytest.raises(SignalTooShort):
+    with pytest.raises(CtxclfError, match=r"^need >= 8 samples for 3 levels, got 4$"):
         dwt_db6(np.ones(4), levels=3)
-    with pytest.raises(SignalTooShort):
+    with pytest.raises(CtxclfError, match=r"^periodic mode requires even length at every level$"):
         dwt_db6(np.ones(31), levels=1, mode="periodic")  # odd length
     with pytest.raises(ValueError):
         dwt_db6(np.ones((2, 4, 64)))  # a block is 2-D: (rows, samples)
