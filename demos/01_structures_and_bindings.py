@@ -7,7 +7,6 @@ of secondary bindings, from the unconstrained C! down to a handful.
 from pathlib import Path
 
 from ctxclf.context import (
-    ConstraintTable,
     derive_constraints,
     enumerate_feasible,
     load_structure,
@@ -36,8 +35,8 @@ def show(name, structure):
     feasible = enumerate_feasible(table)
     C = structure.num_classes
     print(f"\n{name}: C={C}, boxes beyond root={structure.num_boxes}")
-    for k in sorted(table.permitted):
-        print(f"  movement {C + k} may take classes {table.permitted[k]}")
+    for k in sorted(table):
+        print(f"  movement {C + k} may take classes {table[k]}")
     print(f"  |feasible set| = {len(feasible)}")
     for b in feasible[:5]:
         print(f"    secondary binding {b.secondary}")
@@ -47,9 +46,7 @@ def show(name, structure):
 
 def main():
     # with no box constraints at all, every permutation of 1..5 is feasible
-    unconstrained = ConstraintTable(
-        num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)}
-    )
+    unconstrained = {k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     print(f"unconstrained C=5: |feasible set| = {len(enumerate_feasible(unconstrained))}")
 
     for name in ("five_class", "six_class"):

@@ -29,10 +29,10 @@ def main():
 
     seq = generate_movement_sequences(structure)[0]
     classes = sequence_to_classes(seq, structure, binding)
-    print(f"\ntracing movement sequence {seq.movements} (classes {classes})")
+    print(f"\ntracing movement sequence {seq} (classes {classes})")
     pools = {c: [i for i, label in enumerate(y) if label == c] for c in set(classes)}
     state = initial_state(ensemble)
-    for movement, cls in zip(seq.movements, classes):
+    for movement, cls in zip(seq, classes):
         x = X[pools[cls][0]]
         predicted, interpreted, state = step(ensemble, state, x)
         print(

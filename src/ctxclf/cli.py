@@ -208,7 +208,7 @@ def cmd_enumerate(args) -> int:
         return EXIT_INFEASIBLE
     if out:  # only a listing is bounded by the guard
         payload = {
-            "num_classes": table.num_classes,
+            "num_classes": len(table),
             "count": count,
             "bindings": [list(b.secondary) for b in enumerate_feasible(table)],
         }

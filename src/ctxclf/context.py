@@ -98,39 +98,25 @@ class ContextStructure:
 class Binding:
     """Movement-to-class assignment: fixed primary map plus a secondary permutation.
 
-    ``secondary[k-1]`` is the class bound to movement C+k.
+    ``secondary[k-1]`` is the class bound to movement C+k, with C = ``len(secondary)``.
     """
 
-    num_classes: int
     secondary: tuple[int, ...]
 
     def __post_init__(self):
         sec = tuple(int(c) for c in self.secondary)
-        if sorted(sec) != list(range(1, self.num_classes + 1)):
-            raise ValueError(f"secondary assignment {sec} is not a permutation of 1..{self.num_classes}")
+        if sorted(sec) != list(range(1, len(sec) + 1)):
+            raise ValueError(f"secondary assignment {sec} is not a permutation of 1..{len(sec)}")
         object.__setattr__(self, "secondary", sec)
 
     def class_of_movement(self, movement_id: int) -> int:
-        if 1 <= movement_id <= self.num_classes:
+        C = len(self.secondary)
+        if 1 <= movement_id <= C:
             return movement_id
-        k = movement_id - self.num_classes
-        if not 1 <= k <= self.num_classes:
+        k = movement_id - C
+        if not 1 <= k <= C:
             raise ValueError(f"movement id {movement_id} out of range")
         return self.secondary[k - 1]
-
-
-@dataclass(frozen=True)
-class ConstraintTable:
-    """Per-secondary-movement permitted classes.
-
-    ``permitted[k]`` is the sorted class tuple allowed for movement C+k.
-    No per-box check is needed beyond it: a secondary assignment is a
-    permutation, so the secondary movements sharing a box always receive
-    distinct classes.
-    """
-
-    num_classes: int
-    permitted: dict[int, tuple[int, ...]]
 
 
 def load_structure(path) -> ContextStructure:
@@ -138,7 +124,7 @@ def load_structure(path) -> ContextStructure:
     return structure_from_dict(read_json(path, StructureError))
 
 
-def load_table(path) -> ConstraintTable:
+def load_table(path) -> dict[int, tuple[int, ...]]:
     """Read a permitted-class table JSON file; each class list is a set, kept sorted."""
     raw = expect(read_json(path, StructureError), dict, "table root", StructureError)
     num_classes = read_field(raw, "num_classes", int, "", StructureError)
@@ -154,7 +140,7 @@ def load_table(path) -> ConstraintTable:
             if not 1 <= expect(c, int, f"{at}[{i}]", StructureError) <= num_classes:
                 raise StructureError(f"{at}: classes must be a list of integers in 1..{num_classes}")
         permitted[int(key)] = tuple(sorted(set(classes)))
-    return ConstraintTable(num_classes=num_classes, permitted=permitted)
+    return permitted
 
 
 def structure_from_dict(doc: dict) -> ContextStructure:
@@ -289,8 +275,14 @@ def binding_feasible(s: ContextStructure, binding: Binding) -> bool:
     return True
 
 
-def derive_constraints(s: ContextStructure) -> ConstraintTable:
-    """Permitted-class sets for every secondary movement."""
+def derive_constraints(s: ContextStructure) -> dict[int, tuple[int, ...]]:
+    """Permitted classes for every secondary movement: ``{k: sorted class tuple}`` for
+    movement C+k, k in 1..C, so C is the table's length.
+
+    No per-box check is needed beyond it: a secondary assignment is a
+    permutation, so the secondary movements sharing a box always receive
+    distinct classes.
+    """
     C = s.num_classes
     permitted = {k: set(range(1, C + 1)) for k in range(1, C + 1)}
     for box in s.root.walk():
@@ -304,12 +296,10 @@ def derive_constraints(s: ContextStructure) -> ConstraintTable:
             raise InfeasibleStructure(
                 f"movement {C + k} has no permitted class; the box arrangement is infeasible"
             )
-    return ConstraintTable(
-        num_classes=C, permitted={k: tuple(sorted(v)) for k, v in permitted.items()}
-    )
+    return {k: tuple(sorted(v)) for k, v in permitted.items()}
 
 
-def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
+def enumerate_feasible(permitted: dict[int, tuple[int, ...]]) -> list[Binding]:
     """All feasible secondary permutations, in lexicographic order.
 
     One pass per movement C+1..C+C extends every partial assignment, in
@@ -320,7 +310,7 @@ def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
     may be empty, which signals an infeasible box arrangement; a set above
     FEASIBLE_SET_GUARD is refused from its count before any row is built.
     """
-    ways = _ways(table)
+    ways = _ways(permitted)
     count = int(ways[-1])
     if count > FEASIBLE_SET_GUARD:
         raise InfeasibleStructure(
@@ -328,28 +318,28 @@ def enumerate_feasible(table: ConstraintTable) -> list[Binding]:
         )
     ways = ways.tolist()
     rows = [((), len(ways) - 1)]  # (row, the class set it leaves free)
-    for k in range(1, table.num_classes + 1):
+    for k in range(1, len(permitted) + 1):
         rows = [
             (r + (c,), free - bit)
             for r, free in rows
-            for c in table.permitted[k]
+            for c in permitted[k]
             if free & (bit := 1 << (c - 1)) and ways[free - bit]
         ]
-    return [Binding(num_classes=table.num_classes, secondary=r) for r, _ in rows]
+    return [Binding(r) for r, _ in rows]
 
 
-def count_feasible(table: ConstraintTable) -> int:
-    """``len(enumerate_feasible(table))`` without the list: the permanent of the permitted
+def count_feasible(permitted: dict[int, tuple[int, ...]]) -> int:
+    """``len(enumerate_feasible(permitted))`` without the list: the permanent of the permitted
     matrix."""
-    return int(_ways(table)[-1])
+    return int(_ways(permitted)[-1])
 
 
-def _ways(table: ConstraintTable) -> np.ndarray:
+def _ways(permitted: dict[int, tuple[int, ...]]) -> np.ndarray:
     """``ways[s]``: the assignments of the last |s| movements C+C-|s|+1..C+C to exactly the
     class set s (bit c - 1 for class c), built one set size at a time. Every count is at most
     C! <= 20! < 2^63 for C <= MAX_CLASSES, which validation and the table reader enforce.
     """
-    C = table.num_classes
+    C = len(permitted)
     sets = np.arange(1 << C, dtype=np.int64)
     size = np.zeros(1 << C, dtype=np.int64)  # |s|: one more than s without its top bit
     for c in range(C):
@@ -358,7 +348,7 @@ def _ways(table: ConstraintTable) -> np.ndarray:
     ways[0] = 1
     for n in range(1, C + 1):  # movement C+C-n+1 takes one class beside the n-1 after it
         level = sets[size == n - 1]
-        for c in table.permitted[C + 1 - n]:
+        for c in permitted[C + 1 - n]:
             bit = 1 << (c - 1)
             free = level[level // bit % 2 == 0]  # the sets without class c
             ways[free + bit] += ways[free]
@@ -370,7 +360,7 @@ def brute_force_feasible(s: ContextStructure) -> list[Binding]:
     C = s.num_classes
     out = []
     for perm in itertools.permutations(range(1, C + 1)):
-        b = Binding(num_classes=C, secondary=perm)
+        b = Binding(perm)
         if binding_feasible(s, b):
             out.append(b)
     return out

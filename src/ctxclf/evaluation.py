@@ -35,17 +35,12 @@ from ctxclf.features import feature_matrix
 METHODS = ("plain", "rctx", "octx")
 
 
-@dataclass(frozen=True)
-class MovementSequence:
-    movements: tuple[int, ...]
-    path: tuple[int, ...]  # box indices from root to leaf
-
-
-def generate_movement_sequences(structure: ContextStructure) -> list[MovementSequence]:
-    """One sequence per root-to-leaf path; every box appears on some path."""
+def generate_movement_sequences(structure: ContextStructure) -> list[tuple[int, ...]]:
+    """The movement ids of one sequence per root-to-leaf path, in pre-order; every box
+    appears on some path."""
     root = structure.root
     if not root.children:
-        return [MovementSequence(movements=root.member_movements(), path=(root.index,))]
+        return [root.member_movements()]
     sequences = []
     for path in root.paths():
         if path[-1].children:
@@ -53,15 +48,15 @@ def generate_movement_sequences(structure: ContextStructure) -> list[MovementSeq
         boxes = [b for b in path if not b.is_root]
         moves = [m for b in boxes for m in (b.opener, *b.internal_movements)]
         moves.extend(b.opener for b in reversed(boxes))
-        sequences.append(MovementSequence(tuple(moves), tuple(b.index for b in path)))
+        sequences.append(tuple(moves))
     return sequences
 
 
 def sequence_to_classes(
-    seq: MovementSequence, structure: ContextStructure, binding: Binding
+    seq: tuple[int, ...], structure: ContextStructure, binding: Binding
 ) -> tuple[int, ...]:
     """Map each movement to its bound class (closer shares the opener's)."""
-    return tuple(binding.class_of_movement(m) for m in seq.movements)
+    return tuple(binding.class_of_movement(m) for m in seq)
 
 
 def sample_object_sequences(

@@ -46,14 +46,14 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FeatureMask:
-    """Sorted column subset retained by the mutual-information filter."""
+    """Sorted column subset retained by the mutual-information filter, and every column's score."""
 
     selected: tuple[int, ...]
-    source_dim: int
     scores: tuple[float, ...]
 
     def __post_init__(self):
         sel = tuple(int(i) for i in self.selected)
+        object.__setattr__(self, "source_dim", len(self.scores))  # not a field, like _columns
         if list(sel) != sorted(set(sel)):
             raise ValueError("selected indices must be strictly increasing")
         if sel and (sel[0] < 0 or sel[-1] >= self.source_dim):
@@ -323,4 +323,4 @@ def select_features(matrix, labels, fraction: float = 0.5) -> FeatureMask:
     values = scores.tolist()
     order = sorted(range(d), key=values.__getitem__, reverse=True)  # stable: ties to lower index
     selected = tuple(sorted(order[:keep]))
-    return FeatureMask(selected=selected, source_dim=d, scores=tuple(values))
+    return FeatureMask(selected=selected, scores=tuple(values))

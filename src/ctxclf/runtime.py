@@ -146,7 +146,7 @@ def train_plain(
     classes = tuple(sorted(set(np.asarray(y, dtype=np.int64).tolist())))
     C = max(classes)
     structure = ContextStructure(num_classes=C, movements=(), root=BoxNode(ROOT, None, classes))
-    identity = Binding(num_classes=C, secondary=tuple(range(1, C + 1)))
+    identity = Binding(tuple(range(1, C + 1)))
     return train_ensemble(structure, identity, X, y, spec, feature_fraction, memo)
 
 

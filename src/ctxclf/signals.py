@@ -192,11 +192,12 @@ def _read_csv_loop(path: Path, num_channels: int) -> np.ndarray:
             for row in reader:
                 if len(row) != num_channels:
                     raise SignalsetError(f"record {path.stem}: ragged row with {len(row)} columns")
-                try:
-                    data.append([float(v) for v in row])
-                except ValueError:
-                    col = next(j for j, v in enumerate(row) if not _is_number(v))
-                    raise _bad_value(path, len(data) + 1, header[col], repr(row[col])) from None
+                data.append([])
+                for col, v in enumerate(row):
+                    try:
+                        data[-1].append(float(v))
+                    except ValueError:
+                        raise _bad_value(path, len(data), header[col], repr(v)) from None
         except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
             where = "header" if reader.line_num <= 1 else f"row {reader.line_num - 1}"
             raise SignalsetError(f"record {path.stem}: {where}: {exc}") from None
@@ -206,14 +207,6 @@ def _read_csv_loop(path: Path, num_channels: int) -> np.ndarray:
         i, col = bad[0]
         raise _bad_value(path, i + 1, header[col], float(values[i, col]))
     return values
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _bad_value(path: Path, row: int, column: str, value) -> SignalsetError:
@@ -234,7 +227,10 @@ def save_signalset(sset: SignalSet, path) -> None:
         name = f"{r.record_id}_{r.class_label}.csv"
         if r.record_id.endswith(f"_{r.class_label}"):  # the label suffix of a loaded record
             name = f"{r.record_id}.csv"
-        size = len(os.fsencode(name))  # the OS takes no NUL byte and at most 255 bytes (NAME_MAX)
+        try:  # the OS takes no NUL byte and at most 255 bytes (NAME_MAX)
+            size = len(os.fsencode(name))
+        except UnicodeEncodeError:  # a lone surrogate that the file-system encoding cannot carry
+            raise SignalsetError(f"record {r.record_id!r}: file name {name!r} cannot be encoded") from None
         if "\0" in name or size > 255 or not name[:-4].rpartition("_")[0]:
             why = "has an empty id" if size <= 255 else f"is {size} bytes, over 255"
             why = "holds a NUL byte" if "\0" in name else why

@@ -15,7 +15,6 @@ import pytest
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import (
     Binding,
-    ConstraintTable,
     brute_force_feasible,
     derive_constraints,
     enumerate_feasible,
@@ -57,7 +56,7 @@ def test_01_feasible_set_counts(capsys):
     t0 = time.perf_counter()
     s = structure_file("five_class")
     constrained = len(enumerate_feasible(derive_constraints(s)))
-    table = ConstraintTable(num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)})
+    table = {k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     unconstrained = len(enumerate_feasible(table))
     elapsed = time.perf_counter() - t0
     ok = constrained == 12 and unconstrained == 120 and elapsed < 1.0

@@ -14,7 +14,6 @@ from ctxclf.context import (
     MAX_CLASSES,
     Binding,
     ContextStructure,
-    ConstraintTable,
     brute_force_feasible,
     count_feasible,
     derive_constraints,
@@ -45,7 +44,7 @@ def test_five_class_feasible_count_is_12():
 
 def test_five_class_constraint_table():
     table = derive_constraints(structure_file("five_class"))
-    assert table.permitted == {
+    assert table == {
         1: (1, 2),
         2: (1, 2),
         3: (2, 3, 4, 5),
@@ -55,9 +54,7 @@ def test_five_class_constraint_table():
 
 
 def test_unconstrained_table_gives_factorial():
-    table = ConstraintTable(
-        num_classes=5, permitted={k: (1, 2, 3, 4, 5) for k in range(1, 6)}
-    )
+    table = {k: (1, 2, 3, 4, 5) for k in range(1, 6)}
     assert len(enumerate_feasible(table)) == math.factorial(5)
 
 
@@ -66,7 +63,7 @@ def test_load_table_holds_each_class_list_as_a_sorted_set(tmp_path):
     p = tmp_path / "table.json"
     permitted = {"2": [3, 1, 3], "1": [2], "3": [1, 3]}
     p.write_text(json.dumps({"num_classes": 3, "permitted": permitted}))
-    assert load_table(p) == ConstraintTable(3, {2: (1, 3), 1: (2,), 3: (1, 3)})
+    assert load_table(p) == {2: (1, 3), 1: (2,), 3: (1, 3)}
     p.write_text(json.dumps({"num_classes": 2, "permitted": {"1": [1, 2]}}))
     with pytest.raises(StructureError, match=r"^permitted: expected movement ids 1\.\.2$"):
         load_table(p)
@@ -104,25 +101,19 @@ def test_count_equals_the_listed_feasible_set(name):
         assert count_feasible(table) == len(enumerate_feasible(table))
 
 
-def test_constraint_tables_differ_by_their_permitted_sets():
-    identity = ConstraintTable(3, {1: (1,), 2: (2,), 3: (3,)})
-    assert identity != ConstraintTable(3, {1: (2,), 2: (3,), 3: (1,)})
-
-
 def test_count_of_random_and_of_large_tables():
     rng = np.random.default_rng(11)
     for _ in range(30):  # random tables, empty sets included
         C = int(rng.integers(0, 7))
         permitted = {k: tuple(np.flatnonzero(rng.random(C) < 0.6) + 1) for k in range(1, C + 1)}
-        table = ConstraintTable(num_classes=C, permitted=permitted)
-        assert count_feasible(table) == len(enumerate_feasible(table))
+        assert count_feasible(permitted) == len(enumerate_feasible(permitted))
     subfactorial = 1
     for c in range(1, MAX_CLASSES + 1):  # flat C: the derangements, !C = C !(C-1) + (-1)^C
         subfactorial = c * subfactorial + (-1) ** c
         if c in (10, 11, MAX_CLASSES):
             assert count_feasible(derive_constraints(flat_structure(c))) == subfactorial
     every_class = tuple(range(1, MAX_CLASSES + 1))
-    unconstrained = ConstraintTable(MAX_CLASSES, {k: every_class for k in every_class})
+    unconstrained = {k: every_class for k in every_class}
     assert count_feasible(unconstrained) == math.factorial(MAX_CLASSES)  # the largest count: int64
 
 
@@ -133,12 +124,11 @@ def test_listing_builds_no_row_it_cannot_complete():
     code = textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from ctxclf.context import ConstraintTable, count_feasible, enumerate_feasible
+        from ctxclf.context import count_feasible, enumerate_feasible
         permitted = {k: tuple(range(1, 13)) for k in range(1, 9)}
         permitted.update({8 + c: (c,) for c in range(1, 5)})
-        table = ConstraintTable(12, permitted)
-        rows = [b.secondary for b in enumerate_feasible(table)]
-        assert len(rows) == count_feasible(table) == 40320 and rows == sorted(rows)
+        rows = [b.secondary for b in enumerate_feasible(permitted)]
+        assert len(rows) == count_feasible(permitted) == 40320 and rows == sorted(rows)
     """)
     src = str(Path(ctxclf.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -157,12 +147,13 @@ def test_every_feasible_binding_passes_independent_walk():
 
 
 def test_binding_validation_and_class_map():
-    b = Binding(num_classes=4, secondary=(2, 1, 4, 3))
+    b = Binding((2, 1, 4, 3))
     for m in range(1, 5):
         assert b.class_of_movement(m) == m  # primary identity
     assert [b.class_of_movement(m) for m in (5, 6, 7, 8)] == [2, 1, 4, 3]
-    with pytest.raises(ValueError):
-        Binding(num_classes=3, secondary=(1, 1, 2))
+    message = r"^secondary assignment \(1, 1, 2\) is not a permutation of 1\.\.3$"
+    with pytest.raises(ValueError, match=message):
+        Binding((1, 1, 2))
     with pytest.raises(ValueError):
         b.class_of_movement(9)
 
@@ -179,7 +170,7 @@ def test_local_classes_closer_first():
 def test_local_classes_duplicate_raises():
     s = make_structure(3, [(0, None, None, [2, 3]), (1, 0, 1, [4, 5, 6])])
     # secondary (1, 2, 3): box 1 holds movements 4,5,6 -> classes 1,2,3 plus closer 1
-    bad = Binding(num_classes=3, secondary=(1, 2, 3))
+    bad = Binding((1, 2, 3))
     with pytest.raises(DuplicateClassInBox):
         local_classes(bad, s.root.children[0])
     assert not binding_feasible(s, bad)

@@ -12,7 +12,6 @@ from ctxclf.classifiers import ALGORITHMS, ClassifierSpec
 from ctxclf.errors import CtxclfError
 from ctxclf.evaluation import (
     MetricsTable,
-    MovementSequence,
     RunConfig,
     evaluate_sequence,
     generate_movement_sequences,
@@ -26,25 +25,30 @@ from conftest import STRUCTURES, make_structure, structure_file
 from test_runtime import obj, perfect_ensemble
 
 
+def leaf_paths(s):
+    """The box indices from the root to each leaf box, in the pre-order of the sequences."""
+    return [tuple(b.index for b in path) for path in s.root.paths() if not path[-1].children]
+
+
 def test_sequence_generation_five_class():
     s = structure_file("five_class")
     seqs = generate_movement_sequences(s)
-    assert len(seqs) == 2  # one per leaf box
-    by_path = {seq.path: seq for seq in seqs}
+    assert len(seqs) == len(leaf_paths(s)) == 2  # one per leaf box
+    by_path = dict(zip(leaf_paths(s), seqs))
     # box 1 (opened by m3): opener, internals, then the closer on the way back
-    assert by_path[(0, 1)].movements == (3, 4, 5, 6, 7, 3)
-    assert by_path[(0, 2)].movements == (1, 8, 9, 10, 1)
+    assert by_path[(0, 1)] == (3, 4, 5, 6, 7, 3)
+    assert by_path[(0, 2)] == (1, 8, 9, 10, 1)
 
 
 def test_sequence_generation_nested_closers():
     s = structure_file("six_class")
     seqs = generate_movement_sequences(s)
-    assert len(seqs) == 2
-    nested = [q for q in seqs if q.path == (0, 1, 2)][0]
+    assert len(seqs) == len(leaf_paths(s)) == 2
+    by_path = dict(zip(leaf_paths(s), seqs))
     # all boxes on the path close, innermost first
-    assert nested.movements == (1, 4, 5, 6, 8, 7, 9, 10, 7, 1)
+    assert by_path[(0, 1, 2)] == (1, 4, 5, 6, 8, 7, 9, 10, 7, 1)
     # every box index appears on some path
-    covered = {i for q in seqs for i in q.path}
+    covered = {i for path in by_path for i in path}
     assert covered == {b.index for b in s.root.walk()}
 
 
@@ -54,7 +58,7 @@ def test_degenerate_structure_without_children():
     # sequence generator still emits the root member run
     seqs = generate_movement_sequences(s)
     assert len(seqs) == 1
-    assert seqs[0].movements == (1, 2)
+    assert seqs[0] == (1, 2)
 
 
 def test_sequence_to_classes():
@@ -62,7 +66,7 @@ def test_sequence_to_classes():
     ens = perfect_ensemble(s)
     seq = generate_movement_sequences(s)[0]
     classes = sequence_to_classes(seq, s, ens.binding)
-    assert classes == tuple(ens.binding.class_of_movement(m) for m in seq.movements)
+    assert classes == tuple(ens.binding.class_of_movement(m) for m in seq)
 
 
 def test_sample_object_sequences():

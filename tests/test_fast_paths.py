@@ -46,7 +46,6 @@ from ctxclf.context import (
     ROOT,
     Binding,
     BoxNode,
-    ConstraintTable,
     ContextStructure,
     Movement,
     derive_constraints,
@@ -184,14 +183,14 @@ def test_one_pass_mi_is_bit_equal_to_dict_loop(problem):
 def test_mask_columns_equal_list_indexing(d, picks, rows, seed):
     """The prebuilt column array takes the bits the per-call list index took."""
     selected = tuple(sorted({p for p in picks if p < d}))
-    mask = FeatureMask(selected=selected, source_dim=d, scores=(0.0,) * d)
+    mask = FeatureMask(selected=selected, scores=(0.0,) * d)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(d if rows is None else (rows, d))
     assert mask.apply(x).tobytes() == x[..., list(selected)].tobytes()
     assert mask.apply(x).shape == x[..., list(selected)].shape
     assert mask.apply(x.tolist()).tobytes() == x[..., list(selected)].tobytes()
     assert not mask._columns.flags.writeable and mask._columns.dtype == np.intp
-    twin = FeatureMask(selected=selected, source_dim=d, scores=(0.0,) * d)
+    twin = FeatureMask(selected=selected, scores=(0.0,) * d)
     assert twin == mask and hash(twin) == hash(mask) and "_columns" not in repr(mask)
 
 
@@ -601,7 +600,7 @@ def repair_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     perms = list(itertools.permutations(range(1, C + 1)))
     picks = rng.choice(len(perms), size=draw(st.integers(1, min(len(perms), 60))), replace=False)
-    feasible = [Binding(num_classes=C, secondary=perms[i]) for i in np.sort(picks)]
+    feasible = [Binding(perms[i]) for i in np.sort(picks)]
     return tuple(int(v) for v in rng.permutation(C) + 1), feasible
 
 
@@ -898,7 +897,7 @@ def test_train_plain_is_the_root_box_fit(six_class_data, algorithm):
     ensemble = train_ensemble(structure, feasible_set(structure)[0], X, y, spec, 0.5)
     assert box_fits(plain) == {ROOT: box_fits(ensemble)[ROOT]}
     assert plain.structure.root == BoxNode(ROOT, None, tuple(range(1, 7)))
-    assert plain.binding == Binding(num_classes=6, secondary=tuple(range(1, 7)))
+    assert plain.binding == Binding(tuple(range(1, 7)))
     next_box, meaning = plain.transitions
     assert next_box == {ROOT: dict.fromkeys(range(1, 7), ROOT)}
     assert meaning == {ROOT: {c: c for c in range(1, 7)}}
@@ -1067,7 +1066,7 @@ def recursive_movement_sequences(structure):
     """The recursive visitor that built generate_movement_sequences before BoxNode.paths (the oracle)."""
     root = structure.root
     if not root.children:
-        return [evaluation.MovementSequence(root.member_movements(), (root.index,))]
+        return [root.member_movements()]
     sequences = []
 
     def descend(box, prefix_moves, prefix_path):
@@ -1081,7 +1080,7 @@ def recursive_movement_sequences(structure):
                 descend(child, moves, path)
         else:
             moves.extend(b.opener for b in reversed(path) if not b.is_root)
-            sequences.append(evaluation.MovementSequence(tuple(moves), tuple(b.index for b in path)))
+            sequences.append(tuple(moves))
 
     descend(root, [], [])
     return sequences
@@ -1160,7 +1159,7 @@ def test_box_paths_refuse_a_repeated_class_in_a_box(root, refusal):
     6 is bound to class 3, box 2's closer, which train_ensemble refuses. describe() and the
     movement sequences do not read classes per slot, and still equal their recursive oracles."""
     structure = ContextStructure(3, tuple(Movement(m) for m in range(1, 7)), root)
-    binding = Binding(num_classes=3, secondary=(1, 2, 3))
+    binding = Binding((1, 2, 3))
     ensemble = ContextEnsemble(structure, binding, {}, {}, ({}, {}))  # describe() reads no table
     with pytest.raises(DuplicateClassInBox, match=f"^{re.escape(refusal)}$"):
         machine(structure, binding)
@@ -1241,7 +1240,7 @@ def permitted_tables(draw):
 @given(permitted_tables())
 def test_ordered_loop_equals_recursive_enumerator_on_any_table(problem):
     C, permitted, groups = problem
-    got = [b.secondary for b in enumerate_feasible(ConstraintTable(C, permitted))]
+    got = [b.secondary for b in enumerate_feasible(permitted)]
     assert got == recursive_enumerate(C, permitted, groups)
 
 
@@ -1257,7 +1256,7 @@ def test_ordered_loop_equals_recursive_enumerator_on_any_table(problem):
 def test_ordered_loop_equals_recursive_enumerator_on_structures(structure):
     permitted, groups = box_constraints(structure)
     table = derive_constraints(structure)
-    assert table.permitted == permitted
+    assert table == permitted
     got = [b.secondary for b in enumerate_feasible(table)]
     assert got == recursive_enumerate(structure.num_classes, permitted, groups)
     assert got == sorted(got)
@@ -1266,7 +1265,7 @@ def test_ordered_loop_equals_recursive_enumerator_on_structures(structure):
 def test_ordered_loop_equals_recursive_enumerator_on_the_table_file():
     raw = json.loads((STRUCTURES / "unconstrained_c5_table.json").read_text())
     permitted = {int(k): tuple(v) for k, v in raw["permitted"].items()}
-    got = [b.secondary for b in enumerate_feasible(ConstraintTable(raw["num_classes"], permitted))]
+    got = [b.secondary for b in enumerate_feasible(permitted)]
     assert got == recursive_enumerate(raw["num_classes"], permitted, []) == list(
         itertools.permutations(range(1, 6))
     )
@@ -1418,7 +1417,7 @@ def test_one_machine_per_structure_and_binding():
     assert train_plain(X, y, spec).transitions[1] is train_plain(X, y, spec).transitions[1]
     assert [b for b, _ in machine(structure, binding)[0]] == list(structure.root.walk())
 
-    infeasible = Binding(num_classes=6, secondary=tuple(range(1, 7)))
+    infeasible = Binding(tuple(range(1, 7)))
     assert infeasible not in feasible_set(structure)
     before = machine.cache_info()
     for _ in range(2):

@@ -129,7 +129,7 @@ def test_select_features_count_and_ties():
 
 
 def test_mask_apply_and_validation():
-    mask = FeatureMask(selected=(0, 2), source_dim=4, scores=(0.0,) * 4)
+    mask = FeatureMask(selected=(0, 2), scores=(0.0,) * 4)
     x = np.arange(4.0)
     assert np.array_equal(mask.apply(x), [0.0, 2.0])
     X = np.arange(8.0).reshape(2, 4)
@@ -137,10 +137,10 @@ def test_mask_apply_and_validation():
     for wrong in (np.arange(8.0), np.arange(2.0), np.arange(6.0).reshape(2, 3), np.float64(1.0)):
         with pytest.raises(DimensionMismatch, match=r"expected 4 features, got \("):
             mask.apply(wrong)
-    with pytest.raises(ValueError):
-        FeatureMask(selected=(2, 0), source_dim=4, scores=())
-    with pytest.raises(ValueError):
-        FeatureMask(selected=(0, 9), source_dim=4, scores=())
+    with pytest.raises(ValueError, match="^selected indices must be strictly increasing$"):
+        FeatureMask(selected=(2, 0), scores=(0.0,) * 4)
+    with pytest.raises(ValueError, match="^selected index out of range$"):
+        FeatureMask(selected=(0, 9), scores=(0.0,) * 4)
 
 
 def test_feature_vector_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctxclf import context, optimize
-from ctxclf.context import Binding, ConstraintTable
+from ctxclf.context import Binding
 from ctxclf.errors import InfeasibleStructure
 from ctxclf.optimize import (
     EAParams,
@@ -200,7 +200,7 @@ def test_feasible_set_is_refused_from_its_count(monkeypatch):
     monkeypatch.setattr(context, "Binding", lambda *a, **k: pytest.fail("a binding was built"))
     with pytest.raises(InfeasibleStructure, match="feasible set of size 1334961 exceeds"):
         feasible_set(flat_structure(10))
-    empty = ConstraintTable(3, {1: (1, 2), 2: (1, 2), 3: (1, 2)})
+    empty = {1: (1, 2), 2: (1, 2), 3: (1, 2)}
     monkeypatch.setattr(optimize, "derive_constraints", lambda structure: empty)
     with pytest.raises(InfeasibleStructure, match="feasible set is empty"):
         feasible_set(flat_structure(3))
@@ -215,7 +215,7 @@ def test_feasible_set_runs_the_subset_dp_once(monkeypatch):
 
 
 def test_ea_singleton_feasible_set():
-    b = Binding(num_classes=3, secondary=(2, 3, 1))
+    b = Binding((2, 3, 1))
     best, value, trace = ea_search([b], Fitness(synthetic_fitness), EAParams(), 0)
     assert best is b
     assert len(trace) == 1

@@ -68,7 +68,7 @@ def test_generated_sequences_return_to_root():
         for seq in generate_movement_sequences(s):
             state = initial_state(ens)
             classes = sequence_to_classes(seq, s, ens.binding)
-            for movement, cls in zip(seq.movements, classes):
+            for movement, cls in zip(seq, classes):
                 j, interpreted, state = step(ens, state, obj(cls))
                 assert j == cls
                 assert interpreted == movement
@@ -119,7 +119,7 @@ def test_train_ensemble_rejects_infeasible_binding():
     s = structure_file("five_class")
     X, y = scalar_training_data(5)
     # movement 6 would repeat the class of box 1's closer (movement 3)
-    bad = Binding(num_classes=5, secondary=(3, 1, 2, 4, 5))
+    bad = Binding((3, 1, 2, 4, 5))
     with pytest.raises(DuplicateClassInBox):
         train_ensemble(s, bad, X, y, ClassifierSpec(), 1.0)
 

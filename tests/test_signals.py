@@ -78,18 +78,22 @@ def test_save_load_round_trip(tmp_path):
             [("é" * 127, 1), ("y", 2)],  # 133 characters, 260 bytes of UTF-8
             r"^record 'é{127}': file name 'é{127}_1\.csv' is 260 bytes, over 255$",
         ),
+        (
+            [("\ud800", 1), ("y", 2)],  # a lone surrogate, which the file-system encoding cannot carry
+            r"^record '\\ud800': file name '\\ud800_1\.csv' cannot be encoded$",
+        ),
     ],
     ids=[
         "repeated-name", "path-in-id", "empty-id", "label-only-id", "nul-in-id", "long-id",
-        "long-utf8-id",
+        "long-utf8-id", "surrogate-id",
     ],
 )
 def test_save_refuses_a_record_it_cannot_write_under_its_own_name(tmp_path, ids, message):
     """Each record gets its own file in records/ or nothing is written, the directory
     included: before, the first case saved 4 records that loaded back as 2, the second
     wrote `escaped_1.csv` beside records/, the next two wrote `_1.csv`, which load_signalset
-    refuses, and the last three wrote meta.json and records/ before the OS refused the name
-    (a NUL byte, or a name over 255 bytes)."""
+    refuses, the next three wrote meta.json and records/ before the OS refused the name
+    (a NUL byte, or a name over 255 bytes), and the last escaped as a UnicodeEncodeError."""
     records = tuple(SignalRecord(rid, np.zeros((1, 32)), 1000, label) for rid, label in ids)
     sset = SignalSet(records=records, num_classes=2, num_channels=1, sample_rate_hz=1000)
     with pytest.raises(SignalsetError, match=message):
