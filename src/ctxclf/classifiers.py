@@ -102,16 +102,16 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generato
     table of left class counts over the node's p present classes, then the
     Gini impurities with the expressions of a one-column scan, so each has
     the same bits. The lowest impurity wins; ties go to the first feature in
-    sorted order, then to the first position within it. Class counts are
-    carried down the tree, taken from the partition the threshold makes.
+    sorted order, then to the first position within it. The children are the
+    winning column's sorted rows either side of the split, whose order no split reads.
     """
     d = X.shape[1]
     n_try = max(1, int(math.isqrt(d)))
     XT = np.ascontiguousarray(X.T)  # a node's candidate rows sort along the last axis
-    sizes = {}  # m -> (nl, nr, both stacked for the (2, n_try, m - 1, p) count table)
+    ar = np.arange(len(codes))  # the root's rows, and every node's split sizes as views of it
     feature, threshold, left, right, slot = [], [], [], [], []
     # (rows, class counts, parent node, parent's child list); right is pushed first: pre-order
-    stack = [(np.arange(len(codes)), np.bincount(codes, minlength=k), -1, None)]
+    stack = [(ar, np.bincount(codes, minlength=k), -1, None)]
     while stack:
         idx, counts, parent, side = stack.pop()
         node = len(feature)
@@ -131,14 +131,14 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generato
         # present classes only: zero columns would regroup the pairwise sum of 8 or more terms
         present = np.flatnonzero(counts)
         onehot = codes[rows][:, :-1, None] == present  # split after position i
-        if m not in sizes:
-            nl = np.arange(1, m)
-            sizes[m] = (nl, m - nl, np.stack((nl, m - nl))[:, None, :, None])
-        nl, nr, n_lr = sizes[m]
+        nl, nr = ar[1:m], ar[m - 1 : 0 : -1]
         lr_counts = np.empty((2,) + onehot.shape, dtype=np.int64)
         np.cumsum(onehot, axis=1, out=lr_counts[0])
         np.subtract(counts[present], lr_counts[0], out=lr_counts[1])
-        gini = 1.0 - np.sum((lr_counts / n_lr) ** 2, axis=3)
+        shares = np.empty(lr_counts.shape)
+        np.divide(lr_counts[0], nl[:, None], out=shares[0])
+        np.divide(lr_counts[1], nr[:, None], out=shares[1])
+        gini = 1.0 - np.sum(np.square(shares, out=shares), axis=3)
         impurity = (nl * gini[0] + nr * gini[1]) / m
         impurity[xs[:, 1:] == xs[:, :-1]] = np.inf
         j, pos = divmod(int(impurity.argmin()), m - 1)
@@ -148,13 +148,11 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generato
         thr = 0.5 * (lo + hi)
         if not lo <= thr < hi:  # rounded onto hi (adjacent floats) or overflowed
             thr = lo
-        f = int(candidates[j])
-        mask = XT[f, idx] <= thr
-        left_counts = np.bincount(codes[idx[mask]], minlength=k)
-        feature[node] = f
-        threshold[node] = thr
-        stack.append((idx[~mask], counts - left_counts, node, right))
-        stack.append((idx[mask], left_counts, node, left))
+        left_counts = np.zeros(k, dtype=np.int64)
+        left_counts[present] = lr_counts[0, j, pos]  # the rows up to pos: those <= thr
+        feature[node], threshold[node] = int(candidates[j]), thr
+        stack.append((rows[j, pos + 1 :], counts - left_counts, node, right))
+        stack.append((rows[j, : pos + 1], left_counts, node, left))
     return feature, threshold, left, right, slot
 
 

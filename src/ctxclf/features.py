@@ -188,8 +188,10 @@ def _block_features(block: np.ndarray) -> np.ndarray:
 
 def extract_features(record: SignalRecord) -> FeatureVector:
     """3-level db6 decomposition per channel, five statistics per subband."""
-    values = _block_features(record.channels).ravel()
-    return FeatureVector(values=values, num_channels=record.num_channels)
+    try:
+        return FeatureVector(_block_features(record.channels).ravel(), record.num_channels)
+    except ValueError:  # the shape is right by construction: a value overflowed
+        raise SignalsetError(f"record {record.record_id}: non-finite feature values") from None
 
 
 def feature_matrix(sset: SignalSet) -> tuple[np.ndarray, np.ndarray]:

@@ -313,7 +313,7 @@ def column_scan_tree(X, y, rng):
 @st.composite
 def tree_problems(draw):
     """Bootstrap-like rows of one column kind, 2 to 8 labels, from n = 2 and d = 1 up."""
-    n = draw(st.sampled_from([2, 3]) | st.integers(2, 96))
+    n = draw(st.sampled_from([2, 3]) | st.integers(2, 200))
     d = draw(st.sampled_from([1]) | st.integers(1, 20))
     k = draw(st.sampled_from([8]) | st.integers(2, 8))  # 8 labels: numpy sums a count row pairwise
     kind = draw(st.sampled_from(["continuous", "integer", "tied"]))
@@ -375,6 +375,44 @@ def test_one_pass_tree_with_eight_labels(kind):
             X = rng.integers(0, 6, X.shape).astype(np.float64)
         y = np.concatenate([np.arange(1, 9), rng.integers(1, 9, 72)])
         assert_same_tree(X, y, seed)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer", "tied"])
+@pytest.mark.parametrize("labels", [12, 20])
+def test_one_pass_tree_with_many_labels(labels, kind):
+    """Up to MAX_CLASSES labels: nodes on the way down hold from 20 present classes to 1.
+
+    From 8 present classes up numpy sums a count row pairwise, so these
+    nodes check that the one-pass table keeps the oracle's grouping.
+    """
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, 16)) * 10.0
+        if kind == "integer":
+            X = rng.integers(0, 6, X.shape).astype(np.float64)
+        elif kind == "tied":
+            X = rng.integers(0, 2, X.shape).astype(np.float64)
+        y = np.concatenate([np.arange(1, labels + 1), rng.integers(1, labels + 1, 200 - labels)])
+        assert_same_tree(X, y, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems(), st.integers(0, 2**32 - 1))
+def test_tree_does_not_depend_on_row_order(problem, perm_seed):
+    """Permuted rows grow the same tree and leave the same RNG state.
+
+    A node hands its children its sorted rows, not the rows in their first
+    order; that is only safe if no split reads the order of its rows.
+    """
+    X, y, seed = problem
+    perm = np.random.default_rng(perm_seed).permutation(len(y))
+    codes = np.searchsorted(np.unique(y), y)
+    k = int(codes.max()) + 1
+    first, permuted = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert classifiers._grow_tree(X[perm], codes[perm], k, permuted) == classifiers._grow_tree(
+        X, codes, k, first
+    )
+    assert permuted.bit_generator.state == first.bit_generator.state
 
 
 def vector_predict(model, x):
@@ -762,7 +800,7 @@ def test_block_extract_features_equals_channel_loop(record):
     if np.all(np.isfinite(expected)):
         assert extract_features(record).values.tobytes() == expected.tobytes()
     else:
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(SignalsetError, match="^record r: non-finite"):
             extract_features(record)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf.errors import CtxclfError, DimensionMismatch
+from ctxclf.errors import CtxclfError, DimensionMismatch, SignalsetError
 from ctxclf.features import (
     FEATURE_NAMES,
     SUBBAND_NAMES,
@@ -14,6 +14,7 @@ from ctxclf.features import (
     mutual_information,
     select_features,
 )
+from ctxclf.signals import SignalRecord, SignalSet
 from conftest import ar_coefficients, slope_sign_changes, toy_signalset
 
 
@@ -94,6 +95,21 @@ def test_mi_scores_refuse_non_finite_values(bad):
     X[4, 1] = bad
     for call in (lambda: select_features(X, y), lambda: mutual_information(X[:, 1], y)):
         with pytest.raises(ValueError, match="non-finite feature values"):
+            call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_window_names_its_record():
+    """One window of +-1e308 is refused as feature_matrix refuses the record, by its id.
+
+    The finite samples overflow in the subband statistics; the warnings the
+    one-window path emits on the way are left as they are.
+    """
+    big = SignalRecord("big", np.tile([1e308, -1e308], (1, 128)), 1000, 1)
+    small = SignalRecord("small", np.ones((1, 256)), 1000, 2)
+    sset = SignalSet((big, small), num_classes=2, num_channels=1, sample_rate_hz=1000)
+    for call in (lambda: extract_features(big), lambda: feature_matrix(sset)):
+        with pytest.raises(SignalsetError, match="^record big: non-finite feature values$"):
             call()
 
 
