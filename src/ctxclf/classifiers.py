@@ -75,14 +75,11 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
         rng = derive_rng(spec.seed, "forest")
         codes = np.searchsorted(classes, y)  # vote slot of each row's label
         trees = []
-        n = len(y)
         for _ in range(spec.num_trees):
-            boot = rng.integers(0, n, size=n)
+            boot = rng.integers(0, len(y), size=len(y))
             trees.append(_grow_tree(X[boot], codes[boot], len(classes), rng))
         params = {"trees": trees}
-    return TrainedModel(
-        algorithm=spec.algorithm, classes=classes, dimension=X.shape[1], params=params
-    )
+    return TrainedModel(spec.algorithm, classes, X.shape[1], params)
 
 
 def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
@@ -98,12 +95,15 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generato
     leaf tests, in pre-order. That draw order is part of the output: every
     later draw of ``rng``, the next tree's bootstrap too, depends on it.
 
-    A node scores all its candidate splits in one pass: an (n_try, m - 1, p)
-    table of left class counts over the node's p present classes, then the
-    Gini impurities with the expressions of a one-column scan, so each has
-    the same bits. The lowest impurity wins; ties go to the first feature in
-    sorted order, then to the first position within it. The children are the
-    winning column's sorted rows either side of the split, whose order no split reads.
+    A node scores all its candidate splits in one pass: (n_try, m - 1, p)
+    tables of left and right class counts over its p present classes, the
+    right one last split first, so both divide by the sizes 1..m-1 in order.
+    Each Gini impurity is still a one-column scan's float operations on the
+    same operands, only with size * gini taken as gini * size (an IEEE
+    product does not depend on the order), so it has the scan's bits. The
+    lowest impurity wins; ties go to the first feature in sorted order, then
+    to the first position within it. The children are the winning column's
+    sorted rows either side of the split, whose order no split reads.
     """
     d = X.shape[1]
     n_try = max(1, int(math.isqrt(d)))
@@ -131,15 +131,15 @@ def _grow_tree(X: np.ndarray, codes: np.ndarray, k: int, rng: np.random.Generato
         # present classes only: zero columns would regroup the pairwise sum of 8 or more terms
         present = np.flatnonzero(counts)
         onehot = codes[rows][:, :-1, None] == present  # split after position i
-        nl, nr = ar[1:m], ar[m - 1 : 0 : -1]
         lr_counts = np.empty((2,) + onehot.shape, dtype=np.int64)
-        np.cumsum(onehot, axis=1, out=lr_counts[0])
-        np.subtract(counts[present], lr_counts[0], out=lr_counts[1])
-        shares = np.empty(lr_counts.shape)
-        np.divide(lr_counts[0], nl[:, None], out=shares[0])
-        np.divide(lr_counts[1], nr[:, None], out=shares[1])
-        gini = 1.0 - np.sum(np.square(shares, out=shares), axis=3)
-        impurity = (nl * gini[0] + nr * gini[1]) / m
+        np.add.accumulate(onehot, axis=1, dtype=np.int64, out=lr_counts[0])
+        np.subtract(counts[present], lr_counts[0, :, ::-1], out=lr_counts[1])  # last split first
+        shares = np.divide(lr_counts, ar[1:m, None])  # both sides: sizes 1..m-1 in their order
+        gini = np.add.reduce(np.square(shares, out=shares), axis=3)
+        np.subtract(1.0, gini, out=gini)
+        gini *= ar[1:m]
+        impurity = gini[0] + gini[1, :, ::-1]
+        impurity /= m
         impurity[xs[:, 1:] == xs[:, :-1]] = np.inf
         j, pos = divmod(int(impurity.argmin()), m - 1)
         if impurity[j, pos] == np.inf:
