@@ -32,13 +32,12 @@ class FeatureVector:
     """A record's feature values, laid out channel by channel, subband by subband."""
 
     values: np.ndarray
-    num_channels: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        expected = self.num_channels * len(SUBBAND_NAMES) * FEATURES_PER_SUBBAND
-        if v.shape != (expected,):
-            raise ValueError(f"expected {expected} features, got {v.shape}")
+        per_channel = len(SUBBAND_NAMES) * FEATURES_PER_SUBBAND
+        if v.ndim != 1 or len(v) % per_channel:
+            raise ValueError(f"expected a 1-D multiple of {per_channel} features, got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("non-finite feature values")
         object.__setattr__(self, "values", v)
@@ -137,9 +136,11 @@ def _levinson(r: np.ndarray) -> np.ndarray:
 
 
 def _slope_sign_flags(block: np.ndarray) -> np.ndarray:
-    """Whether the slope changes sign at each interior sample of each row: (rows, n - 2)."""
+    """Whether the slope changes sign at each interior sample of each row: (rows, n - 2),
+    by the slopes' signs, as a product of two tiny slopes underflows to 0."""
     d = block[:, 1:] - block[:, :-1]
-    return d[:, :-1] * d[:, 1:] < 0
+    up, down = d > 0, d < 0
+    return (up[:, :-1] & down[:, 1:]) | (down[:, :-1] & up[:, 1:])
 
 
 @lru_cache(maxsize=256)
@@ -189,7 +190,7 @@ def _block_features(block: np.ndarray) -> np.ndarray:
 def extract_features(record: SignalRecord) -> FeatureVector:
     """3-level db6 decomposition per channel, five statistics per subband."""
     try:
-        return FeatureVector(_block_features(record.channels).ravel(), record.num_channels)
+        return FeatureVector(_block_features(record.channels).ravel())
     except ValueError:  # the shape is right by construction: a value overflowed
         raise SignalsetError(f"record {record.record_id}: non-finite feature values") from None
 

@@ -42,7 +42,7 @@ class SignalRecord:
                 f"record {self.record_id}: {ch.shape[1]} samples, need >= {MIN_SAMPLES}"
             )
         if self.sample_rate_hz <= 0:
-            raise ValueError(f"record {self.record_id}: sample_rate_hz must be positive")
+            raise SignalsetError(f"record {self.record_id}: sample_rate_hz must be positive")
         object.__setattr__(self, "channels", ch)
 
     @property
@@ -56,30 +56,33 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class SignalSet:
-    """A labelled collection of records sharing channel count and rate."""
+    """Labelled records sharing channel count and rate; ``num_channels``, ``sample_rate_hz``
+    and ``num_classes`` (the labels are exactly 1..num_classes) are read from them."""
 
     records: tuple[SignalRecord, ...]
-    num_classes: int
-    num_channels: int
-    sample_rate_hz: int
 
     def __post_init__(self):
         if not self.records:
             raise SignalsetError("signal set contains no records")
+        channels, rate = self.records[0].num_channels, self.records[0].sample_rate_hz
         for r in self.records:
-            if r.num_channels != self.num_channels:
+            if r.num_channels != channels:
                 raise SignalsetError(
-                    f"record {r.record_id}: {r.num_channels} channels, expected {self.num_channels}"
+                    f"record {r.record_id}: {r.num_channels} channels, expected {channels}"
                 )
-            if r.sample_rate_hz != self.sample_rate_hz:
-                raise ValueError(f"record {r.record_id}: sample rate differs from set")
-            if not 1 <= r.class_label <= self.num_classes:
-                raise ValueError(
-                    f"record {r.record_id}: label {r.class_label} outside 1..{self.num_classes}"
-                )
-        missing = set(range(1, self.num_classes + 1)) - {r.class_label for r in self.records}
-        if missing:
-            raise SignalsetError(f"classes without records: {sorted(missing)}")
+            if r.sample_rate_hz != rate:
+                raise SignalsetError(f"record {r.record_id}: {r.sample_rate_hz} Hz, expected {rate}")
+        labels = {r.class_label for r in self.records}
+        C = len(labels)
+        if labels != set(range(1, C + 1)):  # then some label lies outside 1..C
+            bad = next(r for r in self.records if not 1 <= r.class_label <= C)
+            raise SignalsetError(
+                f"record {bad.record_id}: label {bad.class_label}, "
+                f"but a set of {C} classes is labelled 1..{C}"
+            )
+        object.__setattr__(self, "num_classes", C)  # not fields, like FeatureMask.source_dim
+        object.__setattr__(self, "num_channels", channels)
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def class_counts(self) -> dict[int, int]:
@@ -112,7 +115,7 @@ def load_signalset(path) -> SignalSet:
     for p in csv_paths:
         stem = p.stem
         rid, _, label_str = stem.rpartition("_")
-        if not rid or not label_str.isdigit():
+        if not rid or not (label_str.isascii() and label_str.isdigit()):
             raise SignalsetError(f"record file {p.name}: expected <id>_<label>.csv")
         label = int(label_str)
         if not 1 <= label <= num_classes:
@@ -126,16 +129,12 @@ def load_signalset(path) -> SignalSet:
                 class_label=label,
             )
         )
-    if num_classes > len(records):  # SignalSet would list every class without a record
+    sset = SignalSet(tuple(records))
+    if sset.num_classes != num_classes:
         raise SignalsetError(
-            f"{meta_path}: num_classes: {num_classes} classes, but {len(records)} record files"
+            f"{meta_path}: num_classes: {num_classes} classes, but the records hold {sset.num_classes}"
         )
-    return SignalSet(
-        records=tuple(records),
-        num_classes=num_classes,
-        num_channels=num_channels,
-        sample_rate_hz=sample_rate,
-    )
+    return sset
 
 
 def _meta_int(meta: dict, key: str, path: Path, least: int) -> int:
@@ -275,12 +274,7 @@ def segment(sset: SignalSet, window_ms: int) -> SignalSet:
                     class_label=r.class_label,
                 )
             )
-    return SignalSet(
-        records=tuple(out),
-        num_classes=sset.num_classes,
-        num_channels=sset.num_channels,
-        sample_rate_hz=sset.sample_rate_hz,
-    )
+    return SignalSet(tuple(out))
 
 
 def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -59,9 +59,4 @@ def synth_signalset(
                     class_label=cls,
                 )
             )
-    return SignalSet(
-        records=tuple(records),
-        num_classes=num_classes,
-        num_channels=num_channels,
-        sample_rate_hz=int(sample_rate_hz),
-    )
+    return SignalSet(tuple(records))

@@ -1,6 +1,10 @@
+import sys
 from pathlib import Path
 
 import numpy as np
+
+# before the first ctxclf import, so that the tests write no src/ctxclf/__pycache__
+sys.dont_write_bytecode = True
 
 from ctxclf import features
 from ctxclf.context import ContextStructure, load_structure, structure_from_dict, validate_structure
@@ -187,9 +191,4 @@ def toy_signalset(num_classes=3, records_per_class=6, channels=2, samples=64, se
                     class_label=cls,
                 )
             )
-    return SignalSet(
-        records=tuple(records),
-        num_classes=num_classes,
-        num_channels=channels,
-        sample_rate_hz=1000,
-    )
+    return SignalSet(tuple(records))

@@ -22,6 +22,7 @@ SLOW_DEMOS = {"04_binding_optimization.py"}
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no __pycache__ in src/, whatever the caller's environment
     result = subprocess.run(
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True
     )

@@ -745,7 +745,8 @@ def test_side_by_side_subband_sums_equal_each_half_summed_alone():
 
 def loop_slope_sign_changes(x):
     d = np.diff(np.asarray(x, dtype=np.float64))
-    return int(np.sum(d[:-1] * d[1:] < 0))
+    up, down = d > 0, d < 0  # signs, not a product, which underflows on tiny slopes
+    return int(np.sum((up[:-1] & down[1:]) | (down[:-1] & up[1:])))
 
 
 def loop_feature_values(record):
@@ -817,7 +818,7 @@ def ragged_signalsets(draw):
     for i in range(draw(st.integers(2, 14))):
         n = draw(st.sampled_from(lengths))
         recs.append(SignalRecord(f"r{i}", draw(channel_rows(C, n)), 1000, 1 + i % 2))
-    return SignalSet(tuple(recs), num_classes=2, num_channels=C, sample_rate_hz=1000)
+    return SignalSet(tuple(recs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1648,7 +1649,7 @@ def shuffled_signalsets(draw):
     records = tuple(
         SignalRecord(f"r{j}", np.zeros((1, 16)), 1000, int(c)) for j, c in zip(ids, labels)
     )
-    return SignalSet(records=records, num_classes=C, num_channels=1, sample_rate_hz=1000)
+    return SignalSet(records)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1843,9 +1844,7 @@ def odd_valued_signalset():
     channels = sset.records[0].channels.copy()
     channels[:, :6] = [[-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1 / 3]] * 2
     first = SignalRecord("odd", channels, sset.sample_rate_hz, sset.records[0].class_label)
-    return SignalSet(
-        (first,) + sset.records[1:], sset.num_classes, sset.num_channels, sset.sample_rate_hz
-    )
+    return SignalSet((first,) + sset.records[1:])
 
 
 def test_save_signalset_bytes_equal_per_scalar_writer(tmp_path, odd_valued_signalset):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ctxclf.errors import CtxclfError, DimensionMismatch, SignalsetError
 from ctxclf.features import (
     FEATURE_NAMES,
+    FEATURES_PER_SUBBAND,
     SUBBAND_NAMES,
     FeatureMask,
     FeatureVector,
@@ -107,10 +110,23 @@ def test_overflowing_window_names_its_record():
     """
     big = SignalRecord("big", np.tile([1e308, -1e308], (1, 128)), 1000, 1)
     small = SignalRecord("small", np.ones((1, 256)), 1000, 2)
-    sset = SignalSet((big, small), num_classes=2, num_channels=1, sample_rate_hz=1000)
+    sset = SignalSet((big, small))
     for call in (lambda: extract_features(big), lambda: feature_matrix(sset)):
         with pytest.raises(SignalsetError, match="^record big: non-finite feature values$"):
             call()
+
+
+def test_slope_sign_changes_do_not_depend_on_scale():
+    """The SSC counts of a window are the same at any scale: a product of two slopes of
+    1e-200 underflows to 0, which counted no sign change at all."""
+    window = np.random.default_rng(7).standard_normal((2, 256))
+    counts = [
+        extract_features(SignalRecord("w", window * scale, 1000, 1)).values[1::FEATURES_PER_SUBBAND]
+        for scale in (1.0, 1e-150, 1e-200, 1e-300)
+    ]
+    assert counts[0].min() > 0
+    for other in counts[1:]:
+        assert other.tolist() == counts[0].tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -160,7 +176,12 @@ def test_mask_apply_and_validation():
 
 
 def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.zeros(7), num_channels=1)
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.full(20, np.nan), num_channels=1)
+    with pytest.raises(ValueError, match=r"^expected a 1-D multiple of 20 features, got \(7,\)$"):
+        FeatureVector(values=np.zeros(7))
+    with pytest.raises(ValueError, match=r"^expected a 1-D multiple of 20 features, got \(2, 20\)$"):
+        FeatureVector(values=np.zeros((2, 20)))
+    with pytest.raises(ValueError, match="^non-finite feature values$"):
+        FeatureVector(values=np.full(20, np.nan))
+    vector = FeatureVector(values=np.zeros(40))
+    assert vector.values.shape == (40,)
+    assert [f.name for f in dataclasses.fields(vector)] == ["values"]

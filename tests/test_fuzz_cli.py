@@ -195,6 +195,28 @@ def test_one_mutation_ends_in_an_exit_code_and_one_line(base_dir, case):
             assert sorted(work.rglob("*")) == before  # no output directory, no partial file
 
 
+
+@pytest.mark.parametrize("command", ["run", "optimize"])
+@pytest.mark.parametrize(
+    "name",
+    ["x_².csv", "x_١.csv", "x_0.csv", "_1.csv", f"x_{HUGE}.csv"],
+    ids=["superscript-label", "arabic-indic-label", "label-0", "empty-id", "huge-label"],
+)
+def test_a_bad_record_file_name_ends_in_one_error_line(base_dir, tmp_path, command, name):
+    """A record file whose name holds no id, a label outside 1..C or a label of non-ASCII
+    digits (which int() reads, or refuses with a traceback) is refused before a run starts."""
+    work = tmp_path / "work"
+    shutil.copytree(base_dir, work)
+    first = sorted((work / "sset" / "records").glob("*.csv"))[0]
+    first.rename(first.with_name(name))
+    before = sorted(work.rglob("*"))
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.chdir(work), contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli.main([command, "--config", FILES["config"]])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:"), lines
+    assert sorted(work.rglob("*")) == before  # no output directory
 SHAPE_RUNNER = textwrap.dedent("""
     import contextlib, io, json, resource, sys
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

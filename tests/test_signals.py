@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -21,21 +22,42 @@ def test_record_validation():
         SignalRecord("r", np.zeros((2, 8)), 1000, 1)
     with pytest.raises(SignalsetError, match=r"^record r: channels must be 2-D, got 1-D$"):
         SignalRecord("r", np.zeros(32), 1000, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalsetError, match=r"^record r: sample_rate_hz must be positive$"):
         SignalRecord("r", np.zeros((1, 32)), 0, 1)
 
 
 def test_set_validation():
     r = SignalRecord("a", np.zeros((2, 32)), 1000, 1)
     with pytest.raises(SignalsetError, match=r"^signal set contains no records$"):
-        SignalSet(records=(), num_classes=1, num_channels=2, sample_rate_hz=1000)
-    with pytest.raises(SignalsetError, match=r"^classes without records: \[2\]$"):
-        SignalSet(records=(r,), num_classes=2, num_channels=2, sample_rate_hz=1000)
-    with pytest.raises(SignalsetError, match=r"^record a: 2 channels, expected 3$"):
-        SignalSet(records=(r,), num_classes=1, num_channels=3, sample_rate_hz=1000)
-    with pytest.raises(ValueError):
-        bad = SignalRecord("b", np.zeros((2, 32)), 500, 1)
-        SignalSet(records=(r, bad), num_classes=1, num_channels=2, sample_rate_hz=1000)
+        SignalSet(records=())
+    with pytest.raises(SignalsetError, match=r"^record b: 3 channels, expected 2$"):
+        SignalSet((r, SignalRecord("b", np.zeros((3, 32)), 1000, 2)))
+    with pytest.raises(SignalsetError, match=r"^record b: 500 Hz, expected 1000$"):
+        SignalSet((r, SignalRecord("b", np.zeros((2, 32)), 500, 1)))
+    labelled = r"^record b: label 3, but a set of 2 classes is labelled 1\.\.2$"
+    with pytest.raises(SignalsetError, match=labelled):
+        SignalSet((r, SignalRecord("b", np.zeros((2, 32)), 1000, 3)))
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [((2,), 2), ((0, 1), 0), ((1, -1, 2), -1), ((1, 2**64), 2**64), ((1, 2, 2, 4), 4)],
+    ids=["no-class-1", "zero", "negative", "huge", "gap"],
+)
+def test_set_labels_must_be_one_to_the_number_of_classes(labels, bad):
+    """A set's classes are its distinct labels, which must be exactly 1..C; a label of
+    2**64 costs no range of that size, and the message names the first record outside."""
+    records = tuple(SignalRecord(f"r{i}", np.zeros((1, 32)), 1000, c) for i, c in enumerate(labels))
+    C, first = len(set(labels)), labels.index(bad)
+    message = rf"^record r{first}: label {bad}, but a set of {C} classes is labelled 1\.\.{C}$"
+    with pytest.raises(SignalsetError, match=message):
+        SignalSet(records)
+
+
+def test_set_reads_its_sizes_from_its_records():
+    sset = SignalSet(tuple(SignalRecord(f"r{c}", np.zeros((3, 32)), 250, c) for c in (2, 1, 3, 2)))
+    assert (sset.num_classes, sset.num_channels, sset.sample_rate_hz) == (3, 3, 250)
+    assert [f.name for f in dataclasses.fields(sset)] == ["records"]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -95,7 +117,7 @@ def test_save_refuses_a_record_it_cannot_write_under_its_own_name(tmp_path, ids,
     refuses, the next three wrote meta.json and records/ before the OS refused the name
     (a NUL byte, or a name over 255 bytes), and the last escaped as a UnicodeEncodeError."""
     records = tuple(SignalRecord(rid, np.zeros((1, 32)), 1000, label) for rid, label in ids)
-    sset = SignalSet(records=records, num_classes=2, num_channels=1, sample_rate_hz=1000)
+    sset = SignalSet(records)
     with pytest.raises(SignalsetError, match=message):
         save_signalset(sset, tmp_path / "s")
     assert list(tmp_path.iterdir()) == []
@@ -147,10 +169,13 @@ def rename_first_record(name: str):
         ),
         (rewrite_first_record(b"c1,c2\n\xff,1.0\n"), r"^record c1r0_1: not UTF-8 text$"),
         (rename_first_record("c1r0_3.csv"), r"^record c1r0_3: label 3 outside 1\.\.2$"),
+        # a superscript two and an Arabic-Indic one are digits to str.isdigit, not to the loader
+        (rename_first_record("odd_².csv"), r"^record file odd_²\.csv: expected <id>_<label>\.csv$"),
+        (rename_first_record("odd_١.csv"), r"^record file odd_١\.csv: expected <id>_<label>\.csv$"),
     ],
     ids=[
         "no-meta", "no-records", "bad-file-name", "header-width", "ragged-row", "non-finite",
-        "not-utf8", "label-out-of-range",
+        "not-utf8", "label-out-of-range", "superscript-label", "arabic-indic-label",
     ],
 )
 def test_every_fault_of_a_signalset_directory_is_a_signalset_error(tmp_path, fault, message):
@@ -238,10 +263,12 @@ def test_stratified_folds_too_few():
         ("num_channels", 0, "must be >= 1, got 0"),
         ("sample_rate_hz", 0, "must be >= 1, got 0"),
         ("sample_rate_hz", -1000, "must be >= 1, got -1000"),
-        ("num_classes", 2**64, f"{2**64} classes, but 6 record files"),
+        ("num_classes", 2**64, f"{2**64} classes, but the records hold 2"),
+        ("num_classes", 3, "3 classes, but the records hold 2"),
     ],
     ids=[
-        "float", "string", "bool", "one-class", "no-channels", "zero-rate", "negative-rate", "huge"
+        "float", "string", "bool", "one-class", "no-channels", "zero-rate", "negative-rate", "huge",
+        "more-classes-than-labels",
     ],
 )
 def test_meta_fields_are_strict_integers(tmp_path, key, value, fragment):
