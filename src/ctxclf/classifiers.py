@@ -47,6 +47,8 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise ValueError("X must be 2-D with one row per label")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite training rows")
     classes = tuple(sorted(set(y.tolist())))

@@ -251,11 +251,10 @@ def _evaluate_system(system, class_sequences, X, pools, R, rng, cache) -> list[t
     its first miss (see first_miss), all that ZO and SqCov read of it.
     """
     tables = predict_tables(system, X, cache)
-    transitions, _ = system.transitions
     scored = []
     for classes in class_sequences:
         for objects in sample_object_sequences(classes, pools, R, rng):
-            scored.append((first_miss(transitions, tables, objects, classes), len(classes)))
+            scored.append((first_miss(system.transitions, tables, objects, classes), len(classes)))
     return scored
 
 

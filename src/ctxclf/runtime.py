@@ -25,11 +25,9 @@ from ctxclf.features import FeatureMask, select_features
 class ContextEnsemble:
     structure: ContextStructure
     binding: Binding
-    masks: dict[int, FeatureMask] = field(compare=False)  # box index -> mask
-    models: dict[int, TrainedModel] = field(compare=False)
-    # ({box: {class: box after it}}, {box: {class: movement it means}}), the tables of
-    # machine(structure, binding): step reads them with no cache lookup per window
-    transitions: tuple = field(compare=False)
+    fits: dict[int, tuple[FeatureMask, TrainedModel]] = field(compare=False)  # of _fit_box
+    # machine(structure, binding): step reads it with no cache lookup per window
+    transitions: dict[int, dict[int, tuple[int, int]]] = field(compare=False)
 
     def describe(self) -> str:
         """Render the box tree with per-box movement/class tables."""
@@ -57,9 +55,9 @@ class ContextEnsemble:
 
 
 @lru_cache(maxsize=256)
-def machine(structure: ContextStructure, binding: Binding) -> tuple:
-    """(((box, its classes), ...) in pre-order, {box: {class: box after it}}, {box: {class:
-    movement it means}}), built once per (structure, binding) and shared: never mutate it.
+def machine(structure: ContextStructure, binding: Binding) -> dict:
+    """{box: {class: (movement it means, box after it)}}, boxes in pre-order and classes in
+    local_classes order, built once per (structure, binding) and shared: never mutate it.
 
     Pushes and pops always follow the root-to-box path, so the machine's state is the
     current box alone. A box's slots (closer first, then members) take their classes from
@@ -67,16 +65,13 @@ def machine(structure: ContextStructure, binding: Binding) -> tuple:
     any other member stays. A box with a repeated class raises DuplicateClassInBox on every
     call, as the cache keeps no exception.
     """
-    boxes, next_box, meaning = [], {}, {}
+    table = {}
     for path in structure.root.paths():
         box = path[-1]
-        classes = local_classes(binding, box)
         after = [p.index for p in path[-2:-1]] + [box.index] * len(box.internal_movements)
         after += [c.index for c in box.children]  # the box each slot leads to, slot for slot
-        boxes.append((box, classes))
-        next_box[box.index] = dict(zip(classes, after))
-        meaning[box.index] = dict(zip(classes, box.slots()))
-    return tuple(boxes), next_box, meaning
+        table[box.index] = dict(zip(local_classes(binding, box), zip(box.slots(), after)))
+    return table
 
 
 @dataclass
@@ -119,20 +114,17 @@ def train_ensemble(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     try:
-        boxes, next_box, meaning = machine(structure, binding)
+        transitions = machine(structure, binding)
     except DuplicateClassInBox:
         raise DuplicateClassInBox("binding is infeasible for this structure") from None
     present = set(y.tolist())
-    masks: dict[int, FeatureMask] = {}
-    models: dict[int, TrainedModel] = {}
-    for box, classes in boxes:
+    fits = {}
+    for box, classes in transitions.items():
         for c in classes:
             if c not in present:
-                raise CtxclfError(f"box {box.index}: class {c} absent from training data")
-        masks[box.index], models[box.index] = _fit_box(
-            X, y, classes, spec, feature_fraction, memo
-        )
-    return ContextEnsemble(structure, binding, masks, models, (next_box, meaning))
+                raise CtxclfError(f"box {box}: class {c} absent from training data")
+        fits[box] = _fit_box(X, y, classes, spec, feature_fraction, memo)
+    return ContextEnsemble(structure, binding, fits, transitions)
 
 
 def train_plain(
@@ -168,17 +160,15 @@ def step(ensemble: ContextEnsemble, state: MachineState, x) -> tuple[int, int, M
     mask's width, a block included, raises DimensionMismatch.
     """
     box = state.box
-    mask = ensemble.masks[box]
+    mask, model = ensemble.fits[box]
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (mask.source_dim,):
         raise DimensionMismatch(f"expected {mask.source_dim} features, got {x.shape}")
-    j = predict(ensemble.models[box], x[mask._columns])  # the checks of mask.apply, made above
-    next_box, meaning = ensemble.transitions
+    j = predict(model, x[mask._columns])  # the checks of mask.apply, made above
     try:
-        movement = meaning[box][j]
+        movement, state.box = ensemble.transitions[box][j]
     except KeyError:  # unreachable when the model's classes are the box's
         raise DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation") from None
-    state.box = next_box[box][j]
     return j, movement, state
 
 
@@ -191,29 +181,29 @@ def predict_tables(system, X, cache: dict) -> dict[int, list[int]]:
     cache must never be shared between training sets or held-out blocks.
     """
     tables = {}
-    for i, model in system.models.items():
+    for i, (mask, model) in system.fits.items():
         if model.classes not in cache:
-            cache[model.classes] = predict(model, system.masks[i].apply(X)).tolist()
+            cache[model.classes] = predict(model, mask.apply(X)).tolist()
         tables[i] = cache[model.classes]
     return tables
 
 
 def first_miss(
-    transitions: dict[int, dict[int, int]], tables: dict[int, list[int]], rows, classes
+    transitions: dict[int, dict[int, tuple[int, int]]], tables: dict[int, list[int]], rows, classes
 ) -> int:
     """1-based position of the first of ``rows`` whose predicted class is not its class in
     ``classes``, or 0 when there is none.
 
     The walk starts at the root and makes the transitions of ``step``, with
     each box model's class read from its table (see predict_tables) and the
-    next box from ``transitions`` (the first table of
-    ContextEnsemble.transitions). Up to the first miss every prediction is
-    the true class, which the box's model holds, so every transition exists.
+    next box from ``transitions`` (ContextEnsemble.transitions). Up to the
+    first miss every prediction is the true class, which the box's model
+    holds, so every transition exists.
     """
     box = ROOT
     for position, (r, c) in enumerate(zip(rows, classes), 1):
         j = tables[box][r]
         if j != c:
             return position
-        box = transitions[box][j]
+        box = transitions[box][j][1]
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,12 +38,16 @@ class SignalRecord:
         ch = np.asarray(self.channels, dtype=np.float64)
         if ch.ndim != 2:
             raise SignalsetError(f"record {self.record_id}: channels must be 2-D, got {ch.ndim}-D")
+        if ch.shape[0] == 0:
+            raise SignalsetError(f"record {self.record_id}: no channels")
         if ch.shape[1] < MIN_SAMPLES:
             raise SignalsetError(
                 f"record {self.record_id}: {ch.shape[1]} samples, need >= {MIN_SAMPLES}"
             )
-        if self.sample_rate_hz <= 0:
-            raise SignalsetError(f"record {self.record_id}: sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:  # NaN fails both; math.isfinite(10**400) raises
+            raise SignalsetError(
+                f"record {self.record_id}: {self.sample_rate_hz} Hz is not finite and positive"
+            )
         object.__setattr__(self, "channels", ch)
 
     @property

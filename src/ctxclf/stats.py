@@ -35,7 +35,10 @@ def average_ranks(per_subject_values: list[dict[str, float]]) -> dict[str, float
 
 def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     """Two-sided signed-rank test on paired samples; returns (W, p)."""
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"paired samples differ in shape: {x.shape} and {y.shape}")
+    d = x - y
     d = d[d != 0.0]
     n = len(d)
     if n == 0:

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (outside pytest's capture) so the
 run log shows the acceptance status at a glance.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -235,9 +236,14 @@ def test_09_desk_scale_trend(capsys):
     X, y = feature_matrix(sset)
     plain = train_plain(X, y, ClassifierSpec(algorithm="GaussianNB"))
     ok = ok and len(placed) == 2 * structure.num_classes
-    ok = ok and len(plain.models[plain.structure.root.index].classes) == structure.num_classes
+    ok = ok and len(plain.fits[plain.structure.root.index][1].classes) == structure.num_classes
     report(capsys, 9, "desk-scale run: OCtx >= RCtx - 0.01 and 2C vs C coverage",
            ok, "; ".join(details))
+    # the run's metrics.csv, bit for bit (its bits rest on the BLAS, as the golden digests do)
+    assert (
+        hashlib.sha256(table.to_csv().encode()).hexdigest()
+        == "6a7c6b94e5599db68e8c8e6347a018ee3e42631d53e6fb54d114c03c16c8bb08"
+    )
 
 
 def test_10_statistics_oracles(capsys):

@@ -39,6 +39,14 @@ def test_degenerate_and_shape_errors():
 
 
 @pytest.mark.parametrize("alg", ALGS)
+def test_train_refuses_zero_feature_columns(alg):
+    """Before this check RandomForest raised numpy's own error, and GaussianNB and 1-NN
+    returned a model of dimension 0."""
+    with pytest.raises(ValueError, match=r"^X has no feature columns$"):
+        train(ClassifierSpec(algorithm=alg), np.zeros((4, 0)), np.array([1, 1, 2, 2]))
+
+
+@pytest.mark.parametrize("alg", ALGS)
 def test_separable_blobs_are_learned(alg):
     X, y = _blobs()
     model = train(ClassifierSpec(algorithm=alg), X, y)

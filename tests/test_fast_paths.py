@@ -598,9 +598,9 @@ def box_fits(ensemble):
             mask.selected,
             mask.source_dim,
             np.array(mask.scores, dtype=np.float64).tobytes(),
-            model_state(ensemble.models[i]),
+            model_state(model),
         )
-        for i, mask in ensemble.masks.items()
+        for i, (mask, model) in ensemble.fits.items()
     }
 
 
@@ -943,9 +943,7 @@ def test_train_plain_is_the_root_box_fit(six_class_data, algorithm):
     assert box_fits(plain) == {ROOT: box_fits(ensemble)[ROOT]}
     assert plain.structure.root == BoxNode(ROOT, None, tuple(range(1, 7)))
     assert plain.binding == Binding(tuple(range(1, 7)))
-    next_box, meaning = plain.transitions
-    assert next_box == {ROOT: dict.fromkeys(range(1, 7), ROOT)}
-    assert meaning == {ROOT: {c: c for c in range(1, 7)}}
+    assert in_order(plain.transitions) == in_order({ROOT: {c: (c, ROOT) for c in range(1, 7)}})
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -955,7 +953,7 @@ def test_plain_sequences_equal_per_object_predict(six_class_data, algorithm):
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=1)
     train_idx, test_idx = np.arange(0, len(y), 2), np.arange(1, len(y), 2)
     plain = train_plain(X[train_idx], y[train_idx], spec)
-    model, mask = plain.models[ROOT], plain.masks[ROOT]
+    mask, model = plain.fits[ROOT]
     rng = np.random.default_rng(6)
     misses = 0
     for _ in range(30):
@@ -1042,42 +1040,41 @@ def test_transition_table_equals_transition(path):
     structure = load_structure(path)
     paths = root_to_box_paths(structure)
     for binding in feasible_set(structure):
-        next_box, meaning = machine(structure, binding)[1:]
+        table = machine(structure, binding)
         assert structure.root.index == ROOT
-        assert sorted(next_box) == sorted(meaning) == sorted(box.index for box, _ in paths)
+        assert list(table) == [box.index for box, _ in paths]
         for box, stack in paths:
             classes = local_classes(binding, box)
-            assert sorted(next_box[box.index]) == sorted(meaning[box.index]) == sorted(classes)
+            assert tuple(table[box.index]) == classes
             for j in classes:
                 after = list(stack)
                 movement = stack_transition(binding, after, j)
-                assert next_box[box.index][j] == after[-1].index
-                assert meaning[box.index][j] == movement
+                assert table[box.index][j] == (movement, after[-1].index)
 
 
 def recursive_transitions(structure, binding):
-    """The recursive visitor that built ContextEnsemble.transitions before BoxNode.paths (the oracle)."""
+    """The recursive visitor that built ContextEnsemble.transitions before BoxNode.paths (the
+    oracle), its next-box and meaning tables merged into one {box: {class: (movement, next
+    box)}} table with their insertion order."""
     class_of = binding.class_of_movement
-    next_box, meaning = {}, {}
+    table = {}
 
     def visit(box, parent):
-        nxt, means = {}, {}
-        next_box[box.index], meaning[box.index] = nxt, means
+        row = table[box.index] = {}
         if parent is not None:
-            j = class_of(box.opener)
-            nxt[j], means[j] = parent, box.opener
+            row[class_of(box.opener)] = (box.opener, parent)
         opened = {}
         for child in box.children:
             opened.setdefault(child.opener, child.index)
         for m in box.member_movements():
             j = class_of(m)
-            if j not in nxt:
-                nxt[j], means[j] = opened.get(m, box.index), m
+            if j not in row:
+                row[j] = (m, opened.get(m, box.index))
         for child in box.children:
             visit(child, box.index)
 
     visit(structure.root, None)
-    return next_box, meaning
+    return table
 
 
 def recursive_describe(structure, binding):
@@ -1177,9 +1174,9 @@ def test_box_paths_equal_the_recursive_visitors(structure):
     assert list(root.walk()) == [box for box, _ in root_to_box_paths(structure)]
     assert generate_movement_sequences(structure) == recursive_movement_sequences(structure)
     for binding in feasible_set(structure)[:50]:
-        ensemble = ContextEnsemble(structure, binding, {}, {}, machine(structure, binding)[1:])
+        ensemble = ContextEnsemble(structure, binding, {}, machine(structure, binding))
         expected = recursive_transitions(structure, binding)
-        assert [in_order(t) for t in ensemble.transitions] == [in_order(t) for t in expected]
+        assert in_order(ensemble.transitions) == in_order(expected)
         assert ensemble.describe() == recursive_describe(structure, binding)
 
 
@@ -1205,7 +1202,7 @@ def test_box_paths_refuse_a_repeated_class_in_a_box(root, refusal):
     movement sequences do not read classes per slot, and still equal their recursive oracles."""
     structure = ContextStructure(3, tuple(Movement(m) for m in range(1, 7)), root)
     binding = Binding((1, 2, 3))
-    ensemble = ContextEnsemble(structure, binding, {}, {}, ({}, {}))  # describe() reads no table
+    ensemble = ContextEnsemble(structure, binding, {}, {})  # describe() reads no table
     with pytest.raises(DuplicateClassInBox, match=f"^{re.escape(refusal)}$"):
         machine(structure, binding)
     if refusal.startswith("box 0"):
@@ -1345,12 +1342,13 @@ def test_step_rejects_a_class_with_no_meaning():
     box = min(structure.root.walk(), key=lambda b: len(b.slots()))  # box 2 holds three classes
     inside = local_classes(ensemble.binding, box)
     outside = next(c for c in range(1, 7) if c not in inside)
-    ensemble.models[box.index], ensemble.masks[box.index] = ensemble.models[0], ensemble.masks[0]
+    ensemble.fits[box.index] = ensemble.fits[0]
     state = initial_state(ensemble)
     state.box = box.index
     message = f"^box {box.index}: predicted class {outside} has no interpretation$"
     with pytest.raises(DuplicateClassInBox, match=message):
         step(ensemble, state, obj(outside))
+    assert state.box == box.index
 
 
 def walk_tables(transitions, tables, rows, box):
@@ -1360,7 +1358,7 @@ def walk_tables(transitions, tables, rows, box):
     for r in rows:
         j = tables[box][r]
         try:
-            box = transitions[box][j]
+            box = transitions[box][j][1]
         except KeyError:
             raise DuplicateClassInBox(f"box {box}: predicted class {j} has no interpretation")
         out.append(j)
@@ -1395,8 +1393,8 @@ def missing_tables(structure, binding, classes, misses):
     every box that holds it, unless the row is in ``misses``; every other prediction is
     another class of the box, so a walk never leaves the machine."""
     tables = {}
-    for box, local in machine(structure, binding)[0]:
-        tables[box.index] = [
+    for box, local in machine(structure, binding).items():
+        tables[box] = [
             c if c in local and i not in misses else next(k for k in local if k != c)
             for i, c in enumerate(classes)
         ]
@@ -1411,7 +1409,7 @@ def test_first_miss_equals_the_first_mismatch_of_the_full_walk(path):
     rng = np.random.default_rng(7)
     seen = set()
     for binding in feasible_set(structure)[:20]:
-        transitions = machine(structure, binding)[1]
+        transitions = machine(structure, binding)
         for seq in generate_movement_sequences(structure):
             classes = sequence_to_classes(seq, structure, binding)
             n = len(classes)
@@ -1458,9 +1456,9 @@ def test_one_machine_per_structure_and_binding():
     first = train_ensemble(structure, binding, X, y, spec, 1.0)
     second = train_ensemble(twin, binding, X, y, spec, 1.0)
     assert machine(structure, binding) is machine(twin, binding)
-    assert first.transitions[0] is second.transitions[0] is machine(structure, binding)[1]
-    assert train_plain(X, y, spec).transitions[1] is train_plain(X, y, spec).transitions[1]
-    assert [b for b, _ in machine(structure, binding)[0]] == list(structure.root.walk())
+    assert first.transitions is second.transitions is machine(structure, binding)
+    assert train_plain(X, y, spec).transitions is train_plain(X, y, spec).transitions
+    assert list(machine(structure, binding)) == [b.index for b in structure.root.walk()]
 
     infeasible = Binding(tuple(range(1, 7)))
     assert infeasible not in feasible_set(structure)
@@ -1494,10 +1492,10 @@ def test_step_reads_the_machine_once_per_ensemble():
 
 def test_table_walk_rejects_a_class_with_no_meaning():
     structure = structure_file("six_class")
-    next_box = machine(structure, feasible_set(structure)[0])[1]
+    transitions = machine(structure, feasible_set(structure)[0])
     message = f"^box {ROOT}: predicted class 99 has no interpretation$"
     with pytest.raises(DuplicateClassInBox, match=message):
-        walk_tables(next_box, {ROOT: [99]}, [0], ROOT)
+        walk_tables(transitions, {ROOT: [99]}, [0], ROOT)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -1535,10 +1533,10 @@ def row_indexed_tables(system, X, rows, cache):
     held-out block's tables replaced (the oracle)."""
     rows = np.asarray(rows, dtype=np.int64)
     tables = {}
-    for i, model in system.models.items():
+    for i, (mask, model) in system.fits.items():
         if model.classes not in cache:
             table = np.zeros(len(X), dtype=np.int64)
-            table[rows] = predict(model, system.masks[i].apply(X[rows]))
+            table[rows] = predict(model, mask.apply(X[rows]))
             cache[model.classes] = table.tolist()
         tables[i] = cache[model.classes]
     return tables
@@ -1564,7 +1562,7 @@ def test_held_out_tables_equal_the_row_indexed_tables(six_class_data, algorithm)
     for system in systems:
         tables = runtime.predict_tables(system, X[test_idx], cache)
         oracle = row_indexed_tables(system, X, rows, oracle_cache)
-        assert tables.keys() == oracle.keys() == system.models.keys()
+        assert tables.keys() == oracle.keys() == system.fits.keys()
         for box, table in tables.items():
             assert table == [oracle[box][r] for r in test_idx]
     assert len(cache) == len(oracle_cache) == len(memo)
@@ -2048,18 +2046,18 @@ def test_a_memoless_call_fits_each_class_set_once(six_class_data, algorithm):
     structure = load_structure(SIX_CLASS_JSON)
     spec = ClassifierSpec(algorithm=algorithm, num_trees=3, seed=2)
     binding = feasible_set(structure)[0]
-    boxes = machine(structure, binding)[0]
-    class_sets = {box.index: tuple(sorted(classes)) for box, classes in boxes}
+    boxes = machine(structure, binding)
+    class_sets = {box: tuple(sorted(classes)) for box, classes in boxes.items()}
     with mock.patch.object(runtime, "train", wraps=runtime.train) as counted:
         ensemble = train_ensemble(structure, binding, X, y, spec, 0.5)
     assert counted.call_count == len(set(class_sets.values())) < len(class_sets)
     for i, key in class_sets.items():
         for j, other in class_sets.items():
-            assert (ensemble.models[i] is ensemble.models[j]) == (key == other)
-    for box, classes in boxes:
+            assert (ensemble.fits[i][1] is ensemble.fits[j][1]) == (key == other)
+    for box, classes in boxes.items():
         mask, model = runtime._fit_box(X, y, classes, spec, 0.5, {})
-        assert ensemble.masks[box.index] == mask
-        assert model_state(ensemble.models[box.index]) == model_state(model)
+        assert ensemble.fits[box][0] == mask
+        assert model_state(ensemble.fits[box][1]) == model_state(model)
 
 
 def test_mi_scores_on_labels_that_are_not_1_to_k():

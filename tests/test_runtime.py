@@ -138,12 +138,12 @@ def test_one_model_per_box_with_local_classes():
     s = structure_file("six_class")
     ens = perfect_ensemble(s)
     boxes = list(s.root.walk())
-    assert set(ens.models) == {b.index for b in boxes}
+    assert list(ens.fits) == [b.index for b in boxes]
     from ctxclf.context import local_classes
 
     for b in boxes:
-        assert ens.models[b.index].classes == tuple(sorted(local_classes(ens.binding, b)))
-    assert ens.models[0].classes == tuple(range(1, 7))
+        assert ens.fits[b.index][1].classes == tuple(sorted(local_classes(ens.binding, b)))
+    assert ens.fits[0][1].classes == tuple(range(1, 7))
 
 
 def test_describe_lists_boxes_and_marks():
@@ -197,7 +197,7 @@ def test_describe_six_class_text():
 def test_train_plain_covers_all_classes():
     X, y = scalar_training_data(5, copies=3)
     plain = train_plain(X, y, ClassifierSpec(algorithm="NearestNeighbor"), 1.0)
-    assert plain.models[plain.structure.root.index].classes == tuple(range(1, 6))
+    assert plain.fits[plain.structure.root.index][1].classes == tuple(range(1, 6))
     state = initial_state(plain)
     for c in range(1, 6):
         assert step(plain, state, obj(c)) == (c, c, state)

@@ -22,8 +22,29 @@ def test_record_validation():
         SignalRecord("r", np.zeros((2, 8)), 1000, 1)
     with pytest.raises(SignalsetError, match=r"^record r: channels must be 2-D, got 1-D$"):
         SignalRecord("r", np.zeros(32), 1000, 1)
-    with pytest.raises(SignalsetError, match=r"^record r: sample_rate_hz must be positive$"):
+    with pytest.raises(SignalsetError, match=r"^record r: 0 Hz is not finite and positive$"):
         SignalRecord("r", np.zeros((1, 32)), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "channels, rate, refusal",
+    [
+        (np.zeros((0, 32)), 1000, "no channels"),
+        (np.zeros((2, 32)), -1, "-1 Hz is not finite and positive"),
+        (np.zeros((2, 32)), float("nan"), "nan Hz is not finite and positive"),
+        (np.zeros((2, 32)), float("inf"), "inf Hz is not finite and positive"),
+        (np.zeros((2, 32)), -float("inf"), "-inf Hz is not finite and positive"),
+    ],
+    ids=["zero-channels", "negative", "nan", "inf", "minus-inf"],
+)
+def test_record_refuses_no_channels_and_a_rate_not_finite_and_positive(channels, rate, refusal):
+    """Zero channels and a NaN or infinite rate once built a record: zero channels then raised
+    ZeroDivisionError in feature_matrix, a NaN rate a set error naming 'nan Hz, expected nan',
+    and an inf rate a bare TypeError in segment. An integer rate too large for a float is
+    still taken."""
+    with pytest.raises(SignalsetError, match=f"^record r: {re.escape(refusal)}$"):
+        SignalRecord("r", channels, rate, 1)
+    assert SignalRecord("r", np.zeros((2, 32)), 10**400, 1).sample_rate_hz == 10**400
 
 
 def test_set_validation():

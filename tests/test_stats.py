@@ -91,6 +91,12 @@ def test_wilcoxon_degenerate():
     assert wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0]) == (0.0, 1.0)
 
 
+def test_wilcoxon_refuses_unequal_lengths():
+    """[1, 2] against [1] once broadcast to the differences [0, 1] and returned (0.0, 1.0)."""
+    with pytest.raises(ValueError, match=r"^paired samples differ in shape: \(2,\) and \(1,\)$"):
+        wilcoxon_signed_rank([1, 2], [1])
+
+
 def test_holm_step_down_triple():
     decisions = holm({"a": 0.001, "b": 0.04, "c": 0.2}, alpha=0.05)
     # 0.001 < 0.05/3 -> reject; 0.04 >= 0.05/2 -> stop; c inherits the stop
