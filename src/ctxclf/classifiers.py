@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ctxclf.errors import CtxclfError, DimensionMismatch
+from ctxclf.jsonfile import expect
 from ctxclf.rng import derive_rng
 
 ALGORITHMS = ("NearestNeighbor", "GaussianNB", "RandomForest")
@@ -30,7 +31,8 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
-        if not 1 <= self.num_trees <= 10_000:
+        expect(self.seed, int, "seed", ValueError)
+        if not 1 <= expect(self.num_trees, int, "num_trees", ValueError) <= 10_000:
             raise ValueError(f"num_trees: must be in [1, 10000], got {self.num_trees}")
 
 

@@ -104,7 +104,9 @@ class Binding:
     secondary: tuple[int, ...]
 
     def __post_init__(self):
-        sec = tuple(int(c) for c in self.secondary)
+        sec = tuple(
+            expect(c, int, f"secondary[{i}]", ValueError) for i, c in enumerate(self.secondary)
+        )
         if sorted(sec) != list(range(1, len(sec) + 1)):
             raise ValueError(f"secondary assignment {sec} is not a permutation of 1..{len(sec)}")
         object.__setattr__(self, "secondary", sec)

@@ -18,6 +18,7 @@ import numpy as np
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import Binding, ContextStructure
 from ctxclf.errors import CtxclfError
+from ctxclf.jsonfile import expect
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set
 from ctxclf.rng import derive_rng, derive_seed
 from ctxclf.runtime import (
@@ -94,15 +95,11 @@ def evaluate_sequence(system, objects, true_classes) -> tuple[int, int]:
 
 def _zo(scored: list[tuple[int, int]]) -> float:
     """ZO of (first miss, length) pairs, a first miss of 0 meaning none (see first_miss)."""
-    if not scored:
-        raise ValueError("no outcomes")
     return sum(1.0 for miss, _ in scored if not miss) / len(scored)
 
 
 def _sqcov(scored: list[tuple[int, int]]) -> float:
     """SqCov of (first miss, length) pairs: each credits its prefix before the first miss."""
-    if not scored:
-        raise ValueError("no outcomes")
     total = 0.0
     for miss, length in scored:
         total += (miss - 1) / length if miss else 1.0
@@ -134,14 +131,16 @@ class RunConfig:
         for i, alg in enumerate(algorithms):  # every output and RNG stream is keyed by it
             if alg in algorithms[:i]:
                 raise ValueError(f"classifiers[{i}].algorithm: {alg} given twice")
-        # range checks up front, so a bad value fails before the run, not inside the inner CV
+        # type and range checks up front, so a bad value fails before the run, not in the inner CV
+        expect(self.master_seed, int, "master_seed", ValueError)
         for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
-            if getattr(self, name) < 2:
+            if expect(getattr(self, name), int, name, ValueError) < 2:
                 raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
-        if self.exhaustive_limit < 0:  # -1 reads as "no limit", yet it would always run the EA
+        # -1 reads as "no limit", yet it would always run the EA
+        if expect(self.exhaustive_limit, int, "exhaustive_limit", ValueError) < 0:
             raise ValueError(f"exhaustive_limit: must be >= 0, got {self.exhaustive_limit}")
         for name in ("repetitions", "inner_repetitions"):
-            if not 1 <= getattr(self, name) <= 10_000:
+            if not 1 <= expect(getattr(self, name), int, name, ValueError) <= 10_000:
                 raise ValueError(f"{name}: must be in [1, 10000], got {getattr(self, name)}")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise ValueError(f"feature_fraction: must be in (0, 1], got {self.feature_fraction}")

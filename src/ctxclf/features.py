@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctxclf.errors import CtxclfError, DimensionMismatch, SignalsetError
+from ctxclf.errors import DimensionMismatch, SignalsetError
+from ctxclf.jsonfile import expect
 from ctxclf.signals import SignalRecord, SignalSet
 from ctxclf.wavelet import dwt_db6
 
@@ -51,7 +52,9 @@ class FeatureMask:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        sel = tuple(int(i) for i in self.selected)
+        sel = tuple(
+            expect(i, int, f"selected[{k}]", ValueError) for k, i in enumerate(self.selected)
+        )
         object.__setattr__(self, "source_dim", len(self.scores))  # not a field, like _columns
         if list(sel) != sorted(set(sel)):
             raise ValueError("selected indices must be strictly increasing")
@@ -74,23 +77,18 @@ def _autocorrelation(subbands, order: int, lengths: np.ndarray) -> np.ndarray:
     """Biased autocorrelation lags 0..order of each row of each subband: (rows, subbands,
     order + 1). ``subbands`` is a sequence of (rows, n) blocks and ``lengths`` their n as floats.
 
+    The subbands are dwt_db6's as they are: views with a positive sample stride and at
+    least order + 2 samples (10 or more at 3 levels), so every lag sums two or more pairs.
     Each lag is a batched dot product over the rows as given, written in place; a strided
-    subband keeps the stride np.dot would see, and so its bits. Like np.dot, rows with a
-    negative or zero stride are copied to contiguous first, and a lag over one sample pair
-    is a plain product (which keeps a -0.0). All lags are divided once, by ``lengths``.
+    subband keeps the stride np.dot would see, and so its bits. All lags are divided once,
+    by ``lengths``.
     """
     lags = np.empty((len(subbands[0]), len(subbands), order + 1, 1, 1))  # (1, 1): matmul's out
     for s, block in enumerate(subbands):
         n = block.shape[1]
-        if n < order + 1:
-            raise CtxclfError(f"need >= {order + 1} samples for AR({order}), got {n}")
-        if block.strides[1] <= 0:
-            block = np.ascontiguousarray(block)
         left, right = block[:, None], block[:, :, None]
-        for k in range(min(order + 1, n - 1)):
+        for k in range(order + 1):
             np.matmul(left[..., : n - k], right[:, k:], out=lags[:, s, k])
-        if n - 1 <= order:
-            np.multiply(block[:, 0], block[:, order], out=lags[:, s, order, 0, 0])
     lags = lags.reshape(len(lags), len(subbands), order + 1)
     lags /= lengths[:, None]
     return lags

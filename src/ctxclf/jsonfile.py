@@ -1,7 +1,8 @@
 """Reading the JSON input files: run config, structure, constraint table and meta.json.
 
 ``read_json`` decodes a UTF-8 file; ``read_field`` and ``expect`` check the type
-of one value. Every fault is raised as the caller's error class, in one wording:
+of one value (the library types check their integer fields with ``expect`` too).
+Every fault is raised as the caller's error class, in one wording:
 ``<path>: not UTF-8 text``, ``<path>: invalid JSON ...``, ``<field>: missing`` or
 ``<field>: expected <kind>, got <value>``. Range checks stay with the callers.
 """
@@ -9,6 +10,7 @@ of one value. Every fault is raised as the caller's error class, in one wording:
 from __future__ import annotations
 
 import json
+import operator
 import reprlib
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -34,14 +36,20 @@ def expect(value, kind: type, where: str, error: type[Exception]):
     """``value`` when it is a JSON value of ``kind`` (int, float, str, list or dict).
 
     A boolean is not an integer or a number, and nothing is converted except
-    an integer given for a float. The value in a message is shortened, so a
-    long or deeply nested one still makes one short line.
+    an integer given for a float, and a numpy integer (what ``operator.index``
+    takes; a library caller may pass one) given for an int. The value in a
+    message is shortened, so a long or deeply nested one still makes one short line.
     """
     if kind is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             raise error(f"{where}: {reprlib.repr(value)} does not fit a float") from None
+    if kind is int and not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
     if isinstance(value, bool) or not isinstance(value, kind):
         raise error(f"{where}: expected {_KINDS[kind]}, got {reprlib.repr(value)}")
     return value

@@ -15,6 +15,7 @@ import numpy as np
 
 from ctxclf.context import Binding, ContextStructure, derive_constraints, enumerate_feasible
 from ctxclf.errors import InfeasibleStructure
+from ctxclf.jsonfile import expect
 from ctxclf.rng import derive_rng
 
 REPAIR_CHUNK_ROWS = 1 << 16  # bound on the (rows, C(C-1)/2) pair table of one repair chunk
@@ -56,7 +57,7 @@ class EAParams:
             ("stagnation_horizon", 1, 100_000),
             ("max_generations", 0, 100_000),
         ):
-            if not lo <= getattr(self, name) <= hi:
+            if not lo <= expect(getattr(self, name), int, name, ValueError) <= hi:
                 raise ValueError(f"{name}: must be in [{lo}, {hi}], got {getattr(self, name)}")
         if self.crossover_op not in ("OX1", "OX2"):
             raise ValueError(f"crossover_op: unknown crossover operator {self.crossover_op!r}")

@@ -30,27 +30,23 @@ class ContextEnsemble:
     transitions: dict[int, dict[int, tuple[int, int]]] = field(compare=False)
 
     def describe(self) -> str:
-        """Render the box tree with per-box movement/class tables."""
-        lines = []
+        """Render the box tree with each box's rows of ``transitions``: the members in table
+        order, (+) where the class opens a child, then the closer (the first row), (-)."""
+        name, lines = self.structure.movement_name, []
         for path in self.structure.root.paths():
-            box = path[-1]
-            indent = "  " * (len(path) - 1)
-            if box.is_root:
+            box, indent = path[-1].index, "  " * (len(path) - 1)
+            rows = [(j, m, after) for j, (m, after) in self.transitions[box].items()]
+            if box == ROOT:
+                closer = []
                 lines.append(f"{indent}box 0 (initial)")
             else:
-                j = self.binding.class_of_movement(box.opener)
-                name = self.structure.movement_name(box.opener)
-                lines.append(f"{indent}box {box.index} (opened/closed by {name}, class {j})")
+                closer = [rows.pop(0)]
+                j, m, _ = closer[0]
+                lines.append(f"{indent}box {box} (opened/closed by {name(m)}, class {j})")
             lines.append(f"{indent}  Movement      Class")
-            for m in box.member_movements():
-                name = self.structure.movement_name(m)
-                mark = " (+)" if any(c.opener == m for c in box.children) else ""
-                lines.append(f"{indent}  {name:<12}  {self.binding.class_of_movement(m)}{mark}")
-            if not box.is_root:
-                name = self.structure.movement_name(box.opener)
-                lines.append(
-                    f"{indent}  {name:<12}  {self.binding.class_of_movement(box.opener)} (-)"
-                )
+            for j, m, after in rows:
+                lines.append(f"{indent}  {name(m):<12}  {j}{'' if after == box else ' (+)'}")
+            lines.extend(f"{indent}  {name(m):<12}  {j} (-)" for j, m, _ in closer)
         return "\n".join(lines)
 
 

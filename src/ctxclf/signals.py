@@ -48,6 +48,8 @@ class SignalRecord:
             raise SignalsetError(
                 f"record {self.record_id}: {self.sample_rate_hz} Hz is not finite and positive"
             )
+        for key in ("sample_rate_hz", "class_label"):
+            expect(getattr(self, key), int, f"record {self.record_id}: {key}", SignalsetError)
         object.__setattr__(self, "channels", ch)
 
     @property
@@ -261,7 +263,7 @@ def save_signalset(sset: SignalSet, path) -> None:
 
 def segment(sset: SignalSet, window_ms: int) -> SignalSet:
     """Split every record into non-overlapping windows; remainder dropped."""
-    window = (window_ms * sset.sample_rate_hz) // 1000
+    window = expect(window_ms, int, "window_ms", SignalsetError) * sset.sample_rate_hz // 1000
     if window < MIN_SAMPLES:
         raise SignalsetError(f"window of {window} samples is below the {MIN_SAMPLES}-sample minimum")
     shortest = min(r.num_samples for r in sset.records)

@@ -102,8 +102,6 @@ def wilcoxon_holm(paired: dict[str, tuple], alpha: float = 0.05) -> dict[str, di
     results = {}
     p_values = {}
     for name, (x, y) in paired.items():
-        if len(x) != len(y):
-            raise ValueError(f"{name}: paired samples must have equal length")
         if len(x) < 6:
             raise ValueError(f"{name}: need at least 6 pairs, got {len(x)}")
         w, p = wilcoxon_signed_rank(x, y)

@@ -87,7 +87,9 @@ def chain_doc(depth):
 
 
 def ar_coefficients(subband, order: int = features.AR_ORDER) -> np.ndarray:
-    """One subband's AR coefficients through the block path's autocorrelation and Levinson."""
+    """One subband's AR coefficients through the block path's autocorrelation and Levinson.
+    The subband is one that _autocorrelation takes, as dwt_db6 makes them: a positive stride
+    and at least order + 2 samples."""
     x = np.asarray(subband, dtype=np.float64)
     lags = features._autocorrelation([x[None, :]], order, np.array([len(x)], dtype=np.float64))
     return features._levinson(lags[0])[0]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf.errors import CtxclfError, DimensionMismatch, SignalsetError
+from ctxclf.errors import DimensionMismatch, SignalsetError
 from ctxclf.features import (
+    AR_ORDER,
     FEATURE_NAMES,
     FEATURES_PER_SUBBAND,
     SUBBAND_NAMES,
@@ -17,7 +18,8 @@ from ctxclf.features import (
     mutual_information,
     select_features,
 )
-from ctxclf.signals import SignalRecord, SignalSet
+from ctxclf.signals import MIN_SAMPLES, SignalRecord, SignalSet
+from ctxclf.wavelet import dwt_db6
 from conftest import ar_coefficients, slope_sign_changes, toy_signalset
 
 
@@ -52,8 +54,18 @@ def test_ar_recovers_known_process():
 
 def test_ar_edge_cases():
     assert np.array_equal(ar_coefficients(np.zeros(16)), np.zeros(3))
-    with pytest.raises(CtxclfError, match=r"^need >= 4 samples for AR\(3\), got 3$"):
-        ar_coefficients(np.ones(3), order=3)
+
+
+def test_dwt_subbands_are_the_input_the_ar_kernel_takes():
+    """_autocorrelation takes dwt_db6's 3-level subbands as they are: each is a view with a
+    positive sample stride and at least AR_ORDER + 2 samples, so every lag sums two or more
+    pairs. This holds for every length dwt_db6 accepts at 3 levels, and for a record of
+    MIN_SAMPLES samples as _block_features sees it."""
+    blocks = [np.ones((3, n)) for n in range(8, 65)]
+    blocks.append(SignalRecord("r", np.ones((2, MIN_SAMPLES)), 1000, 1).channels)
+    for block in blocks:
+        for sb in dwt_db6(block, levels=3):
+            assert sb.strides[1] > 0 and sb.shape[1] >= AR_ORDER + 2, (block.shape, sb.shape)
 
 
 def test_feature_vector_layout_and_dimension():
@@ -61,8 +73,6 @@ def test_feature_vector_layout_and_dimension():
     fv = extract_features(sset.records[0])
     assert len(fv.values) == 3 * len(SUBBAND_NAMES) * len(FEATURE_NAMES)
     # laid out (channel, subband, feature): the first and last values match a direct recomputation
-    from ctxclf.wavelet import dwt_db6
-
     layout = fv.values.reshape(3, len(SUBBAND_NAMES), len(FEATURE_NAMES))
     subbands = dwt_db6(sset.records[0].channels[0], levels=3)
     assert np.isclose(layout[0, 0, 0], np.mean(np.abs(subbands[0])))
