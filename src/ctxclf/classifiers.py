@@ -29,9 +29,10 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if expect(self.algorithm, str, "algorithm", ValueError) not in ALGORITHMS:
             raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
-        expect(self.seed, int, "seed", ValueError)
+        if not -(2**63) <= expect(self.seed, int, "seed", ValueError) < 2**63:
+            raise ValueError(f"seed: {self.seed} does not fit a 64-bit integer")
         if not 1 <= expect(self.num_trees, int, "num_trees", ValueError) <= 10_000:
             raise ValueError(f"num_trees: must be in [1, 10000], got {self.num_trees}")
 

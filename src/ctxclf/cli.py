@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import sys
-import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from ctxclf.context import (
 from ctxclf.errors import CtxclfError, InfeasibleStructure
 from ctxclf.evaluation import MetricsTable, RunConfig, run_experiment, search_binding
 from ctxclf.features import feature_matrix
-from ctxclf.jsonfile import REQUIRED, expect, read_field, read_json
+from ctxclf.jsonfile import expect, read_field, read_json
 from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
 from ctxclf.signals import load_signalset
 
@@ -42,32 +41,22 @@ class ConfigError(CtxclfError):
     """Config schema violation; message carries the offending field path."""
 
 
-def _nonempty_list(d: dict, key: str) -> list:
-    items = read_field(d, key, list, "", ConfigError)
-    if not items:
-        raise ConfigError(f"{key}: expected a non-empty list")
-    return items
-
-
 def _from_fields(cls, d: dict, path: str, keys=(), required=(), **given):
     """Build dataclass `cls` from the config object `d`.
 
-    Each int/float/str field not in `given` is read from the key of its name,
-    with the field's own default. `keys` are the other keys the caller reads;
+    Each field whose default is an int, float or str takes the key of its name
+    as it is, and `cls` checks it. `keys` are the other keys the caller reads;
     any other key is an unknown field.
     """
-    hints = typing.get_type_hints(cls)
-    scalars = [f for f in fields(cls) if f.name not in given and hints[f.name] in (int, float, str)]
-    unknown = set(d) - {f.name for f in scalars} - set(keys)
+    scalars = {f.name for f in fields(cls) if isinstance(f.default, (int, float, str))}
+    unknown = set(d) - scalars - set(keys)
     if unknown:
         raise ConfigError(f"{path}{sorted(unknown)[0]}: unknown field")
-    for f in scalars:
-        default = REQUIRED if f.name in required else f.default
-        value = given[f.name] = read_field(d, f.name, hints[f.name], path, ConfigError, default)
-        if hints[f.name] is int and not -(2**63) <= value < 2**63:  # counts and seeds go to numpy
-            raise ConfigError(f"{path}{f.name}: {value} does not fit a 64-bit integer")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}{key}: missing")
     try:
-        return cls(**given)
+        return cls(**{key: d[key] for key in scalars & set(d)}, **given)
     except ValueError as exc:  # the dataclass checks name the field first
         raise ConfigError(f"{path}{exc}")
 
@@ -75,25 +64,18 @@ def _from_fields(cls, d: dict, path: str, keys=(), required=(), **given):
 def load_run_config(path) -> tuple[RunConfig, dict, Path]:
     """Parse a run config file; returns (config, raw dict, output dir).
 
-    Defaults and range checks are those of RunConfig, EAParams and
-    ClassifierSpec; a key that names none of their fields is an error.
+    Defaults and checks are those of RunConfig, EAParams and ClassifierSpec;
+    a key that names none of their fields is an error.
     """
     raw = expect(read_json(path, ConfigError), dict, "config root", ConfigError)
     sset = load_signalset(read_field(raw, "signalset", str, "", ConfigError))
     structure = load_structure(read_field(raw, "structure", str, "", ConfigError))
-    violations = validate_structure(structure)
-    if violations:
-        raise ConfigError(f"structure: {violations[0]}")
-    if structure.num_classes != sset.num_classes:
-        raise ConfigError(
-            f"structure: {structure.num_classes} classes, but the signalset has {sset.num_classes}"
-        )
     given = {"signalset": sset, "structure": structure}
     if "methods" in raw:
-        given["methods"] = tuple(_nonempty_list(raw, "methods"))
+        given["methods"] = tuple(read_field(raw, "methods", list, "", ConfigError))
     if "classifiers" in raw:
         specs = []
-        for i, entry in enumerate(_nonempty_list(raw, "classifiers")):
+        for i, entry in enumerate(read_field(raw, "classifiers", list, "", ConfigError)):
             at = f"classifiers[{i}]"
             expect(entry, dict, at, ConfigError)
             specs.append(_from_fields(ClassifierSpec, entry, f"{at}.", required=("algorithm",)))
@@ -189,6 +171,8 @@ def cmd_validate(args) -> int:
 def cmd_enumerate(args) -> int:
     """Print the count of the feasible set and list it with --out. A zero count exits 2
     and writes nothing, with one `infeasible:` line for a structure."""
+    if bool(args.structure) == bool(args.table):
+        raise ConfigError("provide exactly one of a structure file and --table")
     out = _out_file(args.out)
     if args.table:
         table, why = load_table(args.table), None
@@ -378,8 +362,6 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "enumerate" and bool(args.structure) == bool(args.table):
-            raise ConfigError("provide exactly one of a structure file and --table")
         return args.fn(args)
     except InfeasibleStructure as exc:
         print(f"ERROR: {exc}", file=sys.stderr)

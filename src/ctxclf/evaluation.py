@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec
-from ctxclf.context import Binding, ContextStructure
+from ctxclf.context import Binding, ContextStructure, validate_structure
 from ctxclf.errors import CtxclfError
 from ctxclf.jsonfile import expect
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set
@@ -122,6 +122,15 @@ class RunConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        violations = validate_structure(self.structure)
+        if violations:
+            raise ValueError(f"structure: {violations[0]}")
+        have, want = self.structure.num_classes, self.signalset.num_classes
+        if have != want:
+            raise ValueError(f"structure: {have} classes, but the signalset has {want}")
+        for key, items in (("methods", self.methods), ("classifiers", self.classifier_specs)):
+            if not items:
+                raise ValueError(f"{key}: expected a non-empty list")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"methods[{i}]: unknown method {m!r}")
@@ -132,7 +141,8 @@ class RunConfig:
             if alg in algorithms[:i]:
                 raise ValueError(f"classifiers[{i}].algorithm: {alg} given twice")
         # type and range checks up front, so a bad value fails before the run, not in the inner CV
-        expect(self.master_seed, int, "master_seed", ValueError)
+        if not -(2**63) <= expect(self.master_seed, int, "master_seed", ValueError) < 2**63:
+            raise ValueError(f"master_seed: {self.master_seed} does not fit a 64-bit integer")
         for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
             if expect(getattr(self, name), int, name, ValueError) < 2:
                 raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
@@ -142,7 +152,7 @@ class RunConfig:
         for name in ("repetitions", "inner_repetitions"):
             if not 1 <= expect(getattr(self, name), int, name, ValueError) <= 10_000:
                 raise ValueError(f"{name}: must be in [1, 10000], got {getattr(self, name)}")
-        if not 0.0 < self.feature_fraction <= 1.0:
+        if not 0.0 < expect(self.feature_fraction, float, "feature_fraction", ValueError) <= 1.0:
             raise ValueError(f"feature_fraction: must be in (0, 1], got {self.feature_fraction}")
 
 

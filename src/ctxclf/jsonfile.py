@@ -1,7 +1,7 @@
 """Reading the JSON input files: run config, structure, constraint table and meta.json.
 
 ``read_json`` decodes a UTF-8 file; ``read_field`` and ``expect`` check the type
-of one value (the library types check their integer fields with ``expect`` too).
+of one value (the library types check their scalar fields with ``expect`` too).
 Every fault is raised as the caller's error class, in one wording:
 ``<path>: not UTF-8 text``, ``<path>: invalid JSON ...``, ``<field>: missing`` or
 ``<field>: expected <kind>, got <value>``. Range checks stay with the callers.

@@ -59,10 +59,10 @@ class EAParams:
         ):
             if not lo <= expect(getattr(self, name), int, name, ValueError) <= hi:
                 raise ValueError(f"{name}: must be in [{lo}, {hi}], got {getattr(self, name)}")
-        if self.crossover_op not in ("OX1", "OX2"):
+        if expect(self.crossover_op, str, "crossover_op", ValueError) not in ("OX1", "OX2"):
             raise ValueError(f"crossover_op: unknown crossover operator {self.crossover_op!r}")
         for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            if not 0.0 <= expect(getattr(self, name), float, name, ValueError) <= 1.0:
                 raise ValueError(f"{name}: must be in [0, 1], got {getattr(self, name)}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,10 +45,14 @@ class SignalRecord:
             raise SignalsetError(
                 f"record {self.record_id}: {ch.shape[1]} samples, need >= {MIN_SAMPLES}"
             )
-        if not 0 < self.sample_rate_hz < math.inf:  # NaN fails both; math.isfinite(10**400) raises
-            raise SignalsetError(
-                f"record {self.record_id}: {self.sample_rate_hz} Hz is not finite and positive"
-            )
+        # min and max propagate NaN and, unlike np.isfinite, make no (C, n) temporary
+        if not (math.isfinite(ch.min()) and math.isfinite(ch.max())):
+            raise SignalsetError(f"record {self.record_id}: non-finite sample values")
+        # NaN fails both tests and math.isfinite(10**400) raises; a non-number, on which `<`
+        # raises a TypeError, is left to the integer check below
+        rate = self.sample_rate_hz
+        if isinstance(rate, numbers.Real) and not 0 < rate < math.inf:
+            raise SignalsetError(f"record {self.record_id}: {rate} Hz is not finite and positive")
         for key in ("sample_rate_hz", "class_label"):
             expect(getattr(self, key), int, f"record {self.record_id}: {key}", SignalsetError)
         object.__setattr__(self, "channels", ch)

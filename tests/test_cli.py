@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -746,6 +746,56 @@ def test_run_rejects_structure_class_count(run_setup, five_path, capsys):
     tmp_path, _, config = run_setup
     bad = dict(config, structure=str(five_path))  # five classes, six in the signalset
     _rejected_before_run(tmp_path, capsys, bad, "structure: 5 classes, but the signalset has 6")
+
+
+HUGE_SEED = f"{2**64} does not fit a 64-bit integer"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("structure", flat_structure(5), "structure: 5 classes, but the signalset has 6"),
+        (
+            "structure",
+            make_structure(2, [(0, None, None, [1, 2, 3, 4])]),
+            "structure: root box must hold exactly the primary movements 1..2, got [1, 2, 3, 4]",
+        ),
+        ("methods", [], "methods: expected a non-empty list"),
+        ("classifiers", [], "classifiers: expected a non-empty list"),
+        ("master_seed", 2**64, f"master_seed: {HUGE_SEED}"),
+        ("classifiers[0].seed", 2**64, f"classifiers[0].seed: {HUGE_SEED}"),
+        ("feature_fraction", "0.5", "feature_fraction: expected a number, got '0.5'"),
+        ("ea.crossover_prob", "x", "ea.crossover_prob: expected a number, got 'x'"),
+        ("ea.crossover_op", 5, "ea.crossover_op: expected a string, got 5"),
+    ],
+    ids=[
+        "class-count", "invalid-structure", "no-methods", "no-classifiers", "master-seed",
+        "spec-seed", "fraction-string", "crossover-prob-string", "crossover-op-number",
+    ],
+)
+def test_a_library_config_refuses_what_the_loader_refuses(run_setup, key, value, message):
+    """load_run_config's refusal is the dataclass's own, under the key's path: a config
+    built in code gets no run that `run` refuses (each of these built and ran, replayed
+    seed 0 or raised a bare TypeError)."""
+    tmp_path, cfg_path, config = run_setup
+    good, _, _ = load_run_config(cfg_path)
+    written = value
+    if key == "structure":
+        written = str(tmp_path / "bad_structure.json")
+        Path(written).write_text(json.dumps(structure_to_dict(value)))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_with_field(config, key, written)))
+    with pytest.raises(ConfigError) as loaded:
+        load_run_config(p)
+    assert str(loaded.value) == message
+    head, _, name = key.rpartition(".")
+    with pytest.raises(ValueError) as built:
+        if head:
+            (EAParams if head == "ea" else ClassifierSpec)(**{name: value})
+        else:
+            name = "classifier_specs" if key == "classifiers" else key
+            replace(good, **{name: tuple(value) if isinstance(value, list) else value})
+    assert str(built.value) == message.removeprefix(f"{head}.")
 
 
 @pytest.mark.parametrize("command", ["run", "optimize"])

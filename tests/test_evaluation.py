@@ -190,7 +190,7 @@ def test_metrics_table_reads_back_what_it_writes(small_run, tmp_path):
 
 
 def test_run_config_rejects_unknown_method():
-    sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
+    sset = synth_signalset(5, records_per_class=2, samples=64, seed=0)
     with pytest.raises(ValueError, match=r"methods\[1\]"):
         RunConfig(
             signalset=sset,
@@ -201,7 +201,7 @@ def test_run_config_rejects_unknown_method():
 
 
 def test_run_config_rejects_a_repeated_method():
-    sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
+    sset = synth_signalset(5, records_per_class=2, samples=64, seed=0)
     with pytest.raises(ValueError, match=r"^methods\[1\]: duplicate method 'octx'$"):
         RunConfig(
             signalset=sset,
@@ -213,7 +213,7 @@ def test_run_config_rejects_a_repeated_method():
 
 def test_run_config_rejects_a_negative_exhaustive_limit():
     """0 is a limit (the EA always runs); -1 is not "no limit"."""
-    sset = synth_signalset(2, records_per_class=2, samples=64, seed=0)
+    sset = synth_signalset(5, records_per_class=2, samples=64, seed=0)
     structure = structure_file("five_class")
     assert RunConfig(signalset=sset, structure=structure, exhaustive_limit=0).exhaustive_limit == 0
     with pytest.raises(ValueError, match=r"^exhaustive_limit: must be >= 0, got -1$"):

@@ -1668,7 +1668,7 @@ def test_fold_ids_equal_fold_plan_and_assignments(sset, cv_folds, inner_folds, m
 
     config = RunConfig(
         signalset=sset,
-        structure=structure_file("six_class"),
+        structure=flat_structure(sset.num_classes),
         classifier_specs=(ClassifierSpec(algorithm="GaussianNB"),),
         methods=("plain", "octx"),
         cv_folds=cv_folds,

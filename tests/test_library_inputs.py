@@ -15,10 +15,10 @@ from ctxclf.evaluation import RunConfig
 from ctxclf.features import FeatureMask, FeatureVector
 from ctxclf.optimize import EAParams
 from ctxclf.signals import SignalRecord, SignalSet, segment
-from conftest import structure_file, toy_signalset
+from conftest import flat_structure, toy_signalset
 
 SSET = toy_signalset(num_classes=2, records_per_class=3, samples=32)
-STRUCTURE = structure_file("five_class")
+STRUCTURE = flat_structure(SSET.num_classes)
 NAN, INF = float("nan"), float("inf")
 
 
@@ -74,6 +74,11 @@ def record(rate=1000, label=1):
             "record r: sample_rate_hz: expected an integer, got 1000.5",
         ),
         (
+            lambda: record(rate="1000"),
+            SignalsetError,
+            "record r: sample_rate_hz: expected an integer, got '1000'",
+        ),
+        (
             lambda: record(label=1.0),
             SignalsetError,
             "record r: class_label: expected an integer, got 1.0",
@@ -84,7 +89,8 @@ def record(rate=1000, label=1):
     ids=[
         "seed-fraction", "seed-nan", "num-trees-fraction", "num-trees-bool", "max-generations",
         "cv-folds", "repetitions", "master-seed", "secondary-fraction", "secondary-bool",
-        "selected-inf", "rate-fraction", "label-float", "window-nan", "window-fraction",
+        "selected-inf", "rate-fraction", "rate-string", "label-float", "window-nan",
+        "window-fraction",
     ],
 )
 def test_integer_fields_refuse_what_is_not_an_integer(build, error, refusal):
@@ -93,6 +99,14 @@ def test_integer_fields_refuse_what_is_not_an_integer(build, error, refusal):
     a_1.0.csv, which load_signalset refuses) or met a bare TypeError or ValueError later."""
     with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
         build()
+
+
+def test_a_record_with_a_non_finite_sample_is_refused():
+    """save_signalset wrote such a record as it was, and load_signalset refused to read it back."""
+    channels = np.zeros((2, 32))
+    channels[1, 4] = NAN
+    with pytest.raises(SignalsetError, match=r"^record r: non-finite sample values$"):
+        SignalRecord("r", channels, 1000, 1)
 
 
 def test_integer_fields_take_numpy_integers():
@@ -111,6 +125,7 @@ REFUSALS = re.compile(
             r"record r: channels must be 2-D, got \d+-D",
             r"record r: no channels",
             r"record r: \d+ samples, need >= 16",
+            r"record r: non-finite sample values",
             r"record r: \S+ Hz is not finite and positive",
             r"signal set contains no records",
             r"record r\d: \d+ channels, expected \d+",
@@ -124,11 +139,16 @@ REFUSALS = re.compile(
             r"\w+: must be in \[[\d.]+, [\d.]+\], got \S+",
             r"\w+: must be >= \d, got -?\d+",
             r"feature_fraction: must be in \(0, 1\], got \S+",
+            r"(master_)?seed: \d+ does not fit a 64-bit integer",
+            r"(feature_fraction|crossover_prob|mutation_prob): expected a number, got ('x'|None)",
+            r"(algorithm|crossover_op): expected a string, got \S+",
+            r"algorithm: unknown algorithm 'x'",
+            r"crossover_op: unknown crossover operator 'x'",
         )
     )
 )
 
-HOSTILE = st.sampled_from([0, -1, 2**64, NAN, INF, -INF, 1.5, True])
+HOSTILE = st.sampled_from([0, -1, 2**64, NAN, INF, -INF, 1.5, True, "x", None])
 ARRAYS = st.sampled_from(
     [
         np.zeros(0),
@@ -144,7 +164,7 @@ ARRAYS = st.sampled_from(
     ]
 )
 SET_LABELS = st.sampled_from([1, 2, -1, 2**64])
-FRACTIONS = st.sampled_from([0.5, 0.0, -1.0, NAN, INF, -INF, 1.5, 2**64])
+FRACTIONS = st.sampled_from([0.5, 0.0, -1.0, NAN, INF, -INF, 1.5, 2**64, "x", None])
 EA_INTS = ("population_size", "tournament_size", "stagnation_horizon", "max_generations")
 RUN_INTS = (
     "cv_folds", "inner_folds", "repetitions", "inner_repetitions", "exhaustive_limit", "master_seed"
@@ -169,11 +189,14 @@ def builds_or_refuses(build):
 def test_hostile_values_build_or_are_refused(data):
     """SignalRecord, SignalSet, FeatureVector, FeatureMask, Binding, ClassifierSpec, EAParams
     and RunConfig from empty and zero-width arrays, NaN, +-inf, 0, negative values, 2**64,
-    and 1.5 or True in integer fields. A record's channel values are not checked here: the
-    loader refuses a non-finite value, and feature extraction refuses a record that has one."""
+    1.5 or True in integer fields, and a string or None in every scalar field. A record with
+    a non-finite channel value is refused, as the loader refuses one; a RunConfig's structure
+    has the set's class count."""
     draw = data.draw
     channels, rate, label = draw(ARRAYS), draw(value(1000)), draw(value(1))
     builds_or_refuses(lambda: SignalRecord("r", channels, rate, label))
+    # valid channels, so the rate and label checks run on every draw, not on 2 arrays in 10
+    builds_or_refuses(lambda: SignalRecord("r", np.zeros((2, 32)), rate, label))
     records = tuple(
         SignalRecord(f"r{i}", np.zeros((draw(st.sampled_from([1, 2])), 32)), rate, label)
         for i, (rate, label) in enumerate(
@@ -188,10 +211,16 @@ def test_hostile_values_build_or_are_refused(data):
     builds_or_refuses(lambda: FeatureMask(selected, scores))
     secondary = tuple(draw(st.lists(value(1), max_size=3)))
     builds_or_refuses(lambda: Binding(secondary))
-    spec = {"num_trees": draw(value(20)), "seed": draw(value(0))}
+    spec = {
+        "algorithm": draw(value("GaussianNB")), "num_trees": draw(value(20)), "seed": draw(value(0))
+    }
     builds_or_refuses(lambda: ClassifierSpec(**spec))
     ea = {name: draw(value(getattr(EAParams, name))) for name in EA_INTS}
-    ea.update(crossover_prob=draw(FRACTIONS), mutation_prob=draw(FRACTIONS))
+    ea.update(
+        crossover_op=draw(value("OX1")),
+        crossover_prob=draw(FRACTIONS),
+        mutation_prob=draw(FRACTIONS),
+    )
     builds_or_refuses(lambda: EAParams(**ea))
     run = {name: draw(value(getattr(RunConfig, name))) for name in RUN_INTS}
     run.update(feature_fraction=draw(FRACTIONS))
