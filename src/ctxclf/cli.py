@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +24,7 @@ from ctxclf.context import (
     validate_structure,
 )
 from ctxclf.errors import CtxclfError, InfeasibleStructure
-from ctxclf.evaluation import MetricsTable, RunConfig, run_experiment, search_binding
+from ctxclf.evaluation import MetricsTable, RunConfig, check_folds, run_experiment, search_binding
 from ctxclf.features import feature_matrix
 from ctxclf.jsonfile import expect, read_field, read_json
 from ctxclf.optimize import EAParams, feasible_set, trace_to_csv
@@ -203,7 +202,7 @@ def cmd_enumerate(args) -> int:
 def cmd_optimize(args) -> int:
     """Search the best binding on the full dataset and write it with its trace."""
     config, raw, out_dir = load_run_config(args.config)
-    _check_fold_counts(config, outer=False)
+    check_folds(config, outer=False)
     algorithms = [spec.algorithm for spec in config.classifier_specs]
     _refuse_directories(out_dir, ["bindings.json", *(f"trace_{alg}.csv" for alg in algorithms)])
     feasible = feasible_set(config.structure)
@@ -227,33 +226,8 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _check_fold_counts(config: RunConfig, outer: bool) -> None:
-    """Each fold needs a record of every class.
-
-    `run` (outer) deals all records into `cv_folds` folds and, for OCtx, the
-    records of an outer training fold into `inner_folds`; `optimize` deals all
-    records into `inner_folds`.
-    """
-    cls, count = min(config.signalset.class_counts.items(), key=lambda item: item[1])
-    where = ""
-    if outer:
-        if config.cv_folds > count:
-            raise ConfigError(
-                f"cv_folds: {config.cv_folds} folds, but class {cls} has {count} records"
-            )
-        if "octx" not in config.methods:
-            return
-        count -= math.ceil(count / config.cv_folds)  # the fewest in an outer training fold
-        where = " in an outer training fold"
-    if config.inner_folds > count:
-        raise ConfigError(
-            f"inner_folds: {config.inner_folds} folds, but class {cls} has {count} records{where}"
-        )
-
-
 def cmd_run(args) -> int:
     config, raw, out_dir = load_run_config(args.config)
-    _check_fold_counts(config, outer=True)
     traces = [
         f"trace_{spec.algorithm}_fold{fold}.csv"
         for spec in config.classifier_specs

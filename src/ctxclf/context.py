@@ -38,18 +38,15 @@ class BoxNode:
     """One box: opener (None for the root), plain internals, nested children.
 
     The box is closed by performing its opening movement again, so the
-    closer is implicit. ``declared_closer`` only exists to carry an
-    explicit override from a structure file so validation can flag it.
-    A movement may be a member of several boxes: primary movements keep
-    their fixed class everywhere, which is how they constrain the
-    secondary assignment of co-resident movements.
+    closer is implicit. A movement may be a member of several boxes:
+    primary movements keep their fixed class everywhere, which is how they
+    constrain the secondary assignment of co-resident movements.
     """
 
     index: int
     opener: int | None
     internal_movements: tuple[int, ...]
     children: tuple["BoxNode", ...] = ()
-    declared_closer: int | None = None
 
     @property
     def is_root(self) -> bool:
@@ -194,6 +191,10 @@ def structure_from_dict(doc: dict) -> ContextStructure:
             raise StructureError("root box must not declare an opening movement")
         if bid != ROOT and opener is None:
             raise StructureError(f"box {bid}: missing opens_with_movement")
+        if closer is not None and closer != opener:  # so none at the root
+            raise StructureError(
+                f"box {bid}: closing movement {closer} must be the opener {opener}"
+            )
         internal = read_field(b, "internal_movements", list, f"{path}.", StructureError, [])
         return BoxNode(
             index=bid,
@@ -203,7 +204,6 @@ def structure_from_dict(doc: dict) -> ContextStructure:
                 for k, m in enumerate(internal)
             ),
             children=tuple(build(c, depth + 1) for c in sorted(children_of[bid])),
-            declared_closer=closer,
         )
 
     root = build(ROOT, 0)
@@ -247,11 +247,6 @@ def validate_structure(s: ContextStructure) -> list[str]:
             violations.append(f"box {box.index} holds movements outside 1..{2 * C}: {stray}")
         if len(slots) != len(set(slots)):  # the closer counts: no member may be the opener
             violations.append(f"box {box.index} lists a movement twice")
-        if box.declared_closer is not None and box.declared_closer != box.opener:
-            violations.append(
-                f"box {box.index}: closing movement {box.declared_closer} cannot share a class "
-                f"with opening movement {box.opener}"
-            )
         if len(slots) > C:
             violations.append(f"box {box.index} holds {len(slots)} movements, more than C={C}")
         if len(slots) < 2:  # its classifier would see one class

@@ -17,7 +17,7 @@ import numpy as np
 
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import Binding, ContextStructure, validate_structure
-from ctxclf.errors import CtxclfError
+from ctxclf.errors import CtxclfError, SignalsetError
 from ctxclf.jsonfile import expect
 from ctxclf.optimize import EAParams, Fitness, ea_search, exhaustive_search, feasible_set
 from ctxclf.rng import derive_rng, derive_seed
@@ -136,6 +136,11 @@ class RunConfig:
                 raise ValueError(f"methods[{i}]: unknown method {m!r}")
             if m in self.methods[:i]:
                 raise ValueError(f"methods[{i}]: duplicate method {m!r}")
+        if not isinstance(self.ea_params, EAParams):
+            raise ValueError(f"ea_params: expected an EAParams, got {self.ea_params!r}")
+        for i, spec in enumerate(self.classifier_specs):
+            if not isinstance(spec, ClassifierSpec):
+                raise ValueError(f"classifiers[{i}]: expected a ClassifierSpec, got {spec!r}")
         algorithms = [spec.algorithm for spec in self.classifier_specs]
         for i, alg in enumerate(algorithms):  # every output and RNG stream is keyed by it
             if alg in algorithms[:i]:
@@ -143,7 +148,7 @@ class RunConfig:
         # type and range checks up front, so a bad value fails before the run, not in the inner CV
         if not -(2**63) <= expect(self.master_seed, int, "master_seed", ValueError) < 2**63:
             raise ValueError(f"master_seed: {self.master_seed} does not fit a 64-bit integer")
-        for name in ("cv_folds", "inner_folds"):  # bounded above in cli._check_fold_counts
+        for name in ("cv_folds", "inner_folds"):  # bounded above by check_folds
             if expect(getattr(self, name), int, name, ValueError) < 2:
                 raise ValueError(f"{name}: must be >= 2, got {getattr(self, name)}")
         # -1 reads as "no limit", yet it would always run the EA
@@ -154,6 +159,26 @@ class RunConfig:
                 raise ValueError(f"{name}: must be in [1, 10000], got {getattr(self, name)}")
         if not 0.0 < expect(self.feature_fraction, float, "feature_fraction", ValueError) <= 1.0:
             raise ValueError(f"feature_fraction: must be in (0, 1], got {self.feature_fraction}")
+
+
+def check_folds(config: RunConfig, outer: bool = True) -> None:
+    """Refuse a set too small for the folds dealt from it, before any work. `run_experiment`
+    (outer) deals all records into `cv_folds` folds and, for OCtx, an outer training fold's
+    records into `inner_folds`; `optimize` deals all records into `inner_folds`."""
+    labels = [r.class_label for r in config.signalset.records]
+    count, cls = min((labels.count(c), c) for c in set(labels))  # the rarest, smallest label
+    if outer:
+        k = config.cv_folds
+        if k > count:
+            raise SignalsetError(f"cv_folds: {k} folds, but class {cls} has {count} records")
+        if "octx" not in config.methods:
+            return
+        count -= -(-count // k)  # n - ceil(n / k): the fewest a round robin leaves to train on
+    where = " in an outer training fold" if outer else ""
+    if config.inner_folds > count:
+        raise SignalsetError(
+            f"inner_folds: {config.inner_folds} folds, but class {cls} has {count} records{where}"
+        )
 
 
 @dataclass(frozen=True)
@@ -321,8 +346,9 @@ def search_binding(
 
 def run_experiment(config: RunConfig) -> MetricsTable:
     """Outer stratified CV over Plain / RCtx / OCtx for every classifier spec."""
+    check_folds(config)
     sset = config.signalset
-    feas = feasible_set(config.structure)  # first: a set above the guard is refused at once
+    feas = feasible_set(config.structure)  # before the features: a set above the guard is refused
     X, y = feature_matrix(sset)
     # folds are dealt over the records in record-id order, whatever order they were loaded in
     by_id = np.argsort([r.record_id for r in sset.records], kind="stable")

@@ -96,13 +96,6 @@ class SignalSet:
         object.__setattr__(self, "num_channels", channels)
         object.__setattr__(self, "sample_rate_hz", rate)
 
-    @property
-    def class_counts(self) -> dict[int, int]:
-        counts = {c: 0 for c in range(1, self.num_classes + 1)}
-        for r in self.records:
-            counts[r.class_label] += 1
-        return counts
-
     def labels(self) -> np.ndarray:
         return np.array([r.class_label for r in self.records], dtype=np.int64)
 

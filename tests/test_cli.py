@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from ctxclf import runtime
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.cli import ConfigError, _write_outputs, load_run_config, main
 from ctxclf.context import MAX_CLASSES, MAX_NESTING, load_structure, validate_structure
-from ctxclf.evaluation import RunConfig
+from ctxclf.errors import SignalsetError
+from ctxclf.evaluation import RunConfig, run_experiment
 from ctxclf.optimize import EAParams
 from ctxclf.signals import save_signalset
 from ctxclf.synth import synth_signalset
@@ -74,6 +76,17 @@ def test_validate_violations(tmp_path, capsys):
     p.write_text(json.dumps(structure_to_dict(s)))
     assert main(["validate", str(p)]) == 1
     assert "violation" in capsys.readouterr().err
+
+
+def test_a_closer_other_than_the_opener_is_refused_when_the_file_is_read(five_path, capsys):
+    """Before, the structure loaded and `validate` printed a `violation:` line; exit 1 both ways."""
+    doc = json.loads(Path(five_path).read_text())
+    box = next(b for b in doc["boxes"] if b["id"] == 1)
+    assert box["opens_with_movement"] == 3
+    box["closes_with_movement"] = 4
+    Path(five_path).write_text(json.dumps(doc))
+    assert main(["validate", str(five_path)]) == 1
+    assert capsys.readouterr().err == "ERROR: box 1: closing movement 4 must be the opener 3\n"
 
 
 @pytest.mark.parametrize("num_classes", [MAX_CLASSES + 1, 20_000])
@@ -1026,6 +1039,10 @@ def test_enumerate_table_bad_json(tmp_path, capsys):
     _one_line_error(capsys, "table.json", "line 1")
 
 
+def _no_training(*args):
+    raise AssertionError("a box was fitted before the fold counts were checked")
+
+
 @pytest.mark.parametrize(
     "fields, fragments",
     [
@@ -1034,13 +1051,34 @@ def test_enumerate_table_bad_json(tmp_path, capsys):
     ],
     ids=["cv_folds", "inner_folds"],
 )
-def test_run_rejects_folds_above_class_count(run_setup, capsys, fields, fragments):
+def test_run_rejects_folds_above_class_count(run_setup, capsys, monkeypatch, fields, fragments):
     tmp_path, _, config = run_setup
+    monkeypatch.setattr(runtime, "train", _no_training)  # rejected before the run starts
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(config, **fields)))
     assert main(["run", "--config", str(p)]) == 1
     _one_line_error(capsys, *fragments)
-    assert not (tmp_path / "out").exists()  # rejected before the run starts
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields", [{"cv_folds": 10}, {"inner_folds": 7}], ids=["cv", "inner"])
+def test_a_library_run_refuses_too_few_records_in_the_cli_words(
+    run_setup, capsys, monkeypatch, fields
+):
+    """run_experiment on a config built in code refuses, before its first fit, what `run`
+    refuses: with 9 records per class, the parent dealt 10 outer folds into a bare
+    stratified_folds error and fitted boxes before an inner deal of 7 failed."""
+    tmp_path, cfg_path, config = run_setup
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(config, **fields)))
+    assert main(["run", "--config", str(p)]) == 1
+    printed = capsys.readouterr().err
+    calls = []
+    real = runtime.train
+    monkeypatch.setattr(runtime, "train", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(SignalsetError) as exc:
+        run_experiment(replace(load_run_config(cfg_path)[0], **fields))
+    assert printed == f"ERROR: {exc.value}\n" and calls == []
 
 
 def _three_class_config(tmp_path, config):
@@ -1069,8 +1107,9 @@ def test_infeasible_structure_exits_2(run_setup, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys):
+def test_optimize_rejects_inner_folds_above_class_count(run_setup, capsys, monkeypatch):
     tmp_path, _, config = run_setup
+    monkeypatch.setattr(runtime, "train", _no_training)  # rejected before the search starts
     save_signalset(synth_signalset(6, records_per_class=6, samples=128, seed=13), tmp_path / "s6")
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(config, signalset=str(tmp_path / "s6"), inner_folds=9)))

@@ -206,10 +206,20 @@ def test_validate_structure_violations():
 
 
 def test_declared_closer_mismatch_flagged():
-    doc = structure_to_dict(make_structure(2, [(0, None, None, [2]), (1, 0, 1, [3, 4])]))
+    """A box closes with its opener, so a declared closer is that opener or refused when the
+    file is read; the root has no opener, so a closer there is always refused."""
+    s = make_structure(2, [(0, None, None, [2]), (1, 0, 1, [3, 4])])
+    doc = structure_to_dict(s)
+    doc["boxes"][1]["closes_with_movement"] = 1  # the opener: taken, and stored nowhere
+    assert structure_from_dict(doc) == s
     doc["boxes"][1]["closes_with_movement"] = 2  # violates closer == opener
-    s = structure_from_dict(doc)
-    assert any("closing movement" in v for v in validate_structure(s))
+    with pytest.raises(StructureError, match=r"^box 1: closing movement 2 must be the opener 1$"):
+        structure_from_dict(doc)
+    doc = structure_to_dict(s)
+    doc["boxes"][0]["closes_with_movement"] = 1
+    no_opener = r"^box 0: closing movement 1 must be the opener None$"
+    with pytest.raises(StructureError, match=no_opener):
+        structure_from_dict(doc)
 
 
 def test_infeasible_structure_reports_movement():

@@ -5,14 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxclf
 from ctxclf import evaluation
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec
-from ctxclf.errors import CtxclfError
+from ctxclf.errors import CtxclfError, SignalsetError
 from ctxclf.evaluation import (
     MetricsTable,
     RunConfig,
+    check_folds,
     evaluate_sequence,
     generate_movement_sequences,
     run_experiment,
@@ -20,8 +23,9 @@ from ctxclf.evaluation import (
     sequence_to_classes,
 )
 from ctxclf.runtime import step
+from ctxclf.signals import SignalRecord, SignalSet, stratified_folds
 from ctxclf.synth import synth_signalset
-from conftest import STRUCTURES, make_structure, structure_file
+from conftest import STRUCTURES, flat_structure, make_structure, structure_file
 from test_runtime import obj, perfect_ensemble
 
 
@@ -247,3 +251,53 @@ print("numpy.ma" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def _deals(labels, k, rng) -> np.ndarray | None:
+    """stratified_folds' fold ids of labels, or None when a class is too small for k folds."""
+    try:
+        return stratified_folds(labels, k, rng)
+    except SignalsetError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(2, 12), min_size=2, max_size=5),
+    cv_folds=st.integers(2, 13),
+    inner_folds=st.integers(2, 13),
+    octx=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_fold_check_passes_exactly_when_every_deal_succeeds(
+    counts, cv_folds, inner_folds, octx, seed
+):
+    """check_folds predicts the deals: `run` passes when the outer deal succeeds and, with
+    OCtx, so does the inner deal of every outer training fold; `optimize` when the inner
+    deal of all records does. The round robin's fold sizes do not depend on the rng. A
+    refusal names the rarest class, the smallest label among ties, whatever the record order."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(1, len(counts) + 1), counts))
+    records = [SignalRecord(f"r{i}", np.zeros((1, 16)), 1000, int(c)) for i, c in enumerate(labels)]
+    config = RunConfig(
+        SignalSet(tuple(records)),
+        flat_structure(len(counts)),
+        methods=("plain", "octx") if octx else ("plain",),
+        cv_folds=cv_folds,
+        inner_folds=inner_folds,
+    )
+    rarest = counts.index(min(counts)) + 1
+    folds = _deals(labels, cv_folds, rng)
+    run_deals = folds is not None and (
+        not octx
+        or all(_deals(labels[folds != f], inner_folds, rng) is not None for f in range(cv_folds))
+    )
+    optimize_deals = _deals(labels, inner_folds, rng) is not None
+    for outer, deals in ((True, run_deals), (False, optimize_deals)):
+        try:
+            check_folds(config, outer)
+        except SignalsetError as exc:
+            assert not deals
+            assert f" folds, but class {rarest} has " in str(exc)
+        else:
+            assert deals

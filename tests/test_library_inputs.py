@@ -109,6 +109,29 @@ def test_a_record_with_a_non_finite_sample_is_refused():
         SignalRecord("r", channels, 1000, 1)
 
 
+@pytest.mark.parametrize(
+    "given, refusal",
+    [
+        ({"ea_params": None}, "ea_params: expected an EAParams, got None"),
+        ({"classifier_specs": (None,)}, "classifiers[0]: expected a ClassifierSpec, got None"),
+        (
+            {"classifier_specs": ["GaussianNB"]},
+            "classifiers[0]: expected a ClassifierSpec, got 'GaussianNB'",
+        ),
+        (
+            {"classifier_specs": (ClassifierSpec(), 5)},
+            "classifiers[1]: expected a ClassifierSpec, got 5",
+        ),
+    ],
+    ids=["ea-none", "spec-none", "spec-string", "second-spec-int"],
+)
+def test_a_run_config_holds_ea_params_and_classifier_specs(given, refusal):
+    """Each built (ea_params=None) or raised a bare AttributeError, at the first EA or in
+    __post_init__; the CLI builds both objects itself, so only a library caller met it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        RunConfig(SSET, STRUCTURE, **given)
+
+
 def test_integer_fields_take_numpy_integers():
     """What operator.index takes is an integer; Binding stores it as a Python int."""
     assert ClassifierSpec(num_trees=np.int64(3), seed=np.uint8(7)).num_trees == 3
@@ -144,6 +167,8 @@ REFUSALS = re.compile(
             r"(algorithm|crossover_op): expected a string, got \S+",
             r"algorithm: unknown algorithm 'x'",
             r"crossover_op: unknown crossover operator 'x'",
+            r"ea_params: expected an EAParams, got (None|'x')",
+            r"classifiers\[0\]: expected a ClassifierSpec, got (None|'x')",
         )
     )
 )
@@ -191,7 +216,8 @@ def test_hostile_values_build_or_are_refused(data):
     and RunConfig from empty and zero-width arrays, NaN, +-inf, 0, negative values, 2**64,
     1.5 or True in integer fields, and a string or None in every scalar field. A record with
     a non-finite channel value is refused, as the loader refuses one; a RunConfig's structure
-    has the set's class count."""
+    has the set's class count, and its EA settings and classifier spec may be None or a
+    string."""
     draw = data.draw
     channels, rate, label = draw(ARRAYS), draw(value(1000)), draw(value(1))
     builds_or_refuses(lambda: SignalRecord("r", channels, rate, label))
@@ -223,5 +249,9 @@ def test_hostile_values_build_or_are_refused(data):
     )
     builds_or_refuses(lambda: EAParams(**ea))
     run = {name: draw(value(getattr(RunConfig, name))) for name in RUN_INTS}
-    run.update(feature_fraction=draw(FRACTIONS))
+    run.update(
+        feature_fraction=draw(FRACTIONS),
+        ea_params=draw(st.sampled_from([EAParams(), None, "x"])),
+        classifier_specs=(draw(st.sampled_from([ClassifierSpec(), None, "x"])),),
+    )
     builds_or_refuses(lambda: RunConfig(SSET, STRUCTURE, **run))
