@@ -7,12 +7,9 @@ The noise level is raised so the methods actually differ.
 
 from pathlib import Path
 
-import numpy as np
-
 from ctxclf.classifiers import ClassifierSpec
 from ctxclf.context import load_structure
 from ctxclf.evaluation import RunConfig, run_experiment
-from ctxclf.stats import average_ranks, wilcoxon_holm
 from ctxclf.synth import synth_signalset
 
 STRUCTURES = Path(__file__).resolve().parent.parent / "structures"
@@ -32,38 +29,18 @@ def main():
         master_seed=11,
     )
     table = run_experiment(config)
+    report = table.report()
     print(f"K = {table.sequences_per_fold} evaluated sequences per fold\n")
 
-    for method in ("plain", "rctx", "octx"):
-        zo = table.values(method, "GaussianNB", "zo")
-        sq = table.values(method, "GaussianNB", "sqcov")
+    for method, cell in report["summary"]["GaussianNB"].items():
+        zo, sq = cell["zo"], cell["sqcov"]
         print(
-            f"{method:<6} ZO {np.mean(zo):.3f} +/- {np.std(zo, ddof=1):.3f}   "
-            f"SqCov {np.mean(sq):.3f} +/- {np.std(sq, ddof=1):.3f}"
+            f"{method:<6} ZO {zo['mean']:.3f} +/- {zo['std']:.3f}   "
+            f"SqCov {sq['mean']:.3f} +/- {sq['std']:.3f}"
         )
 
-    folds = sorted({r.fold for r in table.rows})
-    subjects = [
-        {m: table.values(m, "GaussianNB", "sqcov")[f] for m in ("plain", "rctx", "octx")}
-        for f in range(len(folds))
-    ]
-    print(f"\naverage SqCov ranks (3 = best): {average_ranks(subjects)}")
-
-    paired = {
-        "octx vs plain": (
-            table.values("octx", "GaussianNB", "sqcov"),
-            table.values("plain", "GaussianNB", "sqcov"),
-        ),
-        "octx vs rctx": (
-            table.values("octx", "GaussianNB", "sqcov"),
-            table.values("rctx", "GaussianNB", "sqcov"),
-        ),
-        "rctx vs plain": (
-            table.values("rctx", "GaussianNB", "sqcov"),
-            table.values("plain", "GaussianNB", "sqcov"),
-        ),
-    }
-    for name, res in wilcoxon_holm(paired).items():
+    print(f"\naverage SqCov ranks (3 = best): {report['ranks']['GaussianNB']['sqcov']}")
+    for name, res in report["tests"]["GaussianNB"]["sqcov"].items():
         mark = " (significant)" if res["significant"] else ""
         print(f"  {name}: W={res['statistic']:.1f}, p={res['p_value']:.4f}{mark}")
 

@@ -244,32 +244,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def report_from_table(table: MetricsTable, alpha: float = 0.05) -> dict:
-    """Means, stds, average ranks, and Holm-corrected pairwise tests."""
-    from ctxclf.stats import average_ranks, wilcoxon_holm  # only `report` needs them
-    out: dict = {"summary": table.summary()["cells"], "ranks": {}, "tests": {}}
-    classifiers = sorted({r.classifier for r in table.rows})
-    methods = sorted({r.method for r in table.rows})
-    for clf in classifiers:
-        for criterion in ("zo", "sqcov"):
-            per_fold = {m: table.values(m, clf, criterion) for m in methods}  # same folds each
-            subjects = [dict(zip(methods, fold)) for fold in zip(*per_fold.values())]
-            out["ranks"].setdefault(clf, {})[criterion] = average_ranks(subjects)
-            if len(methods) >= 2 and len(subjects) >= 6:
-                paired = {
-                    f"{a} vs {b}": (per_fold[a], per_fold[b])
-                    for i, a in enumerate(methods)
-                    for b in methods[i + 1 :]
-                }
-                out["tests"].setdefault(clf, {})[criterion] = wilcoxon_holm(paired, alpha=alpha)
-    return out
-
-
 def cmd_report(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # nan fails the comparison too
         raise ConfigError(f"--alpha: must be in (0, 1), got {args.alpha}")
     out = _out_file(args.out)
-    report = report_from_table(MetricsTable.from_csv(args.metrics), alpha=args.alpha)
+    report = MetricsTable.from_csv(args.metrics).report(args.alpha)
     if out:
         out.write_text(json.dumps(report, indent=2) + "\n")
     for clf, crits in sorted(report["summary"].items()):

@@ -122,6 +122,9 @@ class RunConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name, cls in (("signalset", SignalSet), ("structure", ContextStructure)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name}: expected a {cls.__name__}, got {getattr(self, name)!r}")
         violations = validate_structure(self.structure)
         if violations:
             raise ValueError(f"structure: {violations[0]}")
@@ -265,6 +268,26 @@ class MetricsTable:
                     "mean": float(np.mean(vals)),
                     "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
                 }
+        return out
+
+    def report(self, alpha: float = 0.05) -> dict:
+        """Means, stds, average ranks, and Holm-corrected pairwise tests (from 6 folds up)."""
+        from ctxclf.stats import average_ranks, wilcoxon_holm  # only `report` needs them
+        out: dict = {"summary": self.summary()["cells"], "ranks": {}, "tests": {}}
+        classifiers = sorted({r.classifier for r in self.rows})
+        methods = sorted({r.method for r in self.rows})
+        for clf in classifiers:
+            for criterion in ("zo", "sqcov"):
+                per_fold = {m: self.values(m, clf, criterion) for m in methods}  # same folds each
+                subjects = [dict(zip(methods, fold)) for fold in zip(*per_fold.values())]
+                out["ranks"].setdefault(clf, {})[criterion] = average_ranks(subjects)
+                if len(methods) >= 2 and len(subjects) >= 6:
+                    paired = {
+                        f"{a} vs {b}": (per_fold[a], per_fold[b])
+                        for i, a in enumerate(methods)
+                        for b in methods[i + 1 :]
+                    }
+                    out["tests"].setdefault(clf, {})[criterion] = wilcoxon_holm(paired, alpha)
         return out
 
 

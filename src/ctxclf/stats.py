@@ -26,7 +26,7 @@ def average_ranks(per_subject_values: list[dict[str, float]]) -> dict[str, float
     for values in per_subject_values:
         if sorted(values) != methods:
             raise ValueError("all subjects must report the same methods")
-        ranks = _midranks(np.array([values[m] for m in methods], dtype=np.float64))
+        ranks, _ = _midranks(np.array([values[m] for m in methods], dtype=np.float64))
         for m, r in zip(methods, ranks.tolist()):
             totals[m] += r
     n = len(per_subject_values)
@@ -43,35 +43,23 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     n = len(d)
     if n == 0:
         return 0.0, 1.0
-    ranks = _midranks(np.abs(d))
+    ranks, ties = _midranks(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0]))
     w_minus = float(np.sum(ranks[d < 0]))
     w = min(w_plus, w_minus)
     mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    # tie correction on the variance
-    _, counts = np.unique(ranks, return_counts=True)
-    var -= float(np.sum(counts**3 - counts)) / 48.0
-    if var <= 0.0:
-        return w, 1.0
+    # tie-corrected; the worst case, one tie of all n values, still leaves n(n+1)^2/16 > 0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction towards the mean
     p = 2.0 * _norm_cdf(z)
     return w, min(p, 1.0)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks from the lowest value up; ties share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks from the lowest up, ties sharing their mean rank, and each tie's size."""
+    # return_index (numpy then sorts stably, so NaNs rank in input order), inverse, counts
+    _, _, inverse, sizes = np.unique(values, True, True, True, equal_nan=False)
+    return (np.cumsum(sizes) - (sizes - 1) / 2)[inverse], sizes
 
 
 def _norm_cdf(z: float) -> float:

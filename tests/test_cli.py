@@ -19,7 +19,7 @@ from ctxclf.classifiers import ClassifierSpec
 from ctxclf.cli import ConfigError, _write_outputs, load_run_config, main
 from ctxclf.context import MAX_CLASSES, MAX_NESTING, load_structure, validate_structure
 from ctxclf.errors import SignalsetError
-from ctxclf.evaluation import RunConfig, run_experiment
+from ctxclf.evaluation import MetricsTable, RunConfig, run_experiment
 from ctxclf.optimize import EAParams
 from ctxclf.signals import save_signalset
 from ctxclf.synth import synth_signalset
@@ -742,6 +742,13 @@ def test_a_negative_exhaustive_limit_is_refused_before_the_run(run_setup, capsys
     _rejected_before_run(tmp_path, capsys, bad, "exhaustive_limit: must be >= 0, got -1", command)
 
 
+def test_a_classifier_without_an_algorithm_is_refused(run_setup, capsys):
+    """The config must name it, though a ClassifierSpec built in code defaults it."""
+    tmp_path, _, config = run_setup
+    bad = dict(config, classifiers=[{"num_trees": 5}])
+    _rejected_before_run(tmp_path, capsys, bad, "classifiers[0].algorithm: missing")
+
+
 @pytest.mark.parametrize("field", ["cv_fold", "classifiers[0].num_tree", "ea.populaton_size"])
 def test_run_rejects_unknown_field(run_setup, capsys, field):
     tmp_path, _, config = run_setup
@@ -988,8 +995,22 @@ def test_run_rejects_non_integer_structure_field(run_setup, capsys, mutate, mess
         ),
         (lambda doc: doc["boxes"].append(7), "boxes[4]: expected an object, got 7"),
         (lambda doc: doc.update(movements=3), "movements: expected a list, got 3"),
+        (lambda doc: doc["boxes"][0].update(parent=1), "root box must have parent null"),
+        (
+            lambda doc: doc["boxes"][0].update(opens_with_movement=1),
+            "root box must not declare an opening movement",
+        ),
+        (
+            lambda doc: doc["boxes"][1].pop("opens_with_movement"),
+            "box 1: missing opens_with_movement",
+        ),
+        (  # box 2's parent is box 1
+            lambda doc: doc["boxes"][1].update(parent=2),
+            "boxes unreachable from root: [1, 2]",
+        ),
     ],
-    ids=["internal_movements", "box", "movements"],
+    ids=["internal_movements", "box", "movements", "root-parent", "root-opener", "no-opener",
+         "parent-cycle"],
 )
 def test_cli_rejects_non_list_or_object_structure_field(
     run_setup, capsys, command, mutate, message
@@ -1163,21 +1184,39 @@ def test_report_rejects_malformed_metrics(tmp_path, capsys, body, fragments):
     assert not out.exists()
 
 
-def test_report_pairs_methods_by_fold_not_by_row(tmp_path, capsys):
-    """A file listing one method's folds in reverse order gives the fold-order report."""
+def _six_paired_folds(path, reverse: bool):
+    """Write plain's and then rctx's six folds to `path`, rctx's last to first if `reverse`."""
     plain = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60]
     rctx = [0.15, 0.22, 0.45, 0.41, 0.90, 0.61]  # above plain in every fold, by varying margins
     lines = [f"plain,GaussianNB,{k},{v},{v}" for k, v in enumerate(plain)]
     rctx_lines = [f"rctx,GaussianNB,{k},{v},{v}" for k, v in enumerate(rctx)]
+    body = lines + (rctx_lines[::-1] if reverse else rctx_lines)
+    path.write_text("\n".join(["method,classifier,fold,zo,sqcov"] + body) + "\n")
+    return path
+
+
+def test_report_pairs_methods_by_fold_not_by_row(tmp_path, capsys):
+    """A file listing one method's folds in reverse order gives the fold-order report."""
     reports = []
-    for name, body in (("in-order", lines + rctx_lines), ("reversed", lines + rctx_lines[::-1])):
-        metrics, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
-        metrics.write_text("\n".join(["method,classifier,fold,zo,sqcov"] + body) + "\n")
+    for name in ("in-order", "reversed"):
+        metrics = _six_paired_folds(tmp_path / f"{name}.csv", reverse=name == "reversed")
+        out = tmp_path / f"{name}.json"
         assert main(["report", "--metrics", str(metrics), "--out", str(out)]) == 0
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
     assert reports[1]["ranks"]["GaussianNB"]["zo"] == {"plain": 1.0, "rctx": 2.0}
     assert reports[1]["tests"]["GaussianNB"]["zo"]["plain vs rctx"]["significant"]
+
+
+def test_report_writes_the_tables_report(run_setup, capsys):
+    """`report --out` writes MetricsTable.report: a library caller gets the same comparison."""
+    tmp_path, cfg_path, _ = run_setup
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    reversed_rows = _six_paired_folds(tmp_path / "reversed.csv", reverse=True)
+    for metrics in (tmp_path / "out" / "metrics.csv", reversed_rows):
+        out = tmp_path / "report.json"
+        assert main(["report", "--metrics", str(metrics), "--alpha", "0.2", "--out", str(out)]) == 0
+        assert MetricsTable.from_csv(metrics).report(0.2) == json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("alpha", ["0", "1", "-1", "2", "nan"])

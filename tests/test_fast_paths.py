@@ -18,9 +18,9 @@ table walk) with its (first miss, length) reductions, one cached
 machine per (structure, binding), the class-sorted naive Bayes slices,
 the label comparison that picks a box's rows, one fit per class set in a
 memo-less call, the MI label codes and cell order without ``np.unique``,
-the stable reverse ranking of the scores, the uint32 seed words and the
-prediction tables of the held-out block (against the row-indexed tables)
-must leave every result as it was;
+the stable reverse ranking of the scores, the uint32 seed words, the
+prediction tables of the held-out block (against the row-indexed tables) and
+the midranks and tie sizes of one ``np.unique`` must leave every result as it was;
 the golden digests pin a whole cross-validated run over all three
 classifiers, one on the EA path, and the controller's window-by-window path.
 """
@@ -40,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxclf import classifiers, evaluation, features, optimize, signals, wavelet
+from ctxclf import classifiers, evaluation, features, optimize, signals, stats, wavelet
 from ctxclf.classifiers import ALGORITHMS, ClassifierSpec, predict, train
 from ctxclf.context import (
     ROOT,
@@ -2119,3 +2119,39 @@ def test_seed_words_equal_the_int_list():
         assert derive_seed(seed, *path) == list_seed(seed, *path)
     with pytest.raises(TypeError):
         derive_rng(0, 1.5)
+
+
+def loop_midranks(values):
+    """The midranks as they were: a stable sort, then one while-loop over each tie (the oracle)."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    sorted_vals = values[order]
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+TIED_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 0.3, 1.0, -1.0, math.inf, -math.inf, math.nan]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(TIED_VALUES, min_size=1, max_size=30))
+def test_one_unique_midranks_equal_the_loop(values):
+    """Bit-equal ranks, with +-0.0 one tie, NaN tied to nothing and 0.1 + 0.2 not 0.3; the tie
+    sizes are those of the loop's ranks, and even with one tie of all n values the corrected
+    Wilcoxon variance stays at n(n+1)^2/16 or above, so it is never 0."""
+    values = np.array(values)
+    ranks, ties = stats._midranks(values)
+    oracle = loop_midranks(values)
+    assert ranks.tobytes() == oracle.tobytes()
+    assert ties.tolist() == np.unique(oracle, return_counts=True)[1].tolist()
+    n = len(values)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
+    assert var >= n * (n + 1) ** 2 / 16

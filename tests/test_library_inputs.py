@@ -169,6 +169,8 @@ REFUSALS = re.compile(
             r"crossover_op: unknown crossover operator 'x'",
             r"ea_params: expected an EAParams, got (None|'x')",
             r"classifiers\[0\]: expected a ClassifierSpec, got (None|'x')",
+            r"signalset: expected a SignalSet, got (None|'x')",
+            r"structure: expected a ContextStructure, got (None|'x')",
         )
     )
 )
@@ -215,9 +217,9 @@ def test_hostile_values_build_or_are_refused(data):
     """SignalRecord, SignalSet, FeatureVector, FeatureMask, Binding, ClassifierSpec, EAParams
     and RunConfig from empty and zero-width arrays, NaN, +-inf, 0, negative values, 2**64,
     1.5 or True in integer fields, and a string or None in every scalar field. A record with
-    a non-finite channel value is refused, as the loader refuses one; a RunConfig's structure
-    has the set's class count, and its EA settings and classifier spec may be None or a
-    string."""
+    a non-finite channel value is refused, as the loader refuses one; a RunConfig's structure,
+    when it is one, has the set's class count, and its signal set, structure, EA settings and
+    classifier spec may be None or a string."""
     draw = data.draw
     channels, rate, label = draw(ARRAYS), draw(value(1000)), draw(value(1))
     builds_or_refuses(lambda: SignalRecord("r", channels, rate, label))
@@ -254,4 +256,6 @@ def test_hostile_values_build_or_are_refused(data):
         ea_params=draw(st.sampled_from([EAParams(), None, "x"])),
         classifier_specs=(draw(st.sampled_from([ClassifierSpec(), None, "x"])),),
     )
-    builds_or_refuses(lambda: RunConfig(SSET, STRUCTURE, **run))
+    sset = draw(st.sampled_from([SSET, None, "x"]))
+    structure = draw(st.sampled_from([STRUCTURE, None, "x"]))
+    builds_or_refuses(lambda: RunConfig(sset, structure, **run))

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ctxclf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ctxclf"
 LINE_BUDGET = 3000
 
 
@@ -21,10 +22,10 @@ def test_source_stays_below_its_line_budget():
 
 
 def test_each_module_uses_every_name_it_imports():
-    """Each name a module of src/ctxclf imports is referenced in that module, so code that
-    loses its last use of an import takes the import with it."""
+    """Each name a module of src/ctxclf or a script of demos/ imports is referenced in that
+    file, so code that loses its last use of an import takes the import with it."""
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]:
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
